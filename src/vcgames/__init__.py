@@ -63,8 +63,6 @@ from .valuation import (
     check_monotone,
     check_submodular,
     expand_to_table,
-    marginal,
-    value,
 )
 from .vcgame import (
     BestResponse,
@@ -120,7 +118,6 @@ __all__ = [
     "harmonic_instance",
     "harmonic_number",
     "map_to_pmvc",
-    "marginal",
     "parse_rational",
     "payoff_table",
     "pmvc_best_response",
@@ -132,7 +129,6 @@ __all__ = [
     "random_cdsp_spec",
     "random_instance",
     "sentinel_price",
-    "value",
     "vc_best_response",
     "vc_verify_ne",
     "vendor_revenue",

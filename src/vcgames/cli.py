@@ -186,7 +186,10 @@ def cmd_ne(args) -> int:
 def cmd_poa(args) -> int:
     g = _load(args)
     report = equilibrium_report(g, cap=args.cap)
-    _emit(args, serialize.report_to_text(g, report), serialize.report_to_obj(g, report))
+    if args.format == "json":
+        _emit(args, "", serialize.report_to_obj(g, report))
+    else:
+        _emit(args, serialize.report_to_text(g, report), None)
     return 0
 
 
@@ -299,10 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override the generator seed")
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text"
-        )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="reserved; accepted for interface stability",
         )
         return p
 

@@ -17,6 +17,7 @@ __all__ = [
     "Universe",
     "bits_of",
     "submasks_of",
+    "subset_sums",
 ]
 
 MAX_ITEMS = 20
@@ -43,6 +44,19 @@ def submasks_of(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def subset_sums(weights) -> list[int]:
+    """``sums[mask]`` is the total of ``weights[i]`` over the bits i of mask.
+
+    Built by doubling: the sums that include weight j are the sums over the
+    lower bits plus ``weights[j]``.  With single-bit weights ``1 << item`` the
+    result maps a local mask to the global mask of those items.
+    """
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 @dataclass(frozen=True)

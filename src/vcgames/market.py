@@ -15,12 +15,11 @@ an exact rational that no rational buyer ever pays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .items import Universe, bits_of
-from .valuation import Valuation
+from .items import Universe, bits_of, subset_sums
+from .valuation import Valuation, common_scale
 
 __all__ = [
     "PriceVector",
@@ -89,18 +88,8 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
 
 def _scaled_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], int]:
     """Utilities of all subsets as exact integers over a common denominator."""
-    table, lv = v.dense_scaled()
-    lp = math.lcm(*(q.denominator for q in p.prices)) if p.prices else 1
-    scale = math.lcm(lv, lp)
-    mv = scale // lv
-    price_int = [q.numerator * (scale // q.denominator) for q in p.prices]
-    n = v.universe.n
-    psum = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + price_int[low.bit_length() - 1]
-    utils = [table[m] * mv - psum[m] for m in range(1 << n)]
-    return utils, scale
+    table, scale, price_int = common_scale(v, p.prices)
+    return [t - q for t, q in zip(table, subset_sums(price_int))], scale
 
 
 def _scan_utilities(utils: list[int]) -> tuple[int, int, int, bool]:

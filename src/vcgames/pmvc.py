@@ -16,14 +16,16 @@ oracle so the invariant stays observable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .items import Universe, bits_of
+from .items import Universe, bits_of, submasks_of, subset_sums
 from .market import DemandResult, PriceVector, demand, sentinel_price
-from .valuation import Valuation
+from .valuation import Valuation, common_scale
 
 __all__ = [
     "GameInstance",
@@ -115,6 +117,20 @@ class GameInstance:
     def vendor_items(self, i: int) -> tuple[int, ...]:
         return tuple(bits_of(self.vendor_masks[i]))
 
+    @cached_property
+    def offer_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per vendor, every offer it can make indexed by local mask (bit j
+        picks its j-th lowest item).  Ascending by local mask is ascending by
+        global mask too."""
+        return tuple(
+            tuple(subset_sums([1 << item for item in bits_of(owned)]))
+            for owned in self.vendor_masks
+        )
+
+    def check_vendor(self, i: int) -> None:
+        if not 0 <= i < self.n_vendors:
+            raise ValueError(f"no vendor {i}")
+
     def owner_of(self, item: int) -> int:
         bit = 1 << item
         for i, m in enumerate(self.vendor_masks):
@@ -191,6 +207,42 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
     return Outcome(s, p, d.chosen, payoffs, d.utility, welfare, d)
 
 
+def _payoff_rule(g: GameInstance, undercut: Fraction | None):
+    """The offer game's payoffs as ``(pay, scale)``: vendor i earns
+    ``pay(union, i) / scale`` at the profile whose offers make up ``union``.
+
+    Certified instances use the integer closed form, each offered item
+    selling at its (undercut) marginal.  Others run ``pmvc_outcome``, once per
+    union, since disjoint vendors make the union determine the profile.
+    """
+    if undercut is not None and undercut <= 0:
+        raise ValueError("undercut epsilon must be positive")
+    if not g.certified:
+        outcomes: dict[int, tuple[Fraction, ...]] = {}
+
+        def pay(union: int, vendor: int) -> Fraction:
+            if union not in outcomes:
+                s = StrategyProfile(tuple(union & owned for owned in g.vendor_masks))
+                outcomes[union] = pmvc_outcome(g, s, undercut).vendor_payoffs
+            return outcomes[union][vendor]
+
+        return pay, 1
+    table, scale, (eps,) = common_scale(g.valuation, [Fraction(undercut or 0)])
+    item_bits = [[1 << item for item in bits_of(owned)] for owned in g.vendor_masks]
+
+    def pay(union: int, vendor: int) -> int:
+        v_union = table[union] - eps
+        total = 0
+        for bit in item_bits[vendor]:
+            if union & bit:
+                m = v_union - table[union ^ bit]
+                if m > 0:
+                    total += m
+        return total
+
+    return pay, scale
+
+
 def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     """Closed-form payoffs sum_{a in S_i} m_a(S* - a).
 
@@ -200,43 +252,15 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     if not g.certified:
         raise ValueError("closed-form payoffs need a certified valuation")
     g.check_profile(s)
-    v = g.valuation
+    pay, scale = _payoff_rule(g, None)
     union = s.union_mask
-    v_union = v.value_mask(union)
-    out = []
-    for offer in s.offers:
-        total = Fraction(0)
-        for item in bits_of(offer):
-            total += v_union - v.value_mask(union ^ (1 << item))
-        out.append(total)
-    return tuple(out)
-
-
-def _local_to_global(items: tuple[int, ...], local_mask: int) -> int:
-    mask = 0
-    for j in bits_of(local_mask):
-        mask |= 1 << items[j]
-    return mask
+    return tuple(Fraction(pay(union, i), scale) for i in range(g.n_vendors))
 
 
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     """Deterministic profile order: per-vendor subsets by ascending local
     index, later vendors cycling fastest (row-major product)."""
-    per_vendor = []
-    for i in range(g.n_vendors):
-        items = g.vendor_items(i)
-        per_vendor.append([_local_to_global(items, lm) for lm in range(1 << len(items))])
-
-    def rec(i: int, acc: list[int]) -> Iterator[StrategyProfile]:
-        if i == len(per_vendor):
-            yield StrategyProfile(tuple(acc))
-            return
-        for offer in per_vendor[i]:
-            acc.append(offer)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    return rec(0, [])
+    return map(StrategyProfile, itertools.product(*g.offer_tables))
 
 
 def _profile_count(g: GameInstance) -> int:
@@ -255,30 +279,6 @@ def payoff_table(
     return [pmvc_outcome(g, s, undercut) for s in all_profiles(g)]
 
 
-def _scaled_game(g: GameInstance, undercut: Fraction | None):
-    """Dense integer value table, plus the undercut step in the same scale."""
-    table, lv = g.valuation.dense_scaled()
-    if undercut is None:
-        return table, lv, 0
-    scale = math.lcm(lv, Fraction(undercut).denominator)
-    if scale != lv:
-        mult = scale // lv
-        table = [x * mult for x in table]
-    eps_int = Fraction(undercut).numerator * (scale // Fraction(undercut).denominator)
-    return table, scale, eps_int
-
-
-def _vendor_payoff_int(table, union: int, offer: int, eps_int: int) -> int:
-    v_union = table[union]
-    total = 0
-    for item in bits_of(offer):
-        m = v_union - table[union ^ (1 << item)]
-        if eps_int:
-            m = max(m - eps_int, 0)
-        total += m
-    return total
-
-
 def pmvc_best_response(
     g: GameInstance,
     vendor: int,
@@ -290,40 +290,21 @@ def pmvc_best_response(
     Complete enumeration of the 2^{|A_i|} candidate offers; returns every
     maximizer, ascending by mask.  A vendor owning no items has [0].
     """
+    g.check_vendor(vendor)
     offers = others.offers if isinstance(others, StrategyProfile) else tuple(others)
+    if len(offers) != g.n_vendors:
+        raise ValueError("profile length != vendor count")
     rest = 0
     for j, offer in enumerate(offers):
         if j != vendor:
             if offer & ~g.vendor_masks[j]:
                 raise ValueError("vendor offering items it does not own")
             rest |= offer
-    items = g.vendor_items(vendor)
-    if g.certified:
-        table, _, eps_int = _scaled_game(g, undercut)
-        best = None
-        winners: list[int] = []
-        for lm in range(1 << len(items)):
-            mine = _local_to_global(items, lm)
-            pay = _vendor_payoff_int(table, rest | mine, mine, eps_int)
-            if best is None or pay > best:
-                best, winners = pay, [mine]
-            elif pay == best:
-                winners.append(mine)
-        return sorted(winners)
-    # diagnostic route: honest demand per candidate offer
-    best_f = None
-    winners = []
-    base = list(offers)
-    for lm in range(1 << len(items)):
-        mine = _local_to_global(items, lm)
-        base[vendor] = mine
-        out = pmvc_outcome(g, StrategyProfile(tuple(base)), undercut)
-        pay = out.vendor_payoffs[vendor]
-        if best_f is None or pay > best_f:
-            best_f, winners = pay, [mine]
-        elif pay == best_f:
-            winners.append(mine)
-    return sorted(winners)
+    pay, _ = _payoff_rule(g, undercut)
+    mine = g.offer_tables[vendor]
+    pays = [pay(rest | offer, vendor) for offer in mine]
+    best = max(pays)
+    return [offer for offer, p in zip(mine, pays) if p == best]
 
 
 def pmvc_pure_ne(
@@ -334,70 +315,25 @@ def pmvc_pure_ne(
     """Every pure Nash equilibrium of the discrete game.
 
     Since vendor sets are disjoint, profiles correspond one-to-one with
-    subsets M of the universe via S_i = M & A_i.  For certified valuations the
-    closed-form payoffs make this a pair of integer passes per vendor: one to
-    tabulate the best reply value against each configuration of the others,
-    one to keep the profiles where the vendor already attains it.  Profiles
+    subsets M of the universe via S_i = M & A_i.  One pass per vendor groups
+    the subsets by the others' part, evaluates each payoff once, and marks
+    the subsets where the vendor falls short of its best reply.  Profiles
     come back in the deterministic ``all_profiles`` order.
     """
     count = _profile_count(g)
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
-    n = g.universe.n
-    if not g.certified:
-        return _pure_ne_diagnostic(g, undercut)
-    table, _, eps_int = _scaled_game(g, undercut)
-    candidates = list(range(1 << n))
-    for i, owned in enumerate(g.vendor_masks):
-        best_vs: dict[int, int] = {}
-        for m in range(1 << n):
-            rest = m & ~owned
-            pay = _vendor_payoff_int(table, m, m & owned, eps_int)
-            cur = best_vs.get(rest)
-            if cur is None or pay > cur:
-                best_vs[rest] = pay
-        candidates = [
-            m
-            for m in candidates
-            if _vendor_payoff_int(table, m, m & owned, eps_int) == best_vs[m & ~owned]
-        ]
-    equilibria = [
-        StrategyProfile(tuple(m & owned for owned in g.vendor_masks))
-        for m in candidates
+    pay, _ = _payoff_rule(g, undercut)
+    stable = bytearray(b"\x01") * (1 << g.universe.n)
+    for i, (owned, mine) in enumerate(zip(g.vendor_masks, g.offer_tables)):
+        for rest in submasks_of(g.universe.full_mask & ~owned):
+            pays = [pay(rest | offer, i) for offer in mine]
+            best = max(pays)
+            for offer, p in zip(mine, pays):
+                if p != best:
+                    stable[rest | offer] = 0
+    return [
+        StrategyProfile(offers)
+        for offers in itertools.product(*g.offer_tables)
+        if stable[sum(offers)]  # disjoint offers: the sum is the union
     ]
-    return sorted(equilibria, key=lambda s: _profile_sort_key(g, s))
-
-
-def _profile_sort_key(g: GameInstance, s: StrategyProfile) -> tuple[int, ...]:
-    key = []
-    for i, offer in enumerate(s.offers):
-        items = g.vendor_items(i)
-        local = 0
-        for j, item in enumerate(items):
-            if offer & (1 << item):
-                local |= 1 << j
-        key.append(local)
-    return tuple(key)
-
-
-def _pure_ne_diagnostic(g: GameInstance, undercut: Fraction | None) -> list[StrategyProfile]:
-    out = []
-    for s in all_profiles(g):
-        payoffs = pmvc_outcome(g, s, undercut).vendor_payoffs
-        if all(
-            payoffs[i]
-            >= max(
-                pmvc_outcome(
-                    g,
-                    StrategyProfile(s.offers[:i] + (alt,) + s.offers[i + 1:]),
-                    undercut,
-                ).vendor_payoffs[i]
-                for alt in (
-                    _local_to_global(g.vendor_items(i), lm)
-                    for lm in range(1 << len(g.vendor_items(i)))
-                )
-            )
-            for i in range(g.n_vendors)
-        ):
-            out.append(s)
-    return out

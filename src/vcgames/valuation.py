@@ -31,8 +31,7 @@ __all__ = [
     "AdditiveGroupsValuation",
     "CategoryMaxValuation",
     "ValidationReport",
-    "value",
-    "marginal",
+    "common_scale",
     "check_monotone",
     "check_submodular",
     "expand_to_table",
@@ -258,12 +257,18 @@ class CategoryMaxValuation(Valuation):
 # -- module-level operations ----------------------------------------------
 
 
-def value(v: Valuation, mask: int) -> Fraction:
-    return v.value_mask(mask)
+def common_scale(v: Valuation, extras) -> tuple[list[int], int, list[int]]:
+    """The dense table of v and the rationals ``extras`` over one denominator.
 
-
-def marginal(v: Valuation, item: int, mask: int) -> Fraction:
-    return v.marginal_mask(item, mask)
+    Returns ``(table, L, ints)`` with ``table[mask] / L == v(mask)`` and
+    ``ints[j] / L == extras[j]``; L is the least common denominator, and the
+    cached table itself comes back when it needs no rescaling.
+    """
+    table, lv = v.dense_scaled()
+    scale = math.lcm(lv, *(q.denominator for q in extras))
+    if scale != lv:
+        table = [x * (scale // lv) for x in table]
+    return table, scale, [q.numerator * (scale // q.denominator) for q in extras]
 
 
 def check_monotone(v: Valuation) -> ValidationReport:

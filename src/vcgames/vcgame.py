@@ -29,12 +29,11 @@ Best responses come in three tiers:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlp
-from .items import bits_of, submasks_of
+from .items import bits_of, submasks_of, subset_sums
 from .market import PriceVector, demand, sentinel_price
 from .pmvc import (
     GameInstance,
@@ -44,6 +43,7 @@ from .pmvc import (
     pmvc_payoffs,
     pmvc_prices,
 )
+from .valuation import common_scale
 
 __all__ = [
     "METHODS",
@@ -153,20 +153,13 @@ def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
 # -- target-set-exact ------------------------------------------------------
 
 
-def _fixed_price_ints(g: GameInstance, p: PriceVector, vendor: int, scale: int):
-    """Subset sums of competitors' prices, scaled; own items contribute 0."""
-    n = g.universe.n
+def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int):
+    """Value table, scale, and subset sums of the competitors' prices (own
+    items count 0), all as integers over one common denominator."""
+    table, scale, price_int = common_scale(g.valuation, p.prices)
     owned = g.vendor_masks[vendor]
-    per_item = [0] * n
-    for item in range(n):
-        if not owned & (1 << item):
-            q = p.prices[item]
-            per_item[item] = q.numerator * (scale // q.denominator)
-    psum = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + per_item[low.bit_length() - 1]
-    return psum
+    competitors = [0 if owned >> i & 1 else q for i, q in enumerate(price_int)]
+    return table, scale, subset_sums(competitors)
 
 
 def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
@@ -175,23 +168,10 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
         raise ValueError(f"target-set-exact enumerates 2^n targets; capped at {EXACT_MAX_ITEMS} items")
     owned = g.vendor_masks[vendor]
     others = g.universe.full_mask & ~owned
-    items = tuple(bits_of(owned))
+    items = g.vendor_items(vendor)
     ni = len(items)
-    table, lv = g.valuation.dense_scaled()
-    lp = math.lcm(*(q.denominator for q in p.prices)) if p.prices else 1
-    scale = math.lcm(lv, lp)
-    if scale != lv:
-        mult = scale // lv
-        table = [x * mult for x in table]
-    pmsum = _fixed_price_ints(g, p, vendor, scale)
-
-    def to_global(lm: int) -> int:
-        mask = 0
-        for j in bits_of(lm):
-            mask |= 1 << items[j]
-        return mask
-
-    glob = [to_global(lm) for lm in range(1 << ni)]
+    table, scale, pmsum = _scaled_prices(g, p, vendor)
+    glob = g.offer_tables[vendor]
 
     # outside_min[R] = min over competitor-sets S' of p(S') - v(R | S'):
     # the binding term of the buyer's "switch to R plus something else"
@@ -280,16 +260,12 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
 
 def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
     v = g.valuation
-    owned = g.vendor_masks[vendor]
-    items = tuple(bits_of(owned))
+    items = g.vendor_items(vendor)
     sent = sentinel_price(v)
     absent = p.replace({item: sent for item in items})
     backdrop = demand(v, absent).chosen  # what sells without this vendor
     best: BestResponse | None = None
-    for lm in range(1 << len(items)):
-        offer = 0
-        for j in bits_of(lm):
-            offer |= 1 << items[j]
+    for offer in g.offer_tables[vendor]:
         union = offer | backdrop
         v_union = v.value_mask(union)
         updates: dict[int, Fraction] = {item: sent for item in items}
@@ -320,13 +296,9 @@ def _grid_best_response(
     if n > EXACT_MAX_ITEMS:
         raise ValueError(f"grid search builds the full marginal grid; capped at {EXACT_MAX_ITEMS} items")
     owned = g.vendor_masks[vendor]
-    items = tuple(bits_of(owned))
+    items = g.vendor_items(vendor)
     ni = len(items)
-    table, lv = g.valuation.dense_scaled()
-    lp = math.lcm(*(q.denominator for q in p.prices)) if p.prices else 1
-    scale = math.lcm(lv, lp)
-    if scale != lv:
-        table = [x * (scale // lv) for x in table]
+    table, scale, pmsum = _scaled_prices(g, p, vendor)
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1
     for mask in range(1, 1 << n):
         v_mask = table[mask]
@@ -337,7 +309,6 @@ def _grid_best_response(
         raise ValueError(
             f"grid search would try {len(grid)}^{ni} combinations (cap {grid_cap})"
         )
-    pmsum = _fixed_price_ints(g, p, vendor, scale)
     others = g.universe.full_mask & ~owned
 
     # Prices of competitor items never change across combos, so the choice
@@ -347,7 +318,7 @@ def _grid_best_response(
     base_best = [0] * (1 << n)
     rest_union = [0] * (1 << n)
     rest_max = [0] * (1 << n)
-    own_parts = sorted(submasks_of(owned))  # ascending, so subset sums fill in order
+    own_parts = g.offer_tables[vendor]  # ascending, so subset sums fill in order
     pos_of = {1 << item: j for j, item in enumerate(items)}
     for o in own_parts:
         best = None
@@ -423,8 +394,7 @@ def vc_best_response(
     docstring for the three tiers; only ``target-set-exact`` is complete.
     """
     _require_certified(g)
-    if not 0 <= vendor < g.n_vendors:
-        raise ValueError(f"no vendor {vendor}")
+    g.check_vendor(vendor)
     if method == "target-set-exact":
         return _exact_best_response(g, vendor, p)
     if method == "candidate-set":
@@ -534,7 +504,6 @@ def br_dynamics(
     g: GameInstance,
     start: StrategyProfile | PriceVector,
     mode: str = "discrete",
-    order: str = "round-robin",
     max_steps: int = 1000,
 ) -> DynamicsTrace:
     """Round-robin strict best-response dynamics.
@@ -546,99 +515,71 @@ def br_dynamics(
     moves in it.
     """
     _require_certified(g)
-    if order != "round-robin":
-        raise ValueError("only round-robin order is supported")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if mode == "discrete":
         if isinstance(start, PriceVector):
             start, _ = map_to_pmvc(g, start)
-        return _discrete_dynamics(g, start, max_steps)
-    if mode == "continuous":
+        g.check_profile(start)
+        move = _discrete_move
+    elif mode == "continuous":
         if isinstance(start, StrategyProfile):
             start = pmvc_prices(g, start)
-        return _continuous_dynamics(g, start, max_steps)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _discrete_dynamics(g: GameInstance, start: StrategyProfile, max_steps: int) -> DynamicsTrace:
-    g.check_profile(start)
+        move = _continuous_move
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     k = g.n_vendors
     state = start
     steps: list[TraceStep] = []
     seen: dict[tuple, int] = {}
     pos = 0
-    moves = 0
     quiet = 0
     status = "cap"
     period = None
-    while moves < max_steps:
-        key = (state.offers, pos)
+    while len(steps) < max_steps:
+        key = (state, pos)
         if key in seen:
             status = "cycle"
-            period = moves - seen[key]
+            period = len(steps) - seen[key]
             break
-        seen[key] = moves
-        vendor = pos
-        current = pmvc_payoffs(g, state)[vendor]
-        replies = pmvc_best_response(g, vendor, state)
-        best_offer = replies[0]
-        best_pay = pmvc_payoffs(
-            g,
-            StrategyProfile(
-                state.offers[:vendor] + (best_offer,) + state.offers[vendor + 1:]
-            ),
-        )[vendor]
-        if best_pay > current:
-            state = StrategyProfile(
-                state.offers[:vendor] + (best_offer,) + state.offers[vendor + 1:]
-            )
-            moves += 1
+        seen[key] = len(steps)
+        moved = move(g, state, pos)
+        if moved is not None:
+            state, payoffs = moved
             quiet = 0
-            steps.append(TraceStep(vendor, state, None, pmvc_payoffs(g, state)))
+            if mode == "discrete":
+                steps.append(TraceStep(pos, state, None, payoffs))
+            else:
+                steps.append(TraceStep(pos, None, state, payoffs))
         else:
             quiet += 1
             if quiet >= k:
                 status = "converged"
                 break
         pos = (pos + 1) % k
-    return DynamicsTrace("discrete", start, tuple(steps), status, period)
+    return DynamicsTrace(mode, start, tuple(steps), status, period)
 
 
-def _continuous_dynamics(g: GameInstance, start: PriceVector, max_steps: int) -> DynamicsTrace:
-    k = g.n_vendors
-    state = start
-    steps: list[TraceStep] = []
-    seen: dict[tuple, int] = {}
-    pos = 0
-    moves = 0
-    quiet = 0
-    status = "cap"
-    period = None
-    while moves < max_steps:
-        key = (state.prices, pos)
-        if key in seen:
-            status = "cycle"
-            period = moves - seen[key]
-            break
-        seen[key] = moves
-        vendor = pos
-        current = vendor_revenue(g, state, vendor)
-        br = _exact_best_response(g, vendor, state)
-        if br.revenue > current:
-            # knife-edge optima may not be realized as priced; shave to make
-            # the improvement strict in actually-paid revenue
-            prices, realized, _ = _materialize_deviation(g, vendor, state, br, current)
-            state = state.replace(prices)
-            moves += 1
-            quiet = 0
-            d = demand(g.valuation, state)
-            payoffs = tuple(
-                state.total(d.chosen & g.vendor_masks[i]) for i in range(k)
-            )
-            steps.append(TraceStep(vendor, None, state, payoffs))
-        else:
-            quiet += 1
-            if quiet >= k:
-                status = "converged"
-                break
-        pos = (pos + 1) % k
-    return DynamicsTrace("continuous", start, tuple(steps), status, period)
+def _discrete_move(g: GameInstance, state: StrategyProfile, vendor: int):
+    """The smallest best offer, with everyone's payoffs, unless the current
+    offer is already a best one."""
+    replies = pmvc_best_response(g, vendor, state)
+    if state.offers[vendor] in replies:
+        return None
+    offers = state.offers
+    trial = StrategyProfile(offers[:vendor] + (replies[0],) + offers[vendor + 1:])
+    return trial, pmvc_payoffs(g, trial)
+
+
+def _continuous_move(g: GameInstance, state: PriceVector, vendor: int):
+    """The exact best re-pricing, with everyone's revenue, if it strictly gains."""
+    current = vendor_revenue(g, state, vendor)
+    br = _exact_best_response(g, vendor, state)
+    if br.revenue <= current:
+        return None
+    # knife-edge optima may not be realized as priced; shave to make the
+    # improvement strict in actually-paid revenue
+    prices, _, _ = _materialize_deviation(g, vendor, state, br, current)
+    state = state.replace(prices)
+    d = demand(g.valuation, state)
+    return state, tuple(state.total(d.chosen & owned) for owned in g.vendor_masks)

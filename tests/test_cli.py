@@ -89,6 +89,12 @@ def test_ne_none_found(capsys):
     assert "0 pure Nash equilibria" in out
 
 
+def test_ne_uncertified_file(capsys):
+    code, out, _ = run(capsys, "ne", str(DATA / "supermodular.json"))
+    assert code == 0
+    assert out.split("\n") == ["2 pure Nash equilibria", "  {x}", "  {y}", ""]
+
+
 def test_ne_json(capsys):
     code, out, _ = run(capsys, "ne", "--gen", "harmonic:2,2", "--format", "json")
     assert code == 0
@@ -150,6 +156,15 @@ def test_brd_json_trace(capsys):
     lines = out.strip().split("\n")
     assert json.loads(lines[0])["mode"] == "discrete"
     assert json.loads(lines[-1]) == {"status": "cycle", "period": 4, "moves": 4}
+
+
+def test_brd_negative_max_steps(capsys):
+    code, out, err = run(
+        capsys, "brd", "--gen", "counterexample", "--max-steps", "-5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_steps" in err
 
 
 def test_brd_bad_start(capsys):
@@ -339,11 +354,3 @@ def test_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 2" in err
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(
-        capsys, "check", "--gen", "counterexample", "--threads", "4"
-    )
-    assert code == 0
-    assert "monotone: PASS" in out

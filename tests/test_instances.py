@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcgames import (
@@ -236,9 +236,11 @@ def test_cdsp_minimal_best_reply_avoids_own_category_clashes(seed, n_items, salt
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 5_000), st.integers(2, 6), st.integers(0, 200))
+@example(107, 5, 0)
 def test_cdsp_upgrading_an_offer_never_hurts(seed, n_items, salt):
-    # swapping an offered item for the vendor's best item of that category is
-    # weakly profitable
+    # swapping a vendor's only offered item of a category for its best item
+    # of that category is weakly profitable; with two offered items of one
+    # category the swap can lose (seed 107: {c,d} earns 17-8, {a,d} 22-17)
     import random
 
     spec = random_cdsp_spec(seed, n_items, max(1, n_items // 2))
@@ -259,7 +261,7 @@ def test_cdsp_upgrading_an_offer_never_hurts(seed, n_items, salt):
             cat = _category_of(v, item)
             mine = g.vendor_masks[vendor] & cat
             best = max(bits_of(mine), key=lambda i: (v.item_values[i], i))
-            if best == item:
+            if best == item or s.offers[vendor] & cat != 1 << item:
                 continue
             swapped = s.offers[vendor] & ~(1 << item) | (1 << best)
             trial = StrategyProfile(

@@ -13,15 +13,19 @@ from vcgames import (
     TableValuation,
     Universe,
     all_profiles,
+    cdsp_instance,
     counterexample_instance,
+    harmonic_instance,
     payoff_table,
     pmvc_best_response,
     pmvc_outcome,
     pmvc_payoffs,
     pmvc_prices,
     pmvc_pure_ne,
+    random_cdsp_spec,
     random_instance,
 )
+from vcgames.items import submasks_of
 
 G = counterexample_instance()
 U = G.universe
@@ -247,6 +251,21 @@ def test_best_response_rejects_bad_others():
         pmvc_best_response(G, 0, StrategyProfile((0, U.mask_of(("a",)))))
 
 
+def test_best_response_rejects_bad_vendor_and_length():
+    with pytest.raises(ValueError, match="no vendor"):
+        pmvc_best_response(G, 5, (0, 0))
+    with pytest.raises(ValueError, match="length"):
+        pmvc_best_response(G, 0, (0,))
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)], ids=str)
+def test_nonpositive_undercut_refused_on_certified_game(eps):
+    with pytest.raises(ValueError, match="undercut"):
+        pmvc_pure_ne(G, undercut=eps)
+    with pytest.raises(ValueError, match="undercut"):
+        pmvc_best_response(G, 0, profile((), ()), undercut=eps)
+
+
 def test_best_response_diagnostic_route_agrees():
     # the uncertified path reruns demand per candidate; on a certified table
     # both routes must coincide
@@ -335,3 +354,51 @@ def _random_offer(rng, owned):
         if owned >> b & 1 and rng.random() < 0.6:
             mask |= 1 << b
     return mask
+
+
+REFERENCE_GAMES = {
+    "counterexample": lambda: G,
+    "harmonic-2-2": lambda: harmonic_instance(2, 2),
+    "random-3-8-3": lambda: random_instance(3, 8, 3),
+    "random-5-7-2": lambda: random_instance(5, 7, 2),
+    "cdsp-4-6-3": lambda: cdsp_instance(random_cdsp_spec(4, 6, 3)),
+}
+
+
+def _demand_route(g):
+    """The same game with certification switched off, so every payoff comes
+    from demand runs rather than the closed form."""
+    forced = GameInstance(g.valuation, g.vendor_masks, allow_uncertified=True)
+    forced.monotone_certified = False
+    return forced
+
+
+@pytest.mark.parametrize("route", ["closed-form", "demand"])
+@pytest.mark.parametrize(
+    "eps", [None, Fraction(1, 1000), Fraction(1, 2), Fraction(3)], ids=str
+)
+@pytest.mark.parametrize("name", sorted(REFERENCE_GAMES))
+def test_pure_ne_and_best_response_match_brute_force(name, eps, route):
+    g = REFERENCE_GAMES[name]()
+    if route == "demand":
+        g = _demand_route(g)
+    pay = {
+        s.union_mask: pmvc_outcome(g, s, eps).vendor_payoffs for s in all_profiles(g)
+    }
+    # a demand-route best reply reruns demand for each offer; keep that cheap
+    check_replies = route == "closed-form" or g.universe.n <= 6
+    expected_ne = []
+    for s in all_profiles(g):
+        stable = True
+        for i in range(g.n_vendors):
+            rest = s.union_mask & ~g.vendor_masks[i]
+            alts = {o: pay[rest | o][i] for o in submasks_of(g.vendor_masks[i])}
+            best = max(alts.values())
+            if check_replies:
+                assert pmvc_best_response(g, i, s, undercut=eps) == sorted(
+                    o for o, p in alts.items() if p == best
+                )
+            stable = stable and pay[s.union_mask][i] == best
+        if stable:
+            expected_ne.append(s)
+    assert pmvc_pure_ne(g, undercut=eps) == expected_ne

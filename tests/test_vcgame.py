@@ -254,7 +254,7 @@ def test_dynamics_argument_errors():
     with pytest.raises(ValueError):
         br_dynamics(G, G.parse_profile("{a}|{c}"), "annealed")
     with pytest.raises(ValueError):
-        br_dynamics(G, G.parse_profile("{a}|{c}"), "discrete", order="random")
+        br_dynamics(G, G.parse_profile("{a}|{c}"), "discrete", max_steps=-5)
 
 
 # -- tier dominance and realizability properties ---------------------------
