@@ -30,7 +30,7 @@ from .instances import (
     random_cdsp_spec,
     random_instance,
 )
-from .items import Item, Universe
+from .items import Universe
 from .market import (
     DemandResult,
     PriceVector,
@@ -91,7 +91,6 @@ __all__ = [
     "EnumerationCapExceeded",
     "EquilibriumReport",
     "GameInstance",
-    "Item",
     "Outcome",
     "PriceVector",
     "StrategyProfile",

@@ -99,9 +99,9 @@ def equilibrium_report(
     every set's value to zero, so both ratios degenerate to 1.
     """
     nes = pmvc_pure_ne(g, cap=cap)
-    v = g.valuation
-    opt = v.value_mask(g.universe.full_mask)
-    pairs = tuple((s, v.value_mask(s.union_mask)) for s in nes)
+    table, scale = g.valuation.dense_scaled()  # cached; the certified NE pass built it
+    opt = Fraction(table[g.universe.full_mask], scale)
+    pairs = tuple((s, Fraction(table[s.union_mask], scale)) for s in nes)
     bound = harmonic_number(g.max_vendor_size) + 1
     if not pairs:
         return EquilibriumReport(pairs, opt, None, None, bound, True)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import serialize
-from .analysis import equilibrium_report
+from .analysis import equilibrium_report, welfare
 from .instances import (
     cdsp_equilibrium,
     cdsp_instance,
@@ -21,7 +21,7 @@ from .instances import (
     random_cdsp_spec,
     random_instance,
 )
-from .market import demand, sentinel_price
+from .market import sentinel_price
 from .pmvc import (
     DEFAULT_PROFILE_CAP,
     EnumerationCapExceeded,
@@ -46,8 +46,14 @@ class CliError(Exception):
     """Usage-level failure; message goes to stderr, exit code 2."""
 
 
+_SEEDED_GENERATORS = ("random", "cdsp_random")
+_SEED_REFUSAL = "--seed applies only to the random and cdsp_random generators"
+
+
 def _parse_gen(spec: str, seed_override: int | None) -> GameInstance:
     name, _, argtext = spec.partition(":")
+    if seed_override is not None and name not in _SEEDED_GENERATORS:
+        raise CliError(_SEED_REFUSAL)
     args = [a for a in argtext.split(",") if a] if argtext else []
 
     def integers(n_min: int, n_max: int) -> list[int]:
@@ -95,14 +101,15 @@ def _parse_gen(spec: str, seed_override: int | None) -> GameInstance:
 
 
 def _load(args: argparse.Namespace) -> GameInstance:
-    if getattr(args, "gen", None):
-        if getattr(args, "instance", None):
+    if args.gen:
+        if args.instance:
             raise CliError("give either an instance file or --gen, not both")
-        return _parse_gen(args.gen, getattr(args, "seed", None))
-    path = getattr(args, "instance", None)
-    if not path:
+        return _parse_gen(args.gen, args.seed)
+    if not args.instance:
         raise CliError("no input: give an instance file or --gen SPEC")
-    return serialize.load_instance(path)
+    if args.seed is not None:
+        raise CliError(_SEED_REFUSAL)
+    return serialize.load_instance(args.instance)
 
 
 def _parse_prices(g: GameInstance, text: str | None):
@@ -220,22 +227,21 @@ def cmd_cdsp(args) -> int:
         p = cdsp_equilibrium(g)
     except ValueError as e:
         raise CliError(str(e)) from None
-    obj = {"prices": serialize.prices_to_obj(p)}
-    lines = [
-        f"{name} = {q}" for name, q in serialize.prices_to_obj(p).items()
-    ]
+    prices = serialize.prices_to_obj(p)
+    obj = {"prices": prices}
+    lines = [f"{name} = {q}" for name, q in prices.items()]
     if args.verify:
         res = vc_verify_ne(g, p, method="target-set-exact")
-        welfare = g.valuation.value_mask(demand(g.valuation, p).chosen)
+        achieved = welfare(g, p)
         optimal = g.valuation.value_mask(g.universe.full_mask)
         obj["verification"] = serialize.verification_to_obj(g, res)
-        obj["welfare"] = format_rational(welfare)
+        obj["welfare"] = format_rational(achieved)
         obj["optimal_welfare"] = format_rational(optimal)
-        if res.certified and welfare == optimal:
+        if res.certified and achieved == optimal:
             lines.append("equilibrium certified; welfare optimal")
             _emit(args, "\n".join(lines), obj)
             return 0
-        lines.append(f"verification {res.status}; welfare {format_rational(welfare)} of {format_rational(optimal)}")
+        lines.append(f"verification {res.status}; welfare {format_rational(achieved)} of {format_rational(optimal)}")
         _emit(args, "\n".join(lines), obj)
         return 1
     _emit(args, "\n".join(lines), obj)
@@ -252,8 +258,6 @@ def cmd_bestresp(args) -> int:
     g = _load(args)
     method = _METHOD_NAMES[args.method]
     p = _parse_prices(g, args.prices)
-    if not 0 <= args.vendor < g.n_vendors:
-        raise CliError(f"no vendor {args.vendor}")
     br = vc_best_response(g, args.vendor, p, method)
     obj = serialize.best_response_to_obj(g, br)
     lines = [
@@ -294,19 +298,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, instance_arg: bool = True):
+    def add(name: str, help_text: str, formats=("text", "json"), instance_arg: bool = True):
         p = sub.add_parser(name, help=help_text)
         if instance_arg:
             p.add_argument("instance", nargs="?", help="instance JSON file")
             p.add_argument("--gen", help="generator spec, e.g. harmonic:2,3")
-            p.add_argument("--seed", type=int, help="override the generator seed")
         p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text"
+            "--seed", type=int, help="override the seed of a random or cdsp_random generator"
         )
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         return p
 
-    add("check", "validate monotonicity and submodularity")
-    p = add("table", "print the offer-game payoff table")
+    add("check", "validate monotonicity and submodularity", formats=())
+    p = add("table", "print the offer-game payoff table", formats=("text", "json", "csv"))
     p.add_argument("--cap", type=int, default=DEFAULT_PROFILE_CAP)
     p.add_argument("--eps", help="undercut offered prices by this amount")
     p.add_argument("--golden", help="compare CSV output against this file")
@@ -321,9 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=1000)
     p = add("cdsp", "closed-form equilibrium of a category-max instance")
     p.add_argument("--verify", action="store_true", help="certify it as an equilibrium")
-    p = add("gen", "emit a generated instance as JSON", instance_arg=False)
+    p = add("gen", "emit a generated instance as JSON", formats=(), instance_arg=False)
     p.add_argument("spec", help="e.g. counterexample | harmonic:2,3 | pos:2,3,1/100")
-    p.add_argument("--seed", type=int, help="override the generator seed")
     p = add("bestresp", "best response of one vendor to fixed prices")
     p.add_argument("--vendor", type=int, required=True)
     p.add_argument("--prices", help="competitor prices, e.g. 'a=2.601,b=8.6045'")
@@ -352,13 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SchemaError, OSError, EnumerationCapExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError, OSError, EnumerationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

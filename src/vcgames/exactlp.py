@@ -5,8 +5,11 @@ every b_i >= 0 (so the slack basis is feasible and no phase-1 is needed;
 callers establish feasibility up front).  Bland's rule is used throughout,
 which guarantees termination and makes the returned vertex deterministic.
 
-Dimensions here are tiny (at most a few dozen rows), so a dense tableau over
-Fractions is plenty fast.
+The exact best response has one variable per item of the target and one row
+per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
+rows, and the 12-item cap allows 4,095.  The tableau is dense over
+Fractions, with one slack column per row, so those large LPs are the slowest
+path in the package.
 """
 
 from __future__ import annotations

@@ -140,26 +140,18 @@ class CdspSpec:
     vendor_masks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "category_masks", tuple(self.category_masks))
+        u = self.universe
         object.__setattr__(
             self, "item_values", tuple(Fraction(q) for q in self.item_values)
         )
-        object.__setattr__(self, "vendor_masks", tuple(self.vendor_masks))
-        if len(self.item_values) != self.universe.n:
+        if len(self.item_values) != u.n:
             raise ValueError("need one value per item")
         if any(q < 0 for q in self.item_values):
             raise ValueError("item values must be nonnegative")
-        for masks, what in ((self.category_masks, "categories"), (self.vendor_masks, "vendor sets")):
-            seen = 0
-            for mask in masks:
-                self.universe._check_mask(mask)
-                if mask & seen:
-                    raise ValueError(f"{what} must be disjoint")
-                seen |= mask
-            if seen != self.universe.full_mask:
-                raise ValueError(f"{what} must cover all items")
-        if any(mask == 0 for mask in self.category_masks):
-            raise ValueError("categories must be nonempty")
+        object.__setattr__(self, "category_masks", u.partition(self.category_masks, "categories"))
+        object.__setattr__(
+            self, "vendor_masks", u.partition(self.vendor_masks, "vendor sets", allow_empty=True)
+        )
 
 
 def cdsp_instance(spec: CdspSpec) -> GameInstance:

@@ -9,11 +9,10 @@ that scans all subsets stays tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 __all__ = [
     "MAX_ITEMS",
-    "Item",
     "Universe",
     "bits_of",
     "submasks_of",
@@ -21,11 +20,6 @@ __all__ = [
 ]
 
 MAX_ITEMS = 20
-
-
-class Item(NamedTuple):
-    id: int
-    name: str
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -61,7 +55,12 @@ def subset_sums(weights) -> list[int]:
 
 @dataclass(frozen=True)
 class Universe:
-    """An ordered set of named items."""
+    """An ordered set of named items.
+
+    Names are nonempty, carry no surrounding whitespace, and avoid the
+    characters ``,|{}=`` that set, profile and price texts use as separators,
+    so every item can be addressed by name.
+    """
 
     names: tuple[str, ...]
 
@@ -73,7 +72,7 @@ class Universe:
         if len(set(self.names)) != len(self.names):
             raise ValueError("item names must be unique")
         for name in self.names:
-            if not name or any(ch in name for ch in ",|{}"):
+            if not name or name != name.strip() or any(ch in name for ch in ",|{}="):
                 raise ValueError(f"invalid item name: {name!r}")
 
     @property
@@ -83,10 +82,6 @@ class Universe:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @property
-    def items(self) -> tuple[Item, ...]:
-        return tuple(Item(i, name) for i, name in enumerate(self.names))
 
     def index(self, name: str) -> int:
         try:
@@ -119,6 +114,23 @@ class Universe:
         if not text.strip():
             return 0
         return self.mask_of(part.strip() for part in text.split(","))
+
+    def partition(self, masks, what: str, *, allow_empty: bool = False) -> tuple[int, ...]:
+        """``masks`` as a tuple, checked to split the universe: each inside
+        it, pairwise disjoint, together covering every item, and nonempty
+        unless ``allow_empty``.  ``what`` names the parts in error messages."""
+        masks = tuple(int(m) for m in masks)
+        union = 0
+        for m in masks:
+            self._check_mask(m)
+            if m & union:
+                raise ValueError(f"{what} must be disjoint")
+            if not m and not allow_empty:
+                raise ValueError(f"{what} must be nonempty")
+            union |= m
+        if union != self.full_mask:
+            raise ValueError(f"{what} must cover all items")
+        return masks
 
     def _check_mask(self, mask: int) -> None:
         if mask < 0 or mask > self.full_mask:

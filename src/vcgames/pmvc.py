@@ -78,20 +78,12 @@ class GameInstance:
     def __init__(self, valuation: Valuation, vendor_masks: Sequence[int], *,
                  allow_uncertified: bool = False):
         universe = valuation.universe
-        masks = tuple(int(m) for m in vendor_masks)
-        if not masks:
+        if not vendor_masks:
             raise ValueError("need at least one vendor")
-        union = 0
-        for m in masks:
-            universe._check_mask(m)
-            if m & union:
-                raise ValueError("vendor item sets must be disjoint")
-            union |= m
-        if union != universe.full_mask:
-            raise ValueError("vendor item sets must cover all items")
+        # a vendor may own nothing; it then only ever offers the empty set
+        self.vendor_masks = universe.partition(vendor_masks, "vendor item sets", allow_empty=True)
         self.valuation = valuation
         self.universe = universe
-        self.vendor_masks = masks
         monotone, submodular = valuation.certify()
         self.monotone_certified = monotone
         self.submodular_certified = submodular

@@ -14,8 +14,14 @@ __all__ = ["parse_rational", "format_rational"]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal string ("2.503", "-4", "0.25") or a ratio ("11/6")."""
+    """Parse a decimal string ("2.503", "-4", "0.25") or a ratio ("11/6").
+
+    Exponent notation is refused: "1e400" would build a 401-digit integer
+    out of five characters.
+    """
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from .analysis import EquilibriumReport
-from .items import bits_of, Universe
+from .items import Universe
 from .market import PriceVector
 from .pmvc import GameInstance, StrategyProfile
 from .rationals import format_rational, parse_rational
@@ -54,10 +54,6 @@ def _fmt(q: Fraction) -> str:
     return format_rational(q)
 
 
-def _names(u: Universe, mask: int) -> list[str]:
-    return [u.items[i].name for i in bits_of(mask)]
-
-
 def _need(data: dict, key: str, kind: type, where: str):
     if key not in data:
         raise SchemaError(f"{where}: missing required field {key!r}")
@@ -65,6 +61,25 @@ def _need(data: dict, key: str, kind: type, where: str):
     if not isinstance(value, kind):
         raise SchemaError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
+
+
+def _name_lists(data: dict, key: str, where: str) -> list[list[str]]:
+    """``data[key]`` as a list of item-name lists; anything else is refused."""
+    lists = _need(data, key, list, where)
+    if not all(isinstance(names, list) for names in lists):
+        raise SchemaError(f"{where}: each entry of {key!r} must be a list of item names")
+    return [[str(n) for n in names] for names in lists]
+
+
+def _masks_of(u: Universe, data: dict, key: str, where: str) -> tuple[int, ...]:
+    """One mask per item-name list in ``data[key]``."""
+    masks = []
+    for names in _name_lists(data, key, where):
+        try:
+            masks.append(u.mask_of(names))
+        except KeyError as e:
+            raise SchemaError(f"{where}: {key} entry {names!r}: unknown item {e}") from None
+    return tuple(masks)
 
 
 # -- valuations ------------------------------------------------------------
@@ -75,23 +90,21 @@ def valuation_to_obj(v: Valuation) -> dict[str, Any]:
     if isinstance(v, TableValuation):
         entries = {}
         for mask in range(1, 1 << u.n):
-            entries[",".join(_names(u, mask))] = _fmt(v.value_mask(mask))
-        return {"type": "table", "items": [it.name for it in u.items], "entries": entries}
+            entries[",".join(u.names_of(mask))] = _fmt(v.value_mask(mask))
+        return {"type": "table", "items": list(u.names), "entries": entries}
     if isinstance(v, AdditiveGroupsValuation):
         return {
             "type": "additive_groups",
-            "items": [it.name for it in u.items],
-            "groups": [_names(u, g) for g in v.group_masks],
+            "items": list(u.names),
+            "groups": [list(u.names_of(g)) for g in v.group_masks],
             "curve": {"kind": "explicit", "values": [_fmt(q) for q in v.curve]},
         }
     if isinstance(v, CategoryMaxValuation):
         return {
             "type": "category_max",
-            "items": [it.name for it in u.items],
-            "categories": [_names(u, c) for c in v.category_masks],
-            "item_values": {
-                u.items[i].name: _fmt(v.item_values[i]) for i in range(u.n)
-            },
+            "items": list(u.names),
+            "categories": [list(u.names_of(c)) for c in v.category_masks],
+            "item_values": dict(zip(u.names, map(_fmt, v.item_values))),
         }
     raise SchemaError(f"cannot serialize valuation of type {type(v).__name__}")
 
@@ -103,16 +116,13 @@ def _universe_for(data: dict[str, Any]) -> Universe:
         items = _need(data, "items", list, "instance")
         return Universe(tuple(str(x) for x in items))
     if "vendors" in data:
-        names = [str(n) for group in data["vendors"] for n in group]
-        return Universe(tuple(names))
-    vtype = _need(data, "type", str, "valuation")
-    if vtype == "additive_groups":
-        return Universe(tuple(str(n) for g in _need(data, "groups", list, vtype) for n in g))
-    if vtype == "category_max":
-        return Universe(
-            tuple(str(n) for c in _need(data, "categories", list, vtype) for n in c)
-        )
-    entries = _need(data, "entries", dict, vtype)
+        field, where = "vendors", "instance"
+    else:
+        where = _need(data, "type", str, "valuation")
+        field = {"additive_groups": "groups", "category_max": "categories"}.get(where)
+    if field:
+        return Universe(tuple(n for names in _name_lists(data, field, where) for n in names))
+    entries = _need(data, "entries", dict, where)
     names: set[str] = set()
     for key in entries:
         names.update(part for part in str(key).split(",") if part)
@@ -151,19 +161,13 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
         if missing:
             raise SchemaError(
                 f"table valuation: missing {len(missing)} subsets, "
-                f"first {{{','.join(_names(u, missing[0]))}}}"
+                f"first {u.format_set(missing[0])}"
             )
         if values[0] != 0:
             raise SchemaError("table valuation: the empty set must have value 0")
         return TableValuation(u, values)
     if vtype == "additive_groups":
-        groups = _need(data, "groups", list, "additive_groups")
-        masks = []
-        for group in groups:
-            try:
-                masks.append(u.mask_of(str(n) for n in group))
-            except KeyError as e:
-                raise SchemaError(f"group {group!r}: unknown item {e}") from None
+        masks = _masks_of(u, data, "groups", "additive_groups")
         curve_spec = _need(data, "curve", dict, "additive_groups")
         kind = _need(curve_spec, "kind", str, "curve")
         if kind == "harmonic":
@@ -177,25 +181,19 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
         else:
             raise SchemaError(f"curve kind must be harmonic or explicit, got {kind!r}")
         try:
-            return AdditiveGroupsValuation(u, tuple(masks), tuple(curve))
+            return AdditiveGroupsValuation(u, masks, tuple(curve))
         except ValueError as e:
             raise SchemaError(f"additive_groups: {e}") from None
     if vtype == "category_max":
-        cats = _need(data, "categories", list, "category_max")
-        masks = []
-        for cat in cats:
-            try:
-                masks.append(u.mask_of(str(n) for n in cat))
-            except KeyError as e:
-                raise SchemaError(f"category {cat!r}: unknown item {e}") from None
+        masks = _masks_of(u, data, "categories", "category_max")
         raw_vals = _need(data, "item_values", dict, "category_max")
         values = []
-        for item in u.items:
-            if item.name not in raw_vals:
-                raise SchemaError(f"category_max: no value for item {item.name!r}")
-            values.append(_parse_value(raw_vals[item.name], f"value of {item.name!r}"))
+        for name in u.names:
+            if name not in raw_vals:
+                raise SchemaError(f"category_max: no value for item {name!r}")
+            values.append(_parse_value(raw_vals[name], f"value of {name!r}"))
         try:
-            return CategoryMaxValuation(u, tuple(masks), tuple(values))
+            return CategoryMaxValuation(u, masks, tuple(values))
         except ValueError as e:
             raise SchemaError(f"category_max: {e}") from None
     raise SchemaError(f"unknown valuation type {vtype!r}")
@@ -206,7 +204,7 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
 
 def instance_to_obj(g: GameInstance) -> dict[str, Any]:
     obj = valuation_to_obj(g.valuation)
-    obj["vendors"] = [_names(g.universe, mask) for mask in g.vendor_masks]
+    obj["vendors"] = [list(g.universe.names_of(mask)) for mask in g.vendor_masks]
     return obj
 
 
@@ -221,20 +219,9 @@ def instance_from_obj(data: dict[str, Any], allow_uncertified: bool = True) -> G
         raise SchemaError("instance must be a JSON object")
     u = _universe_for(data)
     v = valuation_from_obj(data, u)
-    if "vendors" in data:
-        vendors = _need(data, "vendors", list, "instance")
-        masks = []
-        for group in vendors:
-            if not isinstance(group, list):
-                raise SchemaError("each vendor must be a list of item names")
-            try:
-                masks.append(u.mask_of(str(n) for n in group))
-            except KeyError as e:
-                raise SchemaError(f"vendor {group!r}: unknown item {e}") from None
-    else:
-        masks = [u.full_mask]
+    masks = _masks_of(u, data, "vendors", "instance") if "vendors" in data else (u.full_mask,)
     try:
-        return GameInstance(v, tuple(masks), allow_uncertified=allow_uncertified)
+        return GameInstance(v, masks, allow_uncertified=allow_uncertified)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 
@@ -256,9 +243,7 @@ def dump_instance(g: GameInstance) -> str:
 
 
 def prices_to_obj(p: PriceVector) -> dict[str, str]:
-    return {
-        p.universe.items[i].name: _fmt(q) for i, q in enumerate(p.prices)
-    }
+    return dict(zip(p.universe.names, map(_fmt, p.prices)))
 
 
 def prices_from_obj(u: Universe, data: dict[str, Any], default: Fraction) -> PriceVector:
@@ -365,9 +350,7 @@ def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:
 
 
 def _priced_items(g: GameInstance, prices: dict[int, Fraction]) -> dict[str, str]:
-    return {
-        g.universe.items[item].name: _fmt(q) for item, q in sorted(prices.items())
-    }
+    return {g.universe.names[item]: _fmt(q) for item, q in sorted(prices.items())}
 
 
 def best_response_to_obj(g: GameInstance, br: BestResponse) -> dict[str, Any]:

@@ -149,21 +149,11 @@ class AdditiveGroupsValuation(Valuation):
 
     def __init__(self, universe: Universe, group_masks, curve):
         super().__init__(universe)
-        groups = tuple(int(g) for g in group_masks)
-        union = 0
-        for g in groups:
-            if g & union:
-                raise ValueError("groups must be disjoint")
-            union |= g
-        if union != universe.full_mask:
-            raise ValueError("groups must cover the universe")
-        if any(g == 0 for g in groups):
-            raise ValueError("empty group")
-        self.group_masks = groups
+        self.group_masks = universe.partition(group_masks, "groups")
         self.curve = tuple(Fraction(x) for x in curve)
         if self.curve[0] != 0:
             raise ValueError("curve(0) must be 0")
-        self.max_group_size = max(g.bit_count() for g in groups)
+        self.max_group_size = max(g.bit_count() for g in self.group_masks)
         if len(self.curve) < self.max_group_size + 1:
             raise ValueError("curve shorter than the largest group")
 
@@ -204,20 +194,10 @@ class CategoryMaxValuation(Valuation):
 
     def __init__(self, universe: Universe, category_masks, item_values):
         super().__init__(universe)
-        cats = tuple(int(c) for c in category_masks)
-        union = 0
-        for c in cats:
-            if c & union:
-                raise ValueError("categories must be disjoint")
-            union |= c
-        if union != universe.full_mask:
-            raise ValueError("categories must cover the universe")
-        if any(c == 0 for c in cats):
-            raise ValueError("empty category")
+        self.category_masks = universe.partition(category_masks, "categories")
         vals = tuple(Fraction(x) for x in item_values)
         if len(vals) != universe.n:
             raise ValueError("need one value per item")
-        self.category_masks = cats
         self.item_values = vals
 
     def value_mask(self, mask: int) -> Fraction:

@@ -173,23 +173,12 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
     table, scale, pmsum = _scaled_prices(g, p, vendor)
     glob = g.offer_tables[vendor]
 
-    # outside_min[R] = min over competitor-sets S' of p(S') - v(R | S'):
-    # the binding term of the buyer's "switch to R plus something else"
-    # constraints, independent of the target's outside part.
-    outside_min = [0] * (1 << ni)
-    for lm in range(1 << ni):
-        rg = glob[lm]
-        best = None
-        for sp in submasks_of(others):
-            cand = pmsum[sp] - table[rg | sp]
-            if best is None or cand < best:
-                best = cand
-        outside_min[lm] = best
-
-    # best_const[B_i] = max over outside parts B_out of v(B_i | B_out) - p(B_out);
-    # a larger constant relaxes every constraint, so the best target with a
-    # given own part uses the maximizing outside part.
-    best_const = [0] * (1 << ni)
+    # reach[T] = max over competitor sets S' of v(T | S') - p(S'): the best
+    # utility (before own prices) of a bundle whose own part is T.  The target
+    # with own part B_i uses the maximizing S', since a larger reach relaxes
+    # every constraint; the constraint row of W subseteq B_i compares it with
+    # switching to B_i - W, so its bound is reach[B_i] - reach[B_i - W].
+    reach = [0] * (1 << ni)
     best_out = [0] * (1 << ni)
     for lm in range(1 << ni):
         bg = glob[lm]
@@ -199,31 +188,29 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
             cand = table[bg | sp] - pmsum[sp]
             if best is None or cand > best:
                 best, arg = cand, sp
-        best_const[lm] = best
+        reach[lm] = best
         best_out[lm] = arg
 
-    # subset-min of outside_min, for the feasibility test
-    min_outside = list(outside_min)
+    # subset-max of reach: a target is infeasible (no nonnegative prices make
+    # the buyer prefer it) iff some sub-target reaches strictly further
+    sub_reach = list(reach)
     for j in range(ni):
         bit = 1 << j
         for lm in range(1 << ni):
-            if lm & bit and min_outside[lm ^ bit] < min_outside[lm]:
-                min_outside[lm] = min_outside[lm ^ bit]
+            if lm & bit and sub_reach[lm ^ bit] > sub_reach[lm]:
+                sub_reach[lm] = sub_reach[lm ^ bit]
 
     sent = sentinel_price(g.valuation)
     best_rev = Fraction(0)
     best_prices: dict[int, Fraction] = {item: sent for item in items}
     best_target = 0
     # selling nothing at all is always available
-    order = sorted(
-        range(1, 1 << ni),
-        key=lambda lm: (-(best_const[lm] + outside_min[0]), lm),
-    )
+    order = sorted(range(1, 1 << ni), key=lambda lm: (-reach[lm], lm))
     for lm in order:
-        upper = best_const[lm] + outside_min[0]  # the W = B_i constraint row
+        upper = reach[lm] - reach[0]  # the W = B_i constraint row
         if Fraction(upper, scale) <= best_rev:
             break  # sorted descending by this bound; nothing better remains
-        if best_const[lm] + min_outside[lm] < 0:
+        if sub_reach[lm] > reach[lm]:
             continue  # no prices make the buyer prefer this target
         var_bits = tuple(bits_of(lm))
         nvars = len(var_bits)
@@ -233,7 +220,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
             if wl == 0:
                 continue
             rows.append([Fraction(1 if wl & (1 << b) else 0) for b in var_bits])
-            rhs.append(Fraction(best_const[lm] + outside_min[lm ^ wl], scale))
+            rhs.append(Fraction(reach[lm] - reach[lm ^ wl], scale))
         value, x = exactlp.maximize([Fraction(1)] * nvars, rows, rhs)
         if value > best_rev:
             best_rev = value
@@ -289,9 +276,7 @@ def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector) -> Be
 # -- grid ------------------------------------------------------------------
 
 
-def _grid_best_response(
-    g: GameInstance, vendor: int, p: PriceVector, grid_cap: int
-) -> BestResponse:
+def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
     n = g.universe.n
     if n > EXACT_MAX_ITEMS:
         raise ValueError(f"grid search builds the full marginal grid; capped at {EXACT_MAX_ITEMS} items")
@@ -305,9 +290,9 @@ def _grid_best_response(
         for item in bits_of(mask):
             grid_ints.add(v_mask - table[mask ^ (1 << item)])
     grid = sorted(grid_ints)
-    if len(grid) ** ni > grid_cap:
+    if len(grid) ** ni > DEFAULT_GRID_CAP:
         raise ValueError(
-            f"grid search would try {len(grid)}^{ni} combinations (cap {grid_cap})"
+            f"grid search would try {len(grid)}^{ni} combinations (cap {DEFAULT_GRID_CAP})"
         )
     others = g.universe.full_mask & ~owned
 
@@ -386,7 +371,6 @@ def vc_best_response(
     vendor: int,
     p: PriceVector,
     method: str = "target-set-exact",
-    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> BestResponse:
     """Best reply of one vendor against the competitor prices read from p.
 
@@ -400,7 +384,7 @@ def vc_best_response(
     if method == "candidate-set":
         return _candidate_best_response(g, vendor, p)
     if method == "grid":
-        return _grid_best_response(g, vendor, p, grid_cap)
+        return _grid_best_response(g, vendor, p)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -354,3 +354,75 @@ def test_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+# -- refused options and inputs --------------------------------------------
+
+
+def exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses unknown options and choices
+        code = e.code
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--gen", "counterexample", "--format", "json"],
+        ["gen", "harmonic:2,2", "--format", "text"],
+        ["brd", "--gen", "counterexample", "--format", "csv"],
+        ["gen", "counterexample", "--seed", "3"],
+        ["poa", "--gen", "harmonic:2,2", "--seed", "3"],
+        ["ne", TWO_TV, "--seed", "1"],
+    ],
+    ids=["check-format", "gen-format", "brd-csv", "gen-seed", "poa-seed", "file-seed"],
+)
+def test_option_that_would_be_ignored_is_refused(capsys, argv):
+    assert exit_code(capsys, argv) == 2
+
+
+def test_seed_still_overrides_cdsp_random(capsys):
+    _, overridden, _ = run(capsys, "gen", "cdsp_random:1,6,3", "--seed", "2")
+    _, reseeded, _ = run(capsys, "gen", "cdsp_random:2,6,3")
+    assert overridden == reseeded
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj["item_values"].update(x="1e3"),
+        lambda obj: obj.update(
+            items=["x", "y=1"],
+            categories=[["x", "y=1"]],
+            item_values={"x": "10", "y=1": "8"},
+            vendors=[["x"], ["y=1"]],
+        ),
+    ],
+    ids=["exponent", "name-with-equals"],
+)
+def test_unaddressable_input_file_refused(capsys, tmp_path, edit):
+    obj = json.loads(Path(TWO_TV).read_text())
+    edit(obj)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "ne", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("vendors", ["x", "y"]), ("vendors", 5), ("categories", ["xy"]), ("categories", [5])],
+)
+def test_name_list_that_is_not_a_list_refused(capsys, tmp_path, key, value):
+    obj = json.loads(Path(TWO_TV).read_text())
+    del obj["items"]  # the universe then comes from the vendor lists
+    obj[key] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "ne", str(path))
+    assert code == 2
+    assert "must be" in err and "list" in err

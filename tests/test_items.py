@@ -28,6 +28,30 @@ def test_universe_rejects_duplicates_and_bad_names():
         Universe(tuple(f"i{k}" for k in range(MAX_ITEMS + 1)))
 
 
+@pytest.mark.parametrize("name", ["a=x", " a", "a ", "a\t"])
+def test_universe_rejects_unaddressable_names(name):
+    # "=" splits --prices pairs and surrounding whitespace is stripped by the
+    # set and price parsers, so such an item could never be named
+    with pytest.raises(ValueError):
+        Universe((name, "b"))
+
+
+def test_partition():
+    u = Universe(("a", "b", "c"))
+    assert u.partition([0b011, 0b100], "parts") == (0b011, 0b100)
+    with pytest.raises(ValueError, match="disjoint"):
+        u.partition([0b011, 0b110], "parts")
+    with pytest.raises(ValueError, match="cover"):
+        u.partition([0b011], "parts")
+    with pytest.raises(ValueError, match="nonempty"):
+        u.partition([0b011, 0, 0b100], "parts")
+    assert u.partition([0b011, 0, 0b100], "parts", allow_empty=True) == (0b011, 0, 0b100)
+    with pytest.raises(ValueError, match="outside"):
+        u.partition([0b011, 0b1100], "parts")
+    with pytest.raises(ValueError, match="outside"):
+        u.partition([-1], "parts")
+
+
 def test_unknown_item_raises():
     u = Universe(("a", "b"))
     with pytest.raises(KeyError):

@@ -30,6 +30,13 @@ def test_parse_rejects_garbage(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["1e3", "2.5E1", "1/1e2"])
+def test_parse_rejects_exponent_notation(bad):
+    # a short literal with a large exponent would build a huge integer
+    with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
 def test_format_exact_decimal():
     assert format_rational(Fraction(2503, 1000)) == "2.503"
     assert format_rational(Fraction(21, 10)) == "2.1"
