@@ -24,6 +24,7 @@ from .pmvc import (
     pmvc_best_response,
     pmvc_pure_ne,
 )
+from .valuation import _harmonic_curve
 
 __all__ = [
     "BoundCheck",
@@ -40,7 +41,7 @@ def harmonic_number(m: int) -> Fraction:
     """Sum of 1/t for t = 1..m, exactly."""
     if m < 1:
         raise ValueError(f"harmonic number needs m >= 1, got {m}")
-    return sum((Fraction(1, t) for t in range(1, m + 1)), Fraction(0))
+    return _harmonic_curve(m)[m]
 
 
 def welfare(g: GameInstance, p: PriceVector) -> Fraction:

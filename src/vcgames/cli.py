@@ -183,10 +183,11 @@ def cmd_ne(args) -> int:
     g = _load(args)
     eps = parse_rational(args.eps) if args.eps else None
     nes = pmvc_pure_ne(g, cap=args.cap, undercut=eps)
-    obj = {"count": len(nes), "equilibria": [s.format(g.universe) for s in nes]}
-    lines = [f"{len(nes)} pure Nash equilibria"]
-    lines += [f"  {s.format(g.universe)}" for s in nes]
-    _emit(args, "\n".join(lines), obj)
+    if args.format == "json":
+        _emit(args, "", {"count": len(nes), "equilibria": [s.format(g.universe) for s in nes]})
+    else:
+        lines = [f"{len(nes)} pure Nash equilibria"] + [f"  {s.format(g.universe)}" for s in nes]
+        _emit(args, "\n".join(lines), None)
     return 0
 
 

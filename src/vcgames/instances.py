@@ -21,6 +21,7 @@ from .valuation import (
     AdditiveGroupsValuation,
     CategoryMaxValuation,
     TableValuation,
+    _harmonic_curve,
 )
 
 __all__ = [
@@ -83,13 +84,6 @@ def _block_universe(k: int, m: int) -> tuple[Universe, tuple[int, ...]]:
     u = Universe(names)
     masks = tuple(((1 << m) - 1) << (i * m) for i in range(k))
     return u, masks
-
-
-def _harmonic_curve(m: int) -> tuple[Fraction, ...]:
-    out = [Fraction(0)]
-    for t in range(1, m + 1):
-        out.append(out[-1] + Fraction(1, t))
-    return tuple(out)
 
 
 def harmonic_instance(k: int, m: int) -> GameInstance:

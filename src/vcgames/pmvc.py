@@ -17,7 +17,6 @@ oracle so the invariant stays observable.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -255,17 +254,13 @@ def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     return map(StrategyProfile, itertools.product(*g.offer_tables))
 
 
-def _profile_count(g: GameInstance) -> int:
-    return math.prod(1 << m.bit_count() for m in g.vendor_masks)
-
-
 def payoff_table(
     g: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     undercut: Fraction | None = None,
 ) -> list[Outcome]:
     """Full normal form of the discrete game, one demand run per profile."""
-    count = _profile_count(g)
+    count = 1 << g.universe.n  # vendor sets partition the universe
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
     return [pmvc_outcome(g, s, undercut) for s in all_profiles(g)]
@@ -312,7 +307,7 @@ def pmvc_pure_ne(
     the subsets where the vendor falls short of its best reply.  Profiles
     come back in the deterministic ``all_profiles`` order.
     """
-    count = _profile_count(g)
+    count = 1 << g.universe.n
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
     pay, _ = _payoff_rule(g, undercut)

@@ -23,6 +23,7 @@ from .valuation import (
     CategoryMaxValuation,
     TableValuation,
     Valuation,
+    _harmonic_curve,
 )
 from .vcgame import BestResponse, DynamicsTrace, VerificationResult
 
@@ -72,9 +73,11 @@ def _name_lists(data: dict, key: str, where: str) -> list[list[str]]:
 
 
 def _masks_of(u: Universe, data: dict, key: str, where: str) -> tuple[int, ...]:
-    """One mask per item-name list in ``data[key]``."""
+    """One mask per item-name list in ``data[key]``; no list names an item twice."""
     masks = []
     for names in _name_lists(data, key, where):
+        if len(set(names)) != len(names):
+            raise SchemaError(f"{where}: {key} entry {names!r} names an item twice")
         try:
             masks.append(u.mask_of(names))
         except KeyError as e:
@@ -171,22 +174,22 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
         curve_spec = _need(data, "curve", dict, "additive_groups")
         kind = _need(curve_spec, "kind", str, "curve")
         if kind == "harmonic":
-            top = max((mask.bit_count() for mask in masks), default=0)
-            curve = [Fraction(0)]
-            for t in range(1, top + 1):
-                curve.append(curve[-1] + Fraction(1, t))
+            curve = _harmonic_curve(max((mask.bit_count() for mask in masks), default=0))
         elif kind == "explicit":
             raw = _need(curve_spec, "values", list, "curve")
             curve = [_parse_value(x, f"curve value {i}") for i, x in enumerate(raw)]
         else:
             raise SchemaError(f"curve kind must be harmonic or explicit, got {kind!r}")
         try:
-            return AdditiveGroupsValuation(u, masks, tuple(curve))
+            return AdditiveGroupsValuation(u, masks, curve)
         except ValueError as e:
             raise SchemaError(f"additive_groups: {e}") from None
     if vtype == "category_max":
         masks = _masks_of(u, data, "categories", "category_max")
         raw_vals = _need(data, "item_values", dict, "category_max")
+        unknown = sorted(set(raw_vals) - set(u.names))
+        if unknown:
+            raise SchemaError(f"category_max: value for unknown item {unknown[0]!r}")
         values = []
         for name in u.names:
             if name not in raw_vals:

@@ -59,8 +59,6 @@ class ValidationReport:
 class Valuation:
     """Base class: a normalized (v(empty)=0) set function over a universe."""
 
-    kind: str = ""
-
     def __init__(self, universe: Universe):
         self.universe = universe
         self._dense: tuple[list[int], int] | None = None
@@ -119,8 +117,6 @@ class Valuation:
 class TableValuation(Valuation):
     """Explicit dense table; ``values[mask]`` for every subset mask."""
 
-    kind = "table"
-
     def __init__(self, universe: Universe, values):
         super().__init__(universe)
         vals = tuple(Fraction(x) for x in values)
@@ -142,10 +138,16 @@ class TableValuation(Valuation):
         return [v.numerator * (scale // v.denominator) for v in self.values]
 
 
+def _harmonic_curve(m: int) -> tuple[Fraction, ...]:
+    """The harmonic numbers H_0 = 0, H_1, ..., H_m, exactly."""
+    out = [Fraction(0)]
+    for t in range(1, m + 1):
+        out.append(out[-1] + Fraction(1, t))
+    return tuple(out)
+
+
 class AdditiveGroupsValuation(Valuation):
     """Sum over disjoint groups of a shared concave-curve of the group hit count."""
-
-    kind = "additive_groups"
 
     def __init__(self, universe: Universe, group_masks, curve):
         super().__init__(universe)
@@ -189,8 +191,6 @@ class AdditiveGroupsValuation(Valuation):
 
 class CategoryMaxValuation(Valuation):
     """Per category, only the best contained item counts; categories add up."""
-
-    kind = "category_max"
 
     def __init__(self, universe: Universe, category_masks, item_values):
         super().__init__(universe)

@@ -143,11 +143,16 @@ def _require_certified(g: GameInstance) -> None:
         raise ValueError("vendor-game analysis requires a certified instance")
 
 
+def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
+    """What the buyer takes at p, and what each vendor earns from it."""
+    chosen = demand(g.valuation, p).chosen
+    return chosen, tuple(p.total(chosen & owned) for owned in g.vendor_masks)
+
+
 def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
     """What vendor i earns when the buyer purchases at p."""
     _require_certified(g)
-    d = demand(g.valuation, p)
-    return p.total(d.chosen & g.vendor_masks[vendor])
+    return _sale(g, p)[1][vendor]
 
 
 # -- target-set-exact ------------------------------------------------------
@@ -162,7 +167,7 @@ def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int):
     return table, scale, subset_sums(competitors)
 
 
-def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
+def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     n = g.universe.n
     if n > EXACT_MAX_ITEMS:
         raise ValueError(f"target-set-exact enumerates 2^n targets; capped at {EXACT_MAX_ITEMS} items")
@@ -229,54 +234,37 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRe
             for j, b in enumerate(var_bits):
                 best_prices[items[b]] = x[j]
 
-    full = p.replace(best_prices)
-    d = demand(g.valuation, full)
-    realized = full.total(d.chosen & owned)
-    return BestResponse(
-        vendor=vendor,
-        method="target-set-exact",
-        prices=best_prices,
-        revenue=best_rev,
-        realized_revenue=realized,
-        target_mask=glob[best_target] | best_out[best_target],
-    )
+    return best_prices, best_rev, glob[best_target] | best_out[best_target]
 
 
 # -- candidate-set ---------------------------------------------------------
 
 
-def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
+def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
     v = g.valuation
     items = g.vendor_items(vendor)
     sent = sentinel_price(v)
     absent = p.replace({item: sent for item in items})
     backdrop = demand(v, absent).chosen  # what sells without this vendor
-    best: BestResponse | None = None
+    best = None
     for offer in g.offer_tables[vendor]:
         union = offer | backdrop
         v_union = v.value_mask(union)
         updates: dict[int, Fraction] = {item: sent for item in items}
         for item in bits_of(offer):
             updates[item] = v_union - v.value_mask(union ^ (1 << item))
-        full = p.replace(updates)
-        d = demand(v, full)
-        revenue = full.total(d.chosen & offer)
-        if best is None or revenue > best.revenue:
-            best = BestResponse(
-                vendor=vendor,
-                method="candidate-set",
-                prices=updates,
-                revenue=revenue,
-                realized_revenue=revenue,
-                target_mask=offer,
-            )
+        # withheld items carry the sentinel and never sell, so the vendor's
+        # revenue is what the offer earns
+        revenue = _sale(g, p.replace(updates))[1][vendor]
+        if best is None or revenue > best[1]:
+            best = (updates, revenue, offer)
     return best
 
 
 # -- grid ------------------------------------------------------------------
 
 
-def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestResponse:
+def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     n = g.universe.n
     if n > EXACT_MAX_ITEMS:
         raise ValueError(f"grid search builds the full marginal grid; capped at {EXACT_MAX_ITEMS} items")
@@ -353,17 +341,11 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector) -> BestRes
     prices = {
         item: Fraction(q, scale) for item, q in zip(items, best_combo or ())
     }
-    revenue = Fraction(best_rev_int if best_rev_int >= 0 else 0, scale)
-    replay = p.replace(prices)
-    realized = replay.total(demand(g.valuation, replay).chosen & owned)
-    return BestResponse(
-        vendor=vendor,
-        method="grid",
-        prices=prices,
-        revenue=revenue,
-        realized_revenue=realized,
-        target_mask=best_target,
-    )
+    return prices, Fraction(best_rev_int if best_rev_int >= 0 else 0, scale), best_target
+
+
+# each tier returns (prices of the vendor's items, revenue, target mask)
+_TIERS = dict(zip(METHODS, (_candidate_best_response, _exact_best_response, _grid_best_response)))
 
 
 def vc_best_response(
@@ -376,46 +358,39 @@ def vc_best_response(
 
     Entries of p at the vendor's own items are ignored.  See the module
     docstring for the three tiers; only ``target-set-exact`` is complete.
+    Every tier's prices are replayed through the demand oracle once, for
+    ``realized_revenue``.
     """
     _require_certified(g)
     g.check_vendor(vendor)
-    if method == "target-set-exact":
-        return _exact_best_response(g, vendor, p)
-    if method == "candidate-set":
-        return _candidate_best_response(g, vendor, p)
-    if method == "grid":
-        return _grid_best_response(g, vendor, p)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    tier = _TIERS.get(method)
+    if tier is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    prices, revenue, target = tier(g, vendor, p)
+    realized = _sale(g, p.replace(prices))[1][vendor]
+    return BestResponse(vendor, method, prices, revenue, realized, target)
 
 
 def _materialize_deviation(
-    g: GameInstance, vendor: int, p: PriceVector, br: BestResponse, current: Fraction
-) -> tuple[dict[int, Fraction], Fraction, Fraction | None]:
-    """Turn a supremum-beating reply into a demand-replayable strict gain.
+    g: GameInstance, vendor: int, p: PriceVector, prices: dict[int, Fraction],
+    target: int, gap: Fraction,
+):
+    """Turn a reply whose supremum beats the current revenue by ``gap``, but
+    whose prices do not as the buyer breaks ties, into a strict gain.
 
-    If the exact prices already realize more than ``current`` they are used
-    as-is.  Otherwise every positive price on the target is shaved by a small
-    epsilon; any u-maximizer then containing the whole positive-priced part,
-    the realized revenue lands within epsilon * |positives| of the supremum.
+    Every positive price on the target is shaved by a small epsilon; any
+    u-maximizer then containing the whole positive-priced part, the realized
+    revenue lands within epsilon * |positives| of the supremum.  Returns the
+    shaved prices, their ``_sale`` and epsilon.
     """
-    if br.realized_revenue > current:
-        return br.prices, br.realized_revenue, None
     positives = [
-        item
-        for item in br.prices
-        if br.prices[item] > 0 and (1 << item) & br.target_mask & g.vendor_masks[vendor]
+        item for item, q in prices.items() if q > 0 and (1 << item) & target & g.vendor_masks[vendor]
     ]
-    if not positives:
-        return br.prices, br.realized_revenue, None
-    gap = br.revenue - current
-    eps = min(min(br.prices[i] for i in positives), gap / len(positives)) / 2
-    shaved = dict(br.prices)
+    eps = min(min(prices[i] for i in positives), gap / len(positives)) / 2
+    shaved = dict(prices)
     for item in positives:
-        shaved[item] = shaved[item] - eps
-    full = p.replace(shaved)
-    d = demand(g.valuation, full)
-    realized = full.total(d.chosen & g.vendor_masks[vendor])
-    return shaved, realized, eps
+        shaved[item] -= eps
+    return shaved, _sale(g, p.replace(shaved)), eps
 
 
 def vc_verify_ne(
@@ -428,15 +403,19 @@ def vc_verify_ne(
     ``target-set-exact``, whose optimum bounds every deviation's revenue.
     """
     _require_certified(g)
-    d = demand(g.valuation, p)
+    _, paid = _sale(g, p)
     checks = []
     certificate = None
-    for vendor in range(g.n_vendors):
-        current = p.total(d.chosen & g.vendor_masks[vendor])
+    for vendor, current in enumerate(paid):
         br = vc_best_response(g, vendor, p, method)
         checks.append(VendorCheck(vendor, current, br.revenue))
         if certificate is None and br.revenue > current:
-            prices, realized, eps = _materialize_deviation(g, vendor, p, br, current)
+            prices, realized, eps = br.prices, br.realized_revenue, None
+            if realized <= current:
+                prices, (_, shaved_paid), eps = _materialize_deviation(
+                    g, vendor, p, br.prices, br.target_mask, br.revenue - current
+                )
+                realized = shaved_paid[vendor]
             certificate = DeviationCertificate(
                 vendor=vendor,
                 method=method,
@@ -463,8 +442,7 @@ def map_to_pmvc(
     per-vendor revenue gains.
     """
     _require_certified(g)
-    d = demand(g.valuation, p)
-    sold = d.chosen
+    sold, paid = _sale(g, p)
     profile = StrategyProfile(tuple(sold & owned for owned in g.vendor_masks))
     out = pmvc_outcome(g, profile)
     if out.sold != sold:
@@ -472,10 +450,7 @@ def map_to_pmvc(
             f"bought set changed: {g.universe.format_set(sold)} -> "
             f"{g.universe.format_set(out.sold)}"
         )
-    deltas = tuple(
-        out.vendor_payoffs[i] - p.total(sold & g.vendor_masks[i])
-        for i in range(g.n_vendors)
-    )
+    deltas = tuple(new - old for new, old in zip(out.vendor_payoffs, paid))
     if any(delta < 0 for delta in deltas):
         raise SoldSetMismatch("projection decreased a vendor's revenue")
     return profile, deltas
@@ -506,10 +481,12 @@ def br_dynamics(
             start, _ = map_to_pmvc(g, start)
         g.check_profile(start)
         move = _discrete_move
+        payoffs = None
     elif mode == "continuous":
         if isinstance(start, StrategyProfile):
             start = pmvc_prices(g, start)
         move = _continuous_move
+        _, payoffs = _sale(g, start)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     k = g.n_vendors
@@ -527,7 +504,7 @@ def br_dynamics(
             period = len(steps) - seen[key]
             break
         seen[key] = len(steps)
-        moved = move(g, state, pos)
+        moved = move(g, state, pos, payoffs)
         if moved is not None:
             state, payoffs = moved
             quiet = 0
@@ -544,9 +521,9 @@ def br_dynamics(
     return DynamicsTrace(mode, start, tuple(steps), status, period)
 
 
-def _discrete_move(g: GameInstance, state: StrategyProfile, vendor: int):
+def _discrete_move(g: GameInstance, state: StrategyProfile, vendor: int, payoffs):
     """The smallest best offer, with everyone's payoffs, unless the current
-    offer is already a best one."""
+    offer is already a best one (which needs no payoffs of the state)."""
     replies = pmvc_best_response(g, vendor, state)
     if state.offers[vendor] in replies:
         return None
@@ -555,15 +532,18 @@ def _discrete_move(g: GameInstance, state: StrategyProfile, vendor: int):
     return trial, pmvc_payoffs(g, trial)
 
 
-def _continuous_move(g: GameInstance, state: PriceVector, vendor: int):
-    """The exact best re-pricing, with everyone's revenue, if it strictly gains."""
-    current = vendor_revenue(g, state, vendor)
-    br = _exact_best_response(g, vendor, state)
-    if br.revenue <= current:
+def _continuous_move(g: GameInstance, state: PriceVector, vendor: int, payoffs):
+    """The exact best re-pricing, with everyone's revenue, if it strictly
+    gains over the vendor's part of ``payoffs``, the revenues at ``state``."""
+    current = payoffs[vendor]
+    prices, revenue, target = _exact_best_response(g, vendor, state)
+    if revenue <= current:
         return None
-    # knife-edge optima may not be realized as priced; shave to make the
-    # improvement strict in actually-paid revenue
-    prices, _, _ = _materialize_deviation(g, vendor, state, br, current)
-    state = state.replace(prices)
-    d = demand(g.valuation, state)
-    return state, tuple(state.total(d.chosen & owned) for owned in g.vendor_masks)
+    _, paid = _sale(g, state.replace(prices))
+    if paid[vendor] <= current:
+        # knife-edge optima may not be realized as priced; shave to make the
+        # improvement strict in actually-paid revenue
+        prices, (_, paid), _ = _materialize_deviation(
+            g, vendor, state, prices, target, revenue - current
+        )
+    return state.replace(prices), paid

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from vcgames.cli import main
+from vcgames.serialize import SchemaError, instance_from_obj
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "counterexample_table.csv")
@@ -426,3 +427,24 @@ def test_name_list_that_is_not_a_list_refused(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "ne", str(path))
     assert code == 2
     assert "must be" in err and "list" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("vendors", [["x", "x"], ["y"]], "names an item twice"),
+        ("categories", [["x", "y", "y"]], "names an item twice"),
+        ("item_values", {"x": "10", "y": "8", "z": "1"}, "unknown item 'z'"),
+    ],
+    ids=["vendor-repeats-name", "category-repeats-name", "value-for-unknown-item"],
+)
+def test_input_the_model_would_ignore_is_refused(capsys, tmp_path, key, value, message):
+    obj = json.loads(Path(TWO_TV).read_text())
+    obj[key] = value
+    with pytest.raises(SchemaError, match=message):
+        instance_from_obj(obj)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "ne", str(path))
+    assert code == 2
+    assert out == "" and message in err
