@@ -1,20 +1,46 @@
-"""A small exact-arithmetic simplex for nonnegative LPs.
+"""A small exact simplex for nonnegative LPs, pivoting on integers.
 
-Solves  max c.x  s.t.  A x <= b,  x >= 0  with every entry a Fraction and
-every b_i >= 0 (so the slack basis is feasible and no phase-1 is needed;
-callers establish feasibility up front).  Bland's rule is used throughout,
-which guarantees termination and makes the returned vertex deterministic.
+Solves  max c.x  s.t.  A x <= b,  x >= 0  with every entry an int or a
+Fraction and every b_i >= 0 (so the slack basis is feasible and no phase-1
+is needed; callers establish feasibility up front).  Bland's rule is used
+throughout, which guarantees termination and makes the returned vertex
+deterministic.
+
+The tableau is condensed: it keeps only the n nonbasic columns and the rhs,
+m rows of n + 1 entries plus the objective row, and two index lists saying
+which variable each row and each column stands for.  A pivot swaps the
+entering and the leaving variable and rewrites the pivot column in place; no
+slack identity columns are stored.
+
+Every entry is an integer.  Each row of A is scaled by the lcm of its
+denominators, c by the lcm of its own, and then the rhs column by the lcm of
+what denominators remain in it.  A positive row scale only rescales that
+row's slack, a positive scale of c only rescales every reduced cost, and a
+common rhs scale only rescales x; none of them changes the sign of a reduced
+cost or the order of two ratios, so Bland's rule makes the same pivots as on
+the unscaled LP.  The integer tableau is d times the rational one, where d
+is the determinant of the current basis (1 for the slack basis); a pivot on
+the entry p at (r, s) sets, for every other row i and column j != s,
+
+    t[i][j] = (t[i][j] * p - t[i][s] * t[r][j]) // d
+
+negates t[i][s], leaves row r alone except for d at column s, and then sets
+d = p.  The division is exact: each new entry is d' times an entry of the
+rational tableau of the new basis, whose determinant d' is d times the
+rational pivot, and by Cramer's rule that product is a minor of the integer
+matrix [A | I | b] (Bareiss).  The ratio test compares b_i / t[i][s] by
+cross-multiplication, so nothing is ever divided except by d.
 
 The exact best response has one variable per item of the target and one row
 per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
-rows, and the 12-item cap allows 4,095.  The tableau is dense over
-Fractions, with one slack column per row, so those large LPs are the slowest
-path in the package.
+rows, and the 12-item cap allows 4,095.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Sequence
 
 __all__ = ["Unbounded", "maximize"]
@@ -24,63 +50,88 @@ class Unbounded(ArithmeticError):
     """The LP has rays of unbounded improvement."""
 
 
+def _integers(values) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def maximize(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    c: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
 ) -> tuple[Fraction, list[Fraction]]:
     """Return ``(optimal value, optimal x)``; raises Unbounded if no optimum."""
     n = len(c)
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"{len(rhs)} rhs entries for {m} rows")
+    if any(len(row) != n for row in rows):
+        raise ValueError("row length mismatch")
+    kinds = set(map(type, chain(c, rhs, *rows)))
+    if not kinds <= {int, Fraction}:
+        bad = sorted(k.__name__ for k in kinds - {int, Fraction})
+        raise ValueError(f"LP entries must be int or Fraction, not {', '.join(bad)}")
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative (slack basis must be feasible)")
-    zero = Fraction(0)
-    # tableau: m rows of [A | I | b]; objective row keeps reduced costs
+
+    # m constraint rows of [A | b] and the objective row [c | 0], all integer
     tab = []
-    for i in range(m):
-        row = [Fraction(x) for x in rows[i]]
-        if len(row) != n:
-            raise ValueError("row length mismatch")
-        row += [Fraction(int(i == j)) for j in range(m)]
-        row.append(Fraction(rhs[i]))
-        tab.append(row)
-    obj = [Fraction(x) for x in c] + [zero] * (m + 1)
-    basis = list(range(n, n + m))
+    scaled_rhs = []
+    for row, b in zip(rows, rhs):
+        ints, scale = _integers(row)
+        tab.append(ints)
+        scaled_rhs.append(b * scale)
+    rhs_ints, rhs_scale = _integers(scaled_rhs)
+    for ints, b in zip(tab, rhs_ints):
+        ints.append(b)
+    tab.append(_integers(c)[0] + [0])
+    basis = list(range(n, n + m))  # the variable of each row: slacks first
+    nonbasic = list(range(n))  # the variable of each column
+    d = 1
 
     while True:
-        # Bland: entering column = lowest index with positive reduced cost
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
-        if enter is None:
+        # Bland: the entering variable is the lowest one with positive cost
+        obj = tab[m]
+        s = None
+        for j in range(n):
+            if obj[j] > 0 and (s is None or nonbasic[j] < nonbasic[s]):
+                s = j
+        if s is None:
             break
-        leave = None
-        best_ratio = None
+        # minimum ratio b_i / t[i][s], ties to the lower basic variable
+        r = None
         for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave is None:
+            a = tab[i][s]
+            if a > 0:
+                if r is None:
+                    r, ra, rb = i, a, tab[i][n]
+                    continue
+                left, right = tab[i][n] * ra, rb * a
+                if left < right or (left == right and basis[i] < basis[r]):
+                    r, ra, rb = i, a, tab[i][n]
+        if r is None:
             raise Unbounded("objective unbounded above")
-        pivot = tab[leave][enter]
-        tab[leave] = [x / pivot for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
-        basis[leave] = enter
+        prow = tab[r]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                new = [(v * ra - f * u) // d for v, u in zip(row, prow)]
+                new[s] = -f
+                tab[i] = new
+            elif ra != d:
+                tab[i] = [v * ra // d for v in row]
+        prow[s] = d
+        d = ra
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
 
+    zero = Fraction(0)
     x = [zero] * n
+    den = d * rhs_scale
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][-1]
+            x[var] = Fraction(tab[i][n], den)
     value = sum((ci * xi for ci, xi in zip(c, x)), zero)
     return value, x

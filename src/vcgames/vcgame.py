@@ -152,6 +152,7 @@ def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
 def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
     """What vendor i earns when the buyer purchases at p."""
     _require_certified(g)
+    g.check_vendor(vendor)
     return _sale(g, p)[1][vendor]
 
 
@@ -224,9 +225,9 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
         for wl in submasks_of(lm):
             if wl == 0:
                 continue
-            rows.append([Fraction(1 if wl & (1 << b) else 0) for b in var_bits])
+            rows.append([1 if wl & (1 << b) else 0 for b in var_bits])
             rhs.append(Fraction(reach[lm] - reach[lm ^ wl], scale))
-        value, x = exactlp.maximize([Fraction(1)] * nvars, rows, rhs)
+        value, x = exactlp.maximize([1] * nvars, rows, rhs)
         if value > best_rev:
             best_rev = value
             best_target = lm

@@ -3,14 +3,19 @@
 ``perfbench/`` wraps functions of ``vcgames`` by module and attribute name
 and stops its set-up probes at a named function of ``vcgames.cli``.  A
 rename in the package would otherwise surface only in a traced benchmark
-run; here it fails the test suite.  The benchmark files are only imported.
+run; here it fails the test suite.  So does a change to the arguments or
+the result of a call whose attributes a traced run reads.  The benchmark
+files are only imported.
 """
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from vcgames import counterexample_instance, pmvc_prices
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)  # run.py imports its siblings by bare name
@@ -48,3 +53,31 @@ def test_demand_runs_of_the_price_game_are_counted():
     market = importlib.import_module("vcgames.market")
     vcgame = importlib.import_module("vcgames.vcgame")
     assert vcgame.demand is market.demand
+
+
+G = counterexample_instance()
+START = G.parse_profile("{a}|{c}")
+# span name -> (arguments of one small real call, the attrs expected from it)
+ATTRS_CASES = {
+    "market.demand": ((G.valuation, pmvc_prices(G, START)), {"subsets": 1 << G.universe.n}),
+    "pmvc.pure_ne": ((G,), {"profiles": 1 << G.universe.n, "equilibria": 0}),
+    "vcgame.dynamics": ((G, START, "continuous", 3), {"moves": 3}),
+    "exactlp.maximize": (
+        ([1, 1], [[1, 0], [1, 1]], [Fraction(1, 3), Fraction(1, 2)]),
+        {"rows": 2, "cells": 2 * (2 + 2 + 1), "rhs_bits": 2},
+    ),
+}
+
+
+def test_every_attrs_hook_has_a_case():
+    assert set(ATTRS_CASES) == set(bench_spans.ATTRS)
+
+
+@pytest.mark.parametrize("name", sorted(bench_spans.ATTRS))
+def test_attrs_hook_reads_a_real_call(name):
+    # a traced run computes these from the arguments and the result of each
+    # call; an argument or result the hook can no longer read fails here
+    args, expected = ATTRS_CASES[name]
+    ((module, attr),) = bench_spans.SPANNED[name]
+    target = getattr(importlib.import_module(module), attr)
+    assert bench_spans.ATTRS[name](args, {}, target(*args)) == expected

@@ -1,6 +1,7 @@
-"""The exact simplex, cross-checked against scipy's floating-point solver."""
+"""The exact simplex, checked against vertex enumeration and against scipy."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -71,8 +72,126 @@ def test_row_length_mismatch():
         maximize([F(1), F(1)], [[F(1)]], [F(1)])
 
 
+@pytest.mark.parametrize("rhs", [[], [F(1), F(2)]], ids=["short", "long"])
+def test_rhs_length_mismatch(rhs):
+    with pytest.raises(ValueError, match="rhs"):
+        maximize([F(1)], [[F(1)]], rhs)
+
+
+@pytest.mark.parametrize(
+    "c, rows, rhs",
+    [
+        ([0.1], [[1]], [F(3, 10)]),
+        ([1], [[0.5]], [F(3, 10)]),
+        ([1], [[1]], [0.3]),
+    ],
+    ids=["c", "rows", "rhs"],
+)
+def test_float_refused(c, rows, rhs):
+    with pytest.raises(ValueError, match="float"):
+        maximize(c, rows, rhs)
+
+
+def test_int_entries_give_fractions():
+    val, x = maximize([1, 1], [[1, 0], [1, 1]], [1, F(3, 2)])
+    assert val == F(3, 2) and type(val) is Fraction
+    assert x == [1, F(1, 2)] and all(type(xi) is Fraction for xi in x)
+
+
+def test_bland_vertex_on_tied_lp():
+    # every point of the edge from (1, 0) to (0, 1) is optimal; Bland's rule
+    # enters x first and stops at (1, 0)
+    val, x = maximize([1, 1], [[1, 1], [1, 0], [0, 1]], [1, 1, 1])
+    assert val == 1
+    assert x == [1, 0]
+
+
+def test_bland_leaving_row_on_ratio_tie():
+    # x enters first, tied between rows 1 and 3; the lower slack (row 1)
+    # leaves, and the walk ends at (0, 0, 1), not at the equally good (0, 1, 0)
+    val, x = maximize([1, 2, 2], [[2, 0, 1], [0, 1, 0], [2, 2, 2]], [2, 2, 2])
+    assert val == 2
+    assert x == [0, 0, 1]
+
+
 fracs = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5)
 pos_fracs = st.fractions(min_value=F(0), max_value=F(6), max_denominator=5)
+# rhs with denominators up to 2^900, as continuous dynamics reach 868 bits
+big_fracs = st.integers(1, 2**900).flatmap(
+    lambda den: st.integers(0, 6 * den).map(lambda num: F(num, den))
+)
+
+
+def _det(a):
+    if not a:
+        return F(1)
+    return sum(
+        (-1) ** j * a[0][j] * _det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+        if a[0][j]
+    )
+
+
+def _dot(u, v):
+    return sum((F(a) * b for a, b in zip(u, v)), F(0))
+
+
+def _vertices(rows, rhs, k):
+    """Every point of {y : rows.y <= rhs} in k dimensions where k of the
+    inequalities are independent and tight, solved by Cramer's rule."""
+    for tight in combinations(range(len(rows)), k):
+        a = [list(rows[i]) for i in tight]
+        det = _det(a)
+        if det == 0:
+            continue
+        y = []
+        for j in range(k):
+            aj = [row[:j] + [rhs[i]] + row[j + 1 :] for row, i in zip(a, tight)]
+            y.append(_det(aj) / det)
+        if all(_dot(row, y) <= b for row, b in zip(rows, rhs)):
+            yield y
+
+
+def _bounds(k):
+    return [[-int(i == j) for j in range(k)] for i in range(k)]  # -y_i <= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.one_of(st.integers(-4, 4), fracs), min_size=n, max_size=n),
+            st.integers(1, 4).flatmap(
+                lambda m: st.tuples(
+                    st.lists(
+                        st.lists(st.one_of(st.integers(-4, 4), fracs), min_size=n, max_size=n),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    st.lists(st.one_of(pos_fracs, big_fracs), min_size=m, max_size=m),
+                )
+            ),
+        )
+    )
+)
+def test_against_vertex_enumeration(data):
+    c, (rows, rhs) = data
+    n, m = len(c), len(rows)
+    # the primal's vertices, and the dual's: min b.y st A^T y >= c, y >= 0;
+    # x = 0 is feasible, so the LP is bounded iff the dual has a vertex
+    primal = list(_vertices(rows + _bounds(n), rhs + [0] * n, n))
+    dual_rows = [[-rows[i][j] for i in range(m)] for j in range(n)]
+    dual = list(_vertices(dual_rows + _bounds(m), [-cj for cj in c] + [0] * m, m))
+    if not dual:
+        with pytest.raises(Unbounded):
+            maximize(c, rows, rhs)
+        return
+    val, x = maximize(c, rows, rhs)
+    assert val == max(_dot(c, v) for v in primal) == min(_dot(rhs, y) for y in dual)
+    assert val == _dot(c, x)
+    assert all(xi >= 0 for xi in x)
+    for row, b in zip(rows, rhs):
+        assert _dot(row, x) <= b
 
 
 @settings(max_examples=30, deadline=None)

@@ -62,6 +62,13 @@ def test_vendor_revenue_at_mechanism_prices():
     assert vendor_revenue(G, p, 1) == Fraction("2.701")
 
 
+def test_vendor_revenue_refuses_unknown_vendor():
+    p = pv(a="2.601", c="2.201")
+    for vendor in (-1, 5):  # -1 used to read vendor 1, 5 to raise IndexError
+        with pytest.raises(ValueError, match=f"no vendor {vendor}"):
+            vendor_revenue(G, p, vendor)
+
+
 # -- best responses, three tiers -------------------------------------------
 
 
