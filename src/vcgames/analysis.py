@@ -124,11 +124,7 @@ def equilibrium_report(
 
 def _hybrid_value(g: GameInstance, s: StrategyProfile, vendor: int, offer: int) -> Fraction:
     """v(union with one vendor's offer replaced)."""
-    union = offer
-    for i, o in enumerate(s.offers):
-        if i != vendor:
-            union |= o
-    return g.valuation.value_mask(union)
+    return g.valuation.value_mask(s.union_mask & ~g.vendor_masks[vendor] | offer)
 
 
 def check_vendor_contribution_bound(

@@ -8,6 +8,7 @@ parse problems.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import serialize
@@ -128,11 +129,13 @@ def _parse_prices(g: GameInstance, text: str | None):
         raise CliError(str(e)) from None
 
 
-def _emit(args: argparse.Namespace, text_out: str, obj) -> None:
-    import json
+def _print_json(obj) -> None:
+    print(json.dumps(obj, indent=2))
 
+
+def _emit(args: argparse.Namespace, text_out: str, obj) -> None:
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        _print_json(obj)
     else:
         print(text_out)
 
@@ -169,9 +172,7 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         sys.stdout.write(csv_text)
     elif args.format == "json":
-        import json
-
-        print(json.dumps(serialize.payoff_table_obj(g, table), indent=2))
+        _print_json(serialize.payoff_table_obj(g, table))
     else:
         for o in table:
             payoffs = "  ".join(format_rational(q) for q in o.vendor_payoffs)
@@ -184,10 +185,10 @@ def cmd_ne(args) -> int:
     eps = parse_rational(args.eps) if args.eps else None
     nes = pmvc_pure_ne(g, cap=args.cap, undercut=eps)
     if args.format == "json":
-        _emit(args, "", {"count": len(nes), "equilibria": [s.format(g.universe) for s in nes]})
+        _print_json({"count": len(nes), "equilibria": [s.format(g.universe) for s in nes]})
     else:
         lines = [f"{len(nes)} pure Nash equilibria"] + [f"  {s.format(g.universe)}" for s in nes]
-        _emit(args, "\n".join(lines), None)
+        print("\n".join(lines))
     return 0
 
 
@@ -195,9 +196,9 @@ def cmd_poa(args) -> int:
     g = _load(args)
     report = equilibrium_report(g, cap=args.cap)
     if args.format == "json":
-        _emit(args, "", serialize.report_to_obj(g, report))
+        _print_json(serialize.report_to_obj(g, report))
     else:
-        _emit(args, serialize.report_to_text(g, report), None)
+        print(serialize.report_to_text(g, report))
     return 0
 
 
@@ -214,11 +215,8 @@ def cmd_brd(args) -> int:
     if args.format == "json":
         print(serialize.trace_to_jsonl(g, trace))
     else:
-        print(f"{trace.status} after {len(trace.steps)} moves", end="")
-        if trace.period is not None:
-            print(f" (period {trace.period})")
-        else:
-            print()
+        period = "" if trace.period is None else f" (period {trace.period})"
+        print(f"{trace.status} after {len(trace.steps)} moves{period}")
     return 0
 
 
@@ -231,6 +229,7 @@ def cmd_cdsp(args) -> int:
     prices = serialize.prices_to_obj(p)
     obj = {"prices": prices}
     lines = [f"{name} = {q}" for name, q in prices.items()]
+    code = 0
     if args.verify:
         res = vc_verify_ne(g, p, method="target-set-exact")
         achieved = welfare(g, p)
@@ -240,13 +239,11 @@ def cmd_cdsp(args) -> int:
         obj["optimal_welfare"] = format_rational(optimal)
         if res.certified and achieved == optimal:
             lines.append("equilibrium certified; welfare optimal")
-            _emit(args, "\n".join(lines), obj)
-            return 0
-        lines.append(f"verification {res.status}; welfare {format_rational(achieved)} of {format_rational(optimal)}")
-        _emit(args, "\n".join(lines), obj)
-        return 1
+        else:
+            lines.append(f"verification {res.status}; welfare {format_rational(achieved)} of {format_rational(optimal)}")
+            code = 1
     _emit(args, "\n".join(lines), obj)
-    return 0
+    return code
 
 
 def cmd_gen(args) -> int:

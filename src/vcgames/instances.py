@@ -232,16 +232,17 @@ def random_instance(
     u = Universe(_letters(n_items))
     vendor_masks = _random_partition(rng, n_items, n_vendors)
     if generator == "coverage":
+        # weights are (1..40) / d with d dividing 20, held here as twentieths
         ground = 2 * n_items
-        weights = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 4, 5, 10, 20))) for _ in range(ground)]
+        weights = [rng.randint(1, 40) * (20 // rng.choice((1, 2, 4, 5, 10, 20))) for _ in range(ground)]
         covers = []
         for _ in range(n_items):
             size = rng.randint(1, max(2, ground // 2))
-            covers.append(frozenset(rng.sample(range(ground), size)))
-        values = []
-        for mask in range(1 << n_items):
-            covered = frozenset().union(*(covers[i] for i in bits_of(mask))) if mask else frozenset()
-            values.append(sum((weights[e] for e in covered), Fraction(0)))
+            covers.append(sum(1 << e for e in rng.sample(range(ground), size)))
+        covered = [0]  # covered[mask]: the ground elements the items of mask cover
+        for cover in covers:
+            covered += [c | cover for c in covered]
+        values = [Fraction(sum(weights[e] for e in bits_of(c)), 20) for c in covered]
         valuation = TableValuation(u, values)
     else:
         groups = _random_partition(rng, n_items, rng.randint(1, n_items))

@@ -99,10 +99,6 @@ class Universe:
         self._check_mask(mask)
         return tuple(self.names[i] for i in bits_of(mask))
 
-    def subsets(self) -> Iterator[int]:
-        """All subsets of the universe, ascending by bitmask value."""
-        return iter(range(1 << self.n))
-
     def format_set(self, mask: int) -> str:
         return "{" + ",".join(self.names_of(mask)) + "}"
 

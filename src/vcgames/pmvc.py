@@ -118,6 +118,11 @@ class GameInstance:
             for owned in self.vendor_masks
         )
 
+    def profile_of(self, union: int) -> StrategyProfile:
+        """The profile whose offers make up ``union``: vendor i offers
+        ``union & A_i``, since vendor sets are disjoint."""
+        return StrategyProfile(tuple(union & owned for owned in self.vendor_masks))
+
     def check_vendor(self, i: int) -> None:
         if not 0 <= i < self.n_vendors:
             raise ValueError(f"no vendor {i}")
@@ -203,8 +208,8 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
     ``pay(union, i) / scale`` at the profile whose offers make up ``union``.
 
     Certified instances use the integer closed form, each offered item
-    selling at its (undercut) marginal.  Others run ``pmvc_outcome``, once per
-    union, since disjoint vendors make the union determine the profile.
+    selling at its (undercut) marginal.  Others run ``pmvc_outcome`` once per
+    union, on the profile ``g.profile_of(union)``.
     """
     if undercut is not None and undercut <= 0:
         raise ValueError("undercut epsilon must be positive")
@@ -213,8 +218,7 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
 
         def pay(union: int, vendor: int) -> Fraction:
             if union not in outcomes:
-                s = StrategyProfile(tuple(union & owned for owned in g.vendor_masks))
-                outcomes[union] = pmvc_outcome(g, s, undercut).vendor_payoffs
+                outcomes[union] = pmvc_outcome(g, g.profile_of(union), undercut).vendor_payoffs
             return outcomes[union][vendor]
 
         return pay, 1

@@ -229,13 +229,13 @@ def instance_from_obj(data: dict[str, Any], allow_uncertified: bool = True) -> G
         raise SchemaError(str(e)) from None
 
 
-def load_instance(path: str, allow_uncertified: bool = True) -> GameInstance:
+def load_instance(path: str) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return instance_from_obj(data, allow_uncertified=allow_uncertified)
+    return instance_from_obj(data)
 
 
 def dump_instance(g: GameInstance) -> str:

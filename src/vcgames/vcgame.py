@@ -20,10 +20,14 @@ Best responses come in three tiers:
   Solved with an exact rational simplex.  The optimum is the supremum of
   achievable revenue; ties in the buyer's choice can keep it from being
   realized exactly, in which case shaving any positive epsilon off the
-  positive prices realizes a revenue strictly within epsilon * |B_i| of it
-  (used when materializing refutation certificates).
+  positive prices realizes a revenue strictly within epsilon * |B_i| of it.
 * ``grid`` -- exhaustive search over the finite price grid of all marginal
   values plus 0 and the sentinel; realized revenue, used as a cross-check.
+
+Verification and continuous dynamics share one strict-gain and shave rule,
+``_deviation``.  Any tier can refute an equilibrium, but only the exact tier
+bounds every deviation and so certifies one; an incomplete tier that finds
+no deviation reports ``not-refuted``.
 """
 
 from __future__ import annotations
@@ -118,7 +122,9 @@ class VerificationResult:
 
     @property
     def status(self) -> str:
-        return "ne-certified" if self.certified else "refuted"
+        if self.certified:
+            return "ne-certified"
+        return "not-refuted" if self.certificate is None else "refuted"
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,12 @@ def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
 # -- target-set-exact ------------------------------------------------------
 
 
-def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int):
+def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int, scan: str):
     """Value table, scale, and subset sums of the competitors' prices (own
-    items count 0), all as integers over one common denominator."""
+    items count 0), all as integers over one common denominator.  ``scan``
+    says why the calling tier refuses more than EXACT_MAX_ITEMS items."""
+    if g.universe.n > EXACT_MAX_ITEMS:
+        raise ValueError(f"{scan}; capped at {EXACT_MAX_ITEMS} items")
     table, scale, price_int = common_scale(g.valuation, p.prices)
     owned = g.vendor_masks[vendor]
     competitors = [0 if owned >> i & 1 else q for i, q in enumerate(price_int)]
@@ -169,14 +178,11 @@ def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int):
 
 
 def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
-    n = g.universe.n
-    if n > EXACT_MAX_ITEMS:
-        raise ValueError(f"target-set-exact enumerates 2^n targets; capped at {EXACT_MAX_ITEMS} items")
     owned = g.vendor_masks[vendor]
     others = g.universe.full_mask & ~owned
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, scale, pmsum = _scaled_prices(g, p, vendor)
+    table, scale, pmsum = _scaled_prices(g, p, vendor, "target-set-exact enumerates 2^n targets")
     glob = g.offer_tables[vendor]
 
     # reach[T] = max over competitor sets S' of v(T | S') - p(S'): the best
@@ -206,10 +212,9 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
             if lm & bit and sub_reach[lm ^ bit] > sub_reach[lm]:
                 sub_reach[lm] = sub_reach[lm ^ bit]
 
-    sent = sentinel_price(g.valuation)
     best_rev = Fraction(0)
-    best_prices: dict[int, Fraction] = {item: sent for item in items}
     best_target = 0
+    best_x: dict[int, Fraction] = {}  # local bit -> price at the best target
     # selling nothing at all is always available
     order = sorted(range(1, 1 << ni), key=lambda lm: (-reach[lm], lm))
     for lm in order:
@@ -219,7 +224,6 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
         if sub_reach[lm] > reach[lm]:
             continue  # no prices make the buyer prefer this target
         var_bits = tuple(bits_of(lm))
-        nvars = len(var_bits)
         rows = []
         rhs = []
         for wl in submasks_of(lm):
@@ -227,15 +231,16 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
                 continue
             rows.append([1 if wl & (1 << b) else 0 for b in var_bits])
             rhs.append(Fraction(reach[lm] - reach[lm ^ wl], scale))
-        value, x = exactlp.maximize([1] * nvars, rows, rhs)
+        value, x = exactlp.maximize([1] * len(var_bits), rows, rhs)
         if value > best_rev:
             best_rev = value
             best_target = lm
-            best_prices = {item: sent for item in items}
-            for j, b in enumerate(var_bits):
-                best_prices[items[b]] = x[j]
+            best_x = dict(zip(var_bits, x))
 
-    return best_prices, best_rev, glob[best_target] | best_out[best_target]
+    # items off the best target are withheld at the sentinel
+    sent = sentinel_price(g.valuation)
+    prices = {item: best_x.get(b, sent) for b, item in enumerate(items)}
+    return prices, best_rev, glob[best_target] | best_out[best_target]
 
 
 # -- candidate-set ---------------------------------------------------------
@@ -249,13 +254,10 @@ def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
     backdrop = demand(v, absent).chosen  # what sells without this vendor
     best = None
     for offer in g.offer_tables[vendor]:
-        union = offer | backdrop
-        v_union = v.value_mask(union)
-        updates: dict[int, Fraction] = {item: sent for item in items}
-        for item in bits_of(offer):
-            updates[item] = v_union - v.value_mask(union ^ (1 << item))
-        # withheld items carry the sentinel and never sell, so the vendor's
-        # revenue is what the offer earns
+        # the backdrop holds none of the vendor's items, so its withheld items
+        # keep the sentinel and never sell: the revenue is what the offer earns
+        marginal = pmvc_prices(g, g.profile_of(offer | backdrop)).prices
+        updates = {item: marginal[item] for item in items}
         revenue = _sale(g, p.replace(updates))[1][vendor]
         if best is None or revenue > best[1]:
             best = (updates, revenue, offer)
@@ -267,12 +269,10 @@ def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
 
 def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     n = g.universe.n
-    if n > EXACT_MAX_ITEMS:
-        raise ValueError(f"grid search builds the full marginal grid; capped at {EXACT_MAX_ITEMS} items")
     owned = g.vendor_masks[vendor]
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, scale, pmsum = _scaled_prices(g, p, vendor)
+    table, scale, pmsum = _scaled_prices(g, p, vendor, "grid search builds the full marginal grid")
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1
     for mask in range(1, 1 << n):
         v_mask = table[mask]
@@ -349,6 +349,13 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
 _TIERS = dict(zip(METHODS, (_candidate_best_response, _exact_best_response, _grid_best_response)))
 
 
+def _tier(method: str):
+    tier = _TIERS.get(method)
+    if tier is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return tier
+
+
 def vc_best_response(
     g: GameInstance,
     vendor: int,
@@ -364,34 +371,32 @@ def vc_best_response(
     """
     _require_certified(g)
     g.check_vendor(vendor)
-    tier = _TIERS.get(method)
-    if tier is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    prices, revenue, target = tier(g, vendor, p)
+    prices, revenue, target = _tier(method)(g, vendor, p)
     realized = _sale(g, p.replace(prices))[1][vendor]
     return BestResponse(vendor, method, prices, revenue, realized, target)
 
 
-def _materialize_deviation(
-    g: GameInstance, vendor: int, p: PriceVector, prices: dict[int, Fraction],
-    target: int, gap: Fraction,
-):
-    """Turn a reply whose supremum beats the current revenue by ``gap``, but
-    whose prices do not as the buyer breaks ties, into a strict gain.
+def _deviation(g: GameInstance, tier, vendor: int, p: PriceVector, current: Fraction):
+    """Run ``tier`` for one vendor at p against ``current``, its revenue there.
 
-    Every positive price on the target is shaved by a small epsilon; any
-    u-maximizer then containing the whole positive-priced part, the realized
-    revenue lands within epsilon * |positives| of the supremum.  Returns the
-    shaved prices, their ``_sale`` and epsilon.
+    Returns the tier's revenue and, if the reply strictly beats ``current`` as
+    the buyer breaks ties, ``(prices, paid, eps)``, else None.  Only a reply
+    whose revenue beats ``current`` is replayed; if the tie rule denies the
+    gain, its positive target prices are shaved by eps (None otherwise), so
+    the buyer takes them all and pays within eps * |positives| of the tier's
+    revenue, still above ``current``.  ``paid`` is every vendor's revenue.
     """
-    positives = [
-        item for item, q in prices.items() if q > 0 and (1 << item) & target & g.vendor_masks[vendor]
-    ]
-    eps = min(min(prices[i] for i in positives), gap / len(positives)) / 2
-    shaved = dict(prices)
-    for item in positives:
-        shaved[item] -= eps
-    return shaved, _sale(g, p.replace(shaved)), eps
+    prices, revenue, target = tier(g, vendor, p)
+    if revenue <= current:
+        return revenue, None
+    _, paid = _sale(g, p.replace(prices))
+    eps = None
+    if paid[vendor] <= current:
+        positives = [item for item, q in prices.items() if q > 0 and (1 << item) & target]
+        eps = min(min(prices[i] for i in positives), (revenue - current) / len(positives)) / 2
+        prices = {item: q - eps if item in positives else q for item, q in prices.items()}
+        _, paid = _sale(g, p.replace(prices))
+    return revenue, (prices, paid, eps)
 
 
 def vc_verify_ne(
@@ -400,33 +405,23 @@ def vc_verify_ne(
     """Check every vendor for a profitable deviation.
 
     A refutation is sound under any method (the certificate is replayable
-    through the demand oracle); certification is exact only under
-    ``target-set-exact``, whose optimum bounds every deviation's revenue.
+    through the demand oracle).  Only ``target-set-exact``, whose optimum
+    bounds every deviation's revenue, certifies; under the other methods a
+    price vector without a deviation found is ``not-refuted``.
     """
     _require_certified(g)
+    tier = _tier(method)
     _, paid = _sale(g, p)
     checks = []
     certificate = None
     for vendor, current in enumerate(paid):
-        br = vc_best_response(g, vendor, p, method)
-        checks.append(VendorCheck(vendor, current, br.revenue))
-        if certificate is None and br.revenue > current:
-            prices, realized, eps = br.prices, br.realized_revenue, None
-            if realized <= current:
-                prices, (_, shaved_paid), eps = _materialize_deviation(
-                    g, vendor, p, br.prices, br.target_mask, br.revenue - current
-                )
-                realized = shaved_paid[vendor]
-            certificate = DeviationCertificate(
-                vendor=vendor,
-                method=method,
-                prices=prices,
-                old_revenue=current,
-                new_revenue=realized,
-                undercut=eps,
-            )
+        revenue, won = _deviation(g, tier, vendor, p, current)
+        checks.append(VendorCheck(vendor, current, revenue))
+        if certificate is None and won is not None:
+            prices, after, eps = won
+            certificate = DeviationCertificate(vendor, method, prices, current, after[vendor], eps)
     return VerificationResult(
-        certified=certificate is None,
+        certified=certificate is None and method == "target-set-exact",
         method=method,
         checks=tuple(checks),
         certificate=certificate,
@@ -444,7 +439,7 @@ def map_to_pmvc(
     """
     _require_certified(g)
     sold, paid = _sale(g, p)
-    profile = StrategyProfile(tuple(sold & owned for owned in g.vendor_masks))
+    profile = g.profile_of(sold)
     out = pmvc_outcome(g, profile)
     if out.sold != sold:
         raise SoldSetMismatch(
@@ -536,15 +531,8 @@ def _discrete_move(g: GameInstance, state: StrategyProfile, vendor: int, payoffs
 def _continuous_move(g: GameInstance, state: PriceVector, vendor: int, payoffs):
     """The exact best re-pricing, with everyone's revenue, if it strictly
     gains over the vendor's part of ``payoffs``, the revenues at ``state``."""
-    current = payoffs[vendor]
-    prices, revenue, target = _exact_best_response(g, vendor, state)
-    if revenue <= current:
+    _, won = _deviation(g, _exact_best_response, vendor, state, payoffs[vendor])
+    if won is None:
         return None
-    _, paid = _sale(g, state.replace(prices))
-    if paid[vendor] <= current:
-        # knife-edge optima may not be realized as priced; shave to make the
-        # improvement strict in actually-paid revenue
-        prices, (_, paid), _ = _materialize_deviation(
-            g, vendor, state, prices, target, revenue - current
-        )
+    prices, paid, _ = won
     return state.replace(prices), paid

@@ -320,6 +320,22 @@ def test_verify_certified(capsys):
     assert "ne-certified" in out
 
 
+@pytest.mark.parametrize("method", ["candidate", "grid"])
+def test_verify_incomplete_method_without_deviation_exits_1(capsys, method):
+    argv = ["verify", "--gen", "random:1,5,2", "--prices", "a=23.3,b=1,c=5.4,d=3.3,e=23.3"]
+    code, out, _ = run(capsys, *argv, "--method", method)
+    assert code == 1
+    assert out.startswith("not-refuted (")
+    code, out, _ = run(capsys, *argv, "--method", method, "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "not-refuted"
+    assert "deviation" not in data
+    code, out, _ = run(capsys, *argv, "--method", "exact")
+    assert code == 1
+    assert out.startswith("refuted (target-set-exact)")
+
+
 def test_verify_bad_price_text(capsys):
     code, _, err = run(
         capsys, "verify", "--gen", "counterexample", "--prices", "a:1"

@@ -1,8 +1,8 @@
 """Invariants the model implies, checked on seeded random games.
 
-Relabeling vendors and rescaling the buyer's valuation change nothing but
-the labels and the units; every best-response tier's realized revenue is
-what the buyer pays at its prices.
+Relabeling vendors or items and rescaling the buyer's valuation change
+nothing but the labels and the units; every best-response tier's realized
+revenue is what the buyer pays at its prices.
 """
 
 from fractions import Fraction
@@ -15,6 +15,7 @@ from vcgames import (
     GameInstance,
     PriceVector,
     TableValuation,
+    Universe,
     equilibrium_report,
     payoff_table,
     pmvc_pure_ne,
@@ -22,6 +23,7 @@ from vcgames import (
     vc_best_response,
     vendor_revenue,
 )
+from vcgames.items import bits_of
 from vcgames.vcgame import METHODS
 
 GENERATORS = st.sampled_from(["coverage", "additive-concave"])
@@ -34,6 +36,33 @@ def test_reversing_vendor_order_reverses_equilibria(seed, n, k, generator):
     flipped = GameInstance(g.valuation, g.vendor_masks[::-1])
     assert {s.offers[::-1] for s in pmvc_pure_ne(g)} == {s.offers for s in pmvc_pure_ne(flipped)}
     before, after = equilibrium_report(g), equilibrium_report(flipped)
+    assert (before.poa, before.pos) == (after.poa, after.pos)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5_000), st.integers(1, 7), st.integers(1, 3), GENERATORS, st.data())
+def test_relabeling_items_permutes_equilibria(seed, n, k, generator, data):
+    # random games are certified, so the buyer's largest-bitmask fallback,
+    # which is not permutation-equivariant, never decides an outcome here
+    g = random_instance(seed, n, min(k, n), generator)
+    perm = data.draw(st.permutations(range(n)))  # item i becomes item perm[i]
+
+    def move(mask):
+        return sum(1 << perm[i] for i in bits_of(mask))
+
+    names = [""] * n
+    values = [Fraction(0)] * (1 << n)
+    for i, name in enumerate(g.universe.names):
+        names[perm[i]] = name
+    for mask in range(1 << n):
+        values[move(mask)] = g.valuation.value_mask(mask)
+    relabeled = GameInstance(
+        TableValuation(Universe(tuple(names)), values), [move(m) for m in g.vendor_masks]
+    )
+    # enumeration order follows item order, so compare sets of profiles
+    moved = {tuple(map(move, s.offers)) for s in pmvc_pure_ne(g)}
+    assert moved == {s.offers for s in pmvc_pure_ne(relabeled)}
+    before, after = equilibrium_report(g), equilibrium_report(relabeled)
     assert (before.poa, before.pos) == (after.poa, after.pos)
 
 

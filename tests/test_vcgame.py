@@ -24,6 +24,7 @@ from vcgames import (
     vc_verify_ne,
     vendor_revenue,
 )
+from vcgames.serialize import verification_to_obj
 
 G = counterexample_instance()
 U = G.universe
@@ -152,6 +153,25 @@ def test_verify_refutes_underpricing():
     assert cert.vendor == 0
     assert cert.old_revenue == 3
     assert cert.new_revenue == 5
+
+
+@pytest.mark.parametrize("method", ["candidate-set", "grid"])
+def test_incomplete_tier_without_deviation_does_not_certify(method):
+    # the exact tier refutes these prices; the incomplete tiers miss the gain
+    g = random_instance(1, 5, 2)
+    p = PriceVector(g.universe, tuple(map(Fraction, ("23.3", "1", "5.4", "3.3", "23.3"))))
+    assert vc_verify_ne(g, p).status == "refuted"
+    res = vc_verify_ne(g, p, method)
+    assert res.certificate is None
+    assert not res.certified
+    assert res.status == "not-refuted"
+    assert "deviation" not in verification_to_obj(g, res)
+
+
+def test_incomplete_tier_refutes_without_certifying():
+    res = vc_verify_ne(G, pmvc_prices(G, G.parse_profile("{a}|{c}")), "candidate-set")
+    assert res.status == "refuted"
+    assert res.certificate.new_revenue > res.certificate.old_revenue
 
 
 def test_verify_refutes_mechanism_prices_of_nonequilibrium():
