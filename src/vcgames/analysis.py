@@ -24,6 +24,7 @@ from .pmvc import (
     pmvc_best_response,
     pmvc_pure_ne,
 )
+from .rationals import format_rational
 from .valuation import _harmonic_curve
 
 __all__ = [
@@ -107,10 +108,17 @@ def equilibrium_report(
     if not pairs:
         return EquilibriumReport(pairs, opt, None, None, bound, True)
     welfares = [w for _, w in pairs]
+    worst = min(welfares)
     if opt == 0:
         poa = pos = Fraction(1)
+    elif worst <= 0:
+        # only an uncertified valuation gets here: no ratio to report
+        raise ValueError(
+            f"an equilibrium has welfare {format_rational(worst)} "
+            f"against optimal welfare {format_rational(opt)}: no welfare ratio"
+        )
     else:
-        poa = opt / min(welfares)
+        poa = opt / worst
         pos = opt / max(welfares)
     return EquilibriumReport(
         equilibria=pairs,

@@ -9,8 +9,16 @@ general -- that needs gross substitutes), so there is a documented fallback:
 the largest maximizer in the canonical subset order.  Since the bitmask order
 refines strict inclusion, that fallback is always a maximal maximizer.
 
+The oracle is exact but scans only the subsets of *live* items, those priced
+at most the spread ``max(v) - min(v)`` of the value table.  Adding an item
+raises a bundle's value by at most the spread, so an item priced above it
+lowers the utility of every bundle that holds it and is in no maximizer;
+leaving such items out drops only sets that are never optimal.
+
 Items a vendor withholds are modeled with the sentinel price ``v(A*) + 1``,
-an exact rational that no rational buyer ever pays.
+an exact rational that no rational buyer ever pays.  On a normalized
+monotone table the spread is ``v(A*)``, so withheld items are never live and
+a profile whose offers make up U costs 2^|U| subsets, not 2^n.
 """
 
 from __future__ import annotations
@@ -86,18 +94,38 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
     return v.value_mask(mask) - p.total(mask)
 
 
-def _scaled_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], int]:
-    """Utilities of all subsets as exact integers over a common denominator."""
+def _live_mask(v: Valuation, scale: int, price_int) -> int:
+    """The items that can sell at ``price_int``, integers over ``scale``.
+
+    Item i is live iff its price is at most the table's spread.  A dead item
+    costs more than it can add to any bundle, so it is in no maximizer.
+    """
+    spread = v.dense_spread(scale)
+    live = 0
+    for i, q in enumerate(price_int):
+        if q <= spread:
+            live |= 1 << i
+    return live
+
+
+def _live_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], list[int], int]:
+    """Every subset of the live items, ascending by mask, with its utility as
+    an exact integer over a common denominator: ``(masks, utils, scale)``."""
     table, scale, price_int = common_scale(v, p.prices)
-    return [t - q for t, q in zip(table, subset_sums(price_int))], scale
+    live = list(bits_of(_live_mask(v, scale, price_int)))
+    masks = subset_sums([1 << i for i in live])
+    costs = subset_sums([price_int[i] for i in live])
+    return masks, [table[m] - c for m, c in zip(masks, costs)], scale
 
 
 def _scan_utilities(utils: list[int]) -> tuple[int, int, int, bool]:
-    """Apply the tie rule to a dense utility list.
+    """Apply the tie rule to the utilities of all subsets of the live items,
+    indexed by local mask (bit j for the j-th live item).
 
-    Returns ``(chosen, best, count, union_ok)``.  The chosen set is the union
-    of all maximizers when that union also maximizes, else the maximizer with
-    the largest bitmask.
+    Returns ``(chosen, best, count, union_ok)`` with ``chosen`` a local mask.
+    The chosen set is the union of all maximizers when that union also
+    maximizes, else the maximizer with the largest bitmask.  Local masks keep
+    the order of the global ones, so that is the largest global maximizer.
     """
     best = utils[0]
     union = 0
@@ -121,16 +149,20 @@ def _scan_utilities(utils: list[int]) -> tuple[int, int, int, bool]:
 def demand(v: Valuation, p: PriceVector) -> DemandResult:
     """The buyer's purchase under maximal tie-breaking.
 
-    Enumerates all 2^n subsets exactly.  ``union_is_optimal`` records whether
-    the union of maximizers was itself a maximizer; when it is not, the chosen
-    set is the maximizer with the largest bitmask (a maximal one, since the
-    bitmask order extends strict inclusion).
+    Exact over all 2^n subsets, while enumerating only the 2^|live| subsets
+    of the live items (see the module docstring): every maximizer is among
+    them, so the chosen set, its utility and the tie diagnostics are those of
+    the full scan.  ``optima_count`` counts all maximizers.
+    ``union_is_optimal`` records whether the union of maximizers was itself a
+    maximizer; when it is not, the chosen set is the maximizer with the
+    largest bitmask (a maximal one, since the bitmask order extends strict
+    inclusion).
     """
     if p.universe is not v.universe and p.universe != v.universe:
         raise ValueError("price vector universe mismatch")
-    utils, scale = _scaled_utilities(v, p)
+    masks, utils, scale = _live_utilities(v, p)
     chosen, _, count, union_ok = _scan_utilities(utils)
-    return DemandResult(chosen, Fraction(utils[chosen], scale), count, union_ok)
+    return DemandResult(masks[chosen], Fraction(utils[chosen], scale), count, union_ok)
 
 
 def demand_all(v: Valuation, p: PriceVector) -> list[int]:
@@ -139,6 +171,6 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
         raise ValueError(
             f"demand_all enumerates maximizers explicitly; capped at {DEMAND_ALL_MAX_ITEMS} items"
         )
-    utils, _ = _scaled_utilities(v, p)
+    masks, utils, _ = _live_utilities(v, p)
     best = max(utils)
-    return [mask for mask, u in enumerate(utils) if u == best]
+    return [mask for mask, u in zip(masks, utils) if u == best]

@@ -69,7 +69,16 @@ def _name_lists(data: dict, key: str, where: str) -> list[list[str]]:
     lists = _need(data, key, list, where)
     if not all(isinstance(names, list) for names in lists):
         raise SchemaError(f"{where}: each entry of {key!r} must be a list of item names")
-    return [[str(n) for n in names] for names in lists]
+    for names in lists:
+        _check_names(names, key, where)
+    return lists
+
+
+def _check_names(names: list, key: str, where: str) -> None:
+    """Refuse a name that is not a string, rather than load ``str`` of it."""
+    for name in names:
+        if not isinstance(name, str):
+            raise SchemaError(f"{where}: item names in {key!r} must be strings, got {name!r}")
 
 
 def _masks_of(u: Universe, data: dict, key: str, where: str) -> tuple[int, ...]:
@@ -117,7 +126,8 @@ def _universe_for(data: dict[str, Any]) -> Universe:
     type-specific structure, else sorted entry names."""
     if "items" in data:
         items = _need(data, "items", list, "instance")
-        return Universe(tuple(str(x) for x in items))
+        _check_names(items, "items", "instance")
+        return Universe(tuple(items))
     if "vendors" in data:
         field, where = "vendors", "instance"
     else:

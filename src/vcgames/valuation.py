@@ -62,6 +62,7 @@ class Valuation:
     def __init__(self, universe: Universe):
         self.universe = universe
         self._dense: tuple[list[int], int] | None = None
+        self._spread: int | None = None
 
     # -- value queries ---------------------------------------------------
 
@@ -97,6 +98,15 @@ class Valuation:
             scale = self._denominator_lcm()
             self._dense = (self._fill_dense(scale), scale)
         return self._dense
+
+    def dense_spread(self, scale: int) -> int:
+        """``max(table) - min(table)`` of the dense table, as an integer over
+        ``scale``, a multiple of its denominator.  No item adds more than this
+        to any bundle.  Computed once, beside the cached table."""
+        if self._spread is None:
+            table, _ = self._dense or self.dense_scaled()
+            self._spread = max(table) - min(table)
+        return self._spread * (scale // self._dense[1])
 
     # -- certification ---------------------------------------------------
 
@@ -153,11 +163,11 @@ class AdditiveGroupsValuation(Valuation):
         super().__init__(universe)
         self.group_masks = universe.partition(group_masks, "groups")
         self.curve = tuple(Fraction(x) for x in curve)
-        if self.curve[0] != 0:
-            raise ValueError("curve(0) must be 0")
         self.max_group_size = max(g.bit_count() for g in self.group_masks)
         if len(self.curve) < self.max_group_size + 1:
             raise ValueError("curve shorter than the largest group")
+        if self.curve[0] != 0:
+            raise ValueError("curve(0) must be 0")
 
     def value_mask(self, mask: int) -> Fraction:
         self.universe._check_mask(mask)

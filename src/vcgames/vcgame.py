@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import exactlp
 from .items import bits_of, submasks_of, subset_sums
-from .market import PriceVector, demand, sentinel_price
+from .market import PriceVector, _live_mask, demand, sentinel_price
 from .pmvc import (
     GameInstance,
     StrategyProfile,
@@ -179,11 +179,12 @@ def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int, scan: str):
 
 def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     owned = g.vendor_masks[vendor]
-    others = g.universe.full_mask & ~owned
     items = g.vendor_items(vendor)
     ni = len(items)
     table, scale, pmsum = _scaled_prices(g, p, vendor, "target-set-exact enumerates 2^n targets")
     glob = g.offer_tables[vendor]
+    # competitor items that can sell; the others are in no maximizing S'
+    others = ~owned & _live_mask(g.valuation, scale, [pmsum[1 << i] for i in range(g.universe.n)])
 
     # reach[T] = max over competitor sets S' of v(T | S') - p(S'): the best
     # utility (before own prices) of a bundle whose own part is T.  The target
@@ -415,9 +416,12 @@ def vc_verify_ne(
     checks = []
     certificate = None
     for vendor, current in enumerate(paid):
+        if certificate is not None:  # only the tier's revenue is reported now
+            checks.append(VendorCheck(vendor, current, tier(g, vendor, p)[1]))
+            continue
         revenue, won = _deviation(g, tier, vendor, p, current)
         checks.append(VendorCheck(vendor, current, revenue))
-        if certificate is None and won is not None:
+        if won is not None:
             prices, after, eps = won
             certificate = DeviationCertificate(vendor, method, prices, current, after[vendor], eps)
     return VerificationResult(

@@ -106,6 +106,15 @@ def test_report_zero_valuation_degenerates_to_one():
     assert rep.pos == 1
 
 
+def test_report_refuses_a_zero_welfare_equilibrium_below_a_positive_optimum():
+    # supermodular, so uncertified: offering nothing is an equilibrium, and
+    # no welfare ratio divides by its zero welfare
+    v = TableValuation(Universe(("x", "y")), [0, 0, 0, 1])
+    g = GameInstance(v, (0b01, 0b10), allow_uncertified=True)
+    with pytest.raises(ValueError, match="no welfare ratio"):
+        equilibrium_report(g)
+
+
 # -- bound checks ----------------------------------------------------------
 
 

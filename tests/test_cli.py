@@ -446,13 +446,47 @@ def test_name_list_that_is_not_a_list_refused(capsys, tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
+    "obj",
+    [
+        {
+            "type": "table",
+            "items": [None, True],
+            "entries": {"None": "1", "True": "1", "None,True": "2"},
+            "vendors": [["None"], ["True"]],
+        },
+        {"type": "table", "entries": {"1": "1", "2": "1", "1,2": "2"}, "vendors": [[1], [2]]},
+    ],
+    ids=["items", "vendor-lists"],
+)
+def test_non_string_item_names_are_not_coerced(capsys, tmp_path, obj):
+    # str() of each name would load these as items "None"/"True" or "1"/"2"
+    with pytest.raises(SchemaError, match="must be strings"):
+        instance_from_obj(obj)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "ne", str(path))
+    assert code == 2
+    assert out == "" and "must be strings" in err
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("vendors", [["x", "x"], ["y"]], "names an item twice"),
         ("categories", [["x", "y", "y"]], "names an item twice"),
         ("item_values", {"x": "10", "y": "8", "z": "1"}, "unknown item 'z'"),
+        ("items", [None, True], "item names in 'items' must be strings"),
+        ("vendors", [["x"], [True]], "item names in 'vendors' must be strings"),
+        ("categories", [["x", 1]], "item names in 'categories' must be strings"),
     ],
-    ids=["vendor-repeats-name", "category-repeats-name", "value-for-unknown-item"],
+    ids=[
+        "vendor-repeats-name",
+        "category-repeats-name",
+        "value-for-unknown-item",
+        "item-name-not-a-string",
+        "vendor-name-not-a-string",
+        "category-name-not-a-string",
+    ],
 )
 def test_input_the_model_would_ignore_is_refused(capsys, tmp_path, key, value, message):
     obj = json.loads(Path(TWO_TV).read_text())

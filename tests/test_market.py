@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcgames import (
@@ -155,16 +155,28 @@ def naive_demand(v, p):
 
 U3 = Universe(("a", "b", "c"))
 
+# negative values make the tables non-monotone (so uncertified), and prices
+# reach past the largest spread, max - min = 9, so items can be dead
 vals8 = st.lists(
-    st.fractions(Fraction(0), Fraction(6), max_denominator=4), min_size=7, max_size=7
+    st.fractions(Fraction(-3), Fraction(6), max_denominator=4), min_size=7, max_size=7
 )
 prices3 = st.lists(
-    st.fractions(Fraction(0), Fraction(7), max_denominator=4), min_size=3, max_size=3
+    st.fractions(Fraction(0), Fraction(10), max_denominator=4), min_size=3, max_size=3
 )
+F = Fraction
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(vals8, prices3)
+# a priced exactly at the spread 2: live, and in all eight tied maximizers
+@example([F(2), F(0), F(2), F(0), F(2), F(0), F(2)], [F(2), F(0), F(0)])
+# a priced a quarter above the spread: dead, so only the four sets without it tie
+@example([F(2), F(0), F(2), F(0), F(2), F(0), F(2)], [F(9, 4), F(0), F(0)])
+# a and b substitute: {a} and {b} tie, their union is worse; c is dead
+@example([F(1), F(1), F(1), F(0), F(1), F(1), F(1)], [F(1, 2), F(1, 2), F(7)])
+# a and b complement (uncertified): each is priced above its singleton value
+# but below the spread, and the buyer takes both
+@example([F(0), F(0), F(4), F(0), F(0), F(0), F(4)], [F(1), F(1), F(0)])
 def test_demand_matches_naive_oracle(vals, prices):
     v = TableValuation(U3, [Fraction(0)] + vals)
     p = PriceVector(U3, tuple(prices))

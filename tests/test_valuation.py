@@ -105,6 +105,8 @@ def test_additive_groups_validation():
         AdditiveGroupsValuation(U3, (0b011, 0b100), [1, 2, 3])  # curve(0) != 0
     with pytest.raises(ValueError):
         AdditiveGroupsValuation(U3, (0b011, 0b100), [0, 1])  # curve too short
+    with pytest.raises(ValueError, match="curve shorter"):
+        AdditiveGroupsValuation(U3, (0b011, 0b100), [])  # no curve(0) at all
 
 
 def test_additive_groups_structural_matches_scan():

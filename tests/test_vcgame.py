@@ -194,6 +194,20 @@ def test_certificate_replays_through_demand():
     assert realized > cert.old_revenue
 
 
+def test_verify_sells_nothing_more_once_refuted(monkeypatch):
+    # vendor 0 refutes these prices; vendor 1 is then only bounded by its tier,
+    # so the prices are sold twice: once as given, once for the certificate
+    import vcgames.vcgame as vcgame
+
+    sales = []
+    real_sale = vcgame._sale
+    monkeypatch.setattr(vcgame, "_sale", lambda g, p: sales.append(p) or real_sale(g, p))
+    res = vc_verify_ne(G, pv(a=1, b=1, c=1, d=1))
+    assert res.certificate.vendor == 0
+    assert len(res.checks) == 2
+    assert len(sales) == 2
+
+
 # -- projection onto the discrete game -------------------------------------
 
 
