@@ -44,6 +44,7 @@ from .pmvc import (
     EnumerationCapExceeded,
     GameInstance,
     Outcome,
+    ProfileSequence,
     StrategyProfile,
     all_profiles,
     payoff_table,
@@ -93,6 +94,7 @@ __all__ = [
     "GameInstance",
     "Outcome",
     "PriceVector",
+    "ProfileSequence",
     "StrategyProfile",
     "TableValuation",
     "ValidationReport",

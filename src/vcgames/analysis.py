@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .market import PriceVector, demand
 from .pmvc import (
     DEFAULT_PROFILE_CAP,
     GameInstance,
+    ProfileSequence,
     StrategyProfile,
     pmvc_best_response,
     pmvc_pure_ne,
@@ -74,21 +76,30 @@ class EquilibriumReport:
     """Pure equilibria of the marginal-pricing game with their welfares, the
     optimal welfare, and the anarchy/stability ratios.
 
-    ``welfare_ratio_bound`` is 1 plus the harmonic number of the largest
-    vendor's catalogue size; ``bound_satisfied`` records whether every
-    equilibrium's welfare ratio stays within it.
+    ``profiles`` is the lazy sequence ``pmvc_pure_ne`` returns, held as
+    unions; ``equilibria`` pairs each profile with its welfare, built on
+    first access and kept.  ``welfare_ratio_bound`` is 1 plus the harmonic
+    number of the largest vendor's catalogue size; ``bound_satisfied``
+    records whether every equilibrium's welfare ratio stays within it.
     """
 
-    equilibria: tuple[tuple[StrategyProfile, Fraction], ...]
+    profiles: ProfileSequence
     optimal_welfare: Fraction
     poa: Fraction | None
     pos: Fraction | None
     welfare_ratio_bound: Fraction
     bound_satisfied: bool
 
+    @cached_property
+    def equilibria(self) -> tuple[tuple[StrategyProfile, Fraction], ...]:
+        table, scale = self.profiles.game.valuation.dense_scaled()
+        unions = self.profiles.unions
+        value = {w: Fraction(w, scale) for w in set(map(table.__getitem__, unions))}
+        return tuple(zip(self.profiles, (value[table[u]] for u in unions)))
+
     @property
     def has_equilibrium(self) -> bool:
-        return bool(self.equilibria)
+        return bool(self.profiles)
 
 
 def equilibrium_report(
@@ -98,30 +109,30 @@ def equilibrium_report(
 
     With a monotone valuation the optimal welfare is the value of the whole
     item set.  When the optimum is zero, monotonicity plus submodularity force
-    every set's value to zero, so both ratios degenerate to 1.
+    every set's value to zero, so both ratios degenerate to 1.  Welfare is
+    aggregated in integers over the dense table's scale.
     """
     nes = pmvc_pure_ne(g, cap=cap)
     table, scale = g.valuation.dense_scaled()  # cached; the certified NE pass built it
     opt = Fraction(table[g.universe.full_mask], scale)
-    pairs = tuple((s, Fraction(table[s.union_mask], scale)) for s in nes)
     bound = harmonic_number(g.max_vendor_size) + 1
-    if not pairs:
-        return EquilibriumReport(pairs, opt, None, None, bound, True)
-    welfares = [w for _, w in pairs]
+    if not nes:
+        return EquilibriumReport(nes, opt, None, None, bound, True)
+    welfares = set(map(table.__getitem__, nes.unions))
     worst = min(welfares)
     if opt == 0:
         poa = pos = Fraction(1)
     elif worst <= 0:
         # only an uncertified valuation gets here: no ratio to report
         raise ValueError(
-            f"an equilibrium has welfare {format_rational(worst)} "
+            f"an equilibrium has welfare {format_rational(Fraction(worst, scale))} "
             f"against optimal welfare {format_rational(opt)}: no welfare ratio"
         )
     else:
-        poa = opt / worst
-        pos = opt / max(welfares)
+        poa = opt / Fraction(worst, scale)
+        pos = opt / Fraction(max(welfares), scale)
     return EquilibriumReport(
-        equilibria=pairs,
+        profiles=nes,
         optimal_welfare=opt,
         poa=poa,
         pos=pos,

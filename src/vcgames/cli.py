@@ -185,10 +185,9 @@ def cmd_ne(args) -> int:
     eps = parse_rational(args.eps) if args.eps else None
     nes = pmvc_pure_ne(g, cap=args.cap, undercut=eps)
     if args.format == "json":
-        _print_json({"count": len(nes), "equilibria": [s.format(g.universe) for s in nes]})
+        _print_json(serialize.equilibria_to_obj(g, nes))
     else:
-        lines = [f"{len(nes)} pure Nash equilibria"] + [f"  {s.format(g.universe)}" for s in nes]
-        print("\n".join(lines))
+        print(serialize.equilibria_to_text(g, nes))
     return 0
 
 

@@ -16,7 +16,7 @@ oracle so the invariant stays observable.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,11 +24,13 @@ from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
 from .market import DemandResult, PriceVector, demand, sentinel_price
+from .rationals import format_rational
 from .valuation import Valuation, common_scale
 
 __all__ = [
     "GameInstance",
     "StrategyProfile",
+    "ProfileSequence",
     "Outcome",
     "EnumerationCapExceeded",
     "DEFAULT_PROFILE_CAP",
@@ -118,6 +120,21 @@ class GameInstance:
             for owned in self.vendor_masks
         )
 
+    @cached_property
+    def offer_drops(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per vendor, for each offer by local mask, the local masks of the
+        offers one item smaller.  The lists share one int object per mask,
+        which keeps a large vendor's lists at about 40% of their size."""
+        drops = []
+        for owned in self.vendor_masks:
+            size = owned.bit_count()
+            masks = range(1 << size)
+            ints = list(masks)
+            drops.append(tuple(
+                tuple(ints[lm ^ (1 << j)] for j in range(size) if lm >> j & 1) for lm in masks
+            ))
+        return tuple(drops)
+
     def profile_of(self, union: int) -> StrategyProfile:
         """The profile whose offers make up ``union``: vendor i offers
         ``union & A_i``, since vendor sets are disjoint."""
@@ -150,6 +167,44 @@ class GameInstance:
         return s
 
 
+class ProfileSequence(Sequence[StrategyProfile]):
+    """A read-only sequence of profiles of one game, held as their unions.
+
+    ``unions[j]`` is the union of the j-th profile's offers; the profile
+    itself (``GameInstance.profile_of``) is built only when it is read.  A
+    slice is again a ``ProfileSequence``.  Compares equal to a list, tuple or
+    ``ProfileSequence`` holding the same profiles in the same order.
+    """
+
+    __slots__ = ("game", "unions")
+
+    def __init__(self, game: GameInstance, unions: list[int]):
+        self.game = game
+        self.unions = unions
+
+    def __len__(self) -> int:
+        return len(self.unions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ProfileSequence(self.game, self.unions[index])
+        return self.game.profile_of(self.unions[index])
+
+    def __iter__(self) -> Iterator[StrategyProfile]:
+        return map(self.game.profile_of, self.unions)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, ProfileSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to that tuple, so hashed like it
+
+    def __repr__(self) -> str:
+        return f"ProfileSequence({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Outcome:
     """Mechanism prices, the buyer's purchase, and everyone's payoff."""
@@ -169,7 +224,8 @@ def pmvc_prices(g: GameInstance, s: StrategyProfile, undercut: Fraction | None =
     ``undercut`` is an optional strictly positive rational epsilon; offered
     items are then priced ``max(m_a(S* - a) - eps, 0)``, modeling a vendor
     shaving prices to make the buyer strictly prefer taking everything.
-    Default is exact marginal pricing.
+    Default is exact marginal pricing, which needs a monotone valuation: a
+    negative marginal, which would be a negative price, is refused.
     """
     g.check_profile(s)
     if undercut is not None and undercut <= 0:
@@ -185,6 +241,11 @@ def pmvc_prices(g: GameInstance, s: StrategyProfile, undercut: Fraction | None =
             m = v_union - v.value_mask(union ^ bit)
             if undercut is not None:
                 m = max(m - undercut, Fraction(0))
+            elif m < 0:
+                raise ValueError(
+                    f"valuation is not monotone: item {g.universe.names[item]} has "
+                    f"marginal {format_rational(m)} at {g.universe.format_set(union ^ bit)}"
+                )
             prices.append(m)
         else:
             prices.append(unavailable)
@@ -204,38 +265,48 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
 
 
 def _payoff_rule(g: GameInstance, undercut: Fraction | None):
-    """The offer game's payoffs as ``(pay, scale)``: vendor i earns
-    ``pay(union, i) / scale`` at the profile whose offers make up ``union``.
+    """The offer game's payoffs as ``(pays, scale)``: ``pays(rest, i)`` lists
+    vendor i's payoff, over ``scale``, for each of its offers in
+    ``g.offer_tables[i]`` order, the others' offers making up ``rest``.
 
     Certified instances use the integer closed form, each offered item
-    selling at its (undercut) marginal.  Others run ``pmvc_outcome`` once per
-    union, on the profile ``g.profile_of(union)``.
+    selling at its (undercut) marginal: one block reads the 2^|A_i| table
+    entries once and takes every marginal from them.  Others run
+    ``pmvc_outcome`` once per union, on the profile ``g.profile_of(union)``.
     """
     if undercut is not None and undercut <= 0:
         raise ValueError("undercut epsilon must be positive")
+    offer_tables = g.offer_tables
     if not g.certified:
         outcomes: dict[int, tuple[Fraction, ...]] = {}
 
-        def pay(union: int, vendor: int) -> Fraction:
-            if union not in outcomes:
-                outcomes[union] = pmvc_outcome(g, g.profile_of(union), undercut).vendor_payoffs
-            return outcomes[union][vendor]
+        def pays(rest: int, vendor: int) -> list[Fraction]:
+            out = []
+            for offer in offer_tables[vendor]:
+                union = rest | offer
+                if union not in outcomes:
+                    outcomes[union] = pmvc_outcome(g, g.profile_of(union), undercut).vendor_payoffs
+                out.append(outcomes[union][vendor])
+            return out
 
-        return pay, 1
+        return pays, 1
     table, scale, (eps,) = common_scale(g.valuation, [Fraction(undercut or 0)])
-    item_bits = [[1 << item for item in bits_of(owned)] for owned in g.vendor_masks]
+    drops = g.offer_drops
 
-    def pay(union: int, vendor: int) -> int:
-        v_union = table[union] - eps
-        total = 0
-        for bit in item_bits[vendor]:
-            if union & bit:
-                m = v_union - table[union ^ bit]
+    def pays(rest: int, vendor: int) -> list[int]:
+        values = [table[rest | offer] for offer in offer_tables[vendor]]
+        out = []
+        for v_union, drop in zip(values, drops[vendor]):
+            v_union -= eps
+            total = 0
+            for smaller in drop:
+                m = v_union - values[smaller]
                 if m > 0:
                     total += m
-        return total
+            out.append(total)
+        return out
 
-    return pay, scale
+    return pays, scale
 
 
 def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
@@ -247,15 +318,27 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     if not g.certified:
         raise ValueError("closed-form payoffs need a certified valuation")
     g.check_profile(s)
-    pay, scale = _payoff_rule(g, None)
+    pays, scale = _payoff_rule(g, None)
     union = s.union_mask
-    return tuple(Fraction(pay(union, i), scale) for i in range(g.n_vendors))
+    return tuple(
+        Fraction(pays(union & ~owned, i)[mine.index(offer)], scale)
+        for i, (owned, offer, mine) in enumerate(zip(g.vendor_masks, s.offers, g.offer_tables))
+    )
+
+
+def _profile_unions(g: GameInstance) -> list[int]:
+    """The union of every profile's offers, in ``all_profiles`` order, built
+    by doubling over the vendors; offers are disjoint, so a sum is a union."""
+    order = [0]
+    for table in g.offer_tables:
+        order = [a + b for a in order for b in table]
+    return order
 
 
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     """Deterministic profile order: per-vendor subsets by ascending local
     index, later vendors cycling fastest (row-major product)."""
-    return map(StrategyProfile, itertools.product(*g.offer_tables))
+    return map(g.profile_of, _profile_unions(g))
 
 
 def payoff_table(
@@ -291,40 +374,37 @@ def pmvc_best_response(
             if offer & ~g.vendor_masks[j]:
                 raise ValueError("vendor offering items it does not own")
             rest |= offer
-    pay, _ = _payoff_rule(g, undercut)
-    mine = g.offer_tables[vendor]
-    pays = [pay(rest | offer, vendor) for offer in mine]
-    best = max(pays)
-    return [offer for offer, p in zip(mine, pays) if p == best]
+    pays, _ = _payoff_rule(g, undercut)
+    block = pays(rest, vendor)
+    best = max(block)
+    return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
 
 
 def pmvc_pure_ne(
     g: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     undercut: Fraction | None = None,
-) -> list[StrategyProfile]:
-    """Every pure Nash equilibrium of the discrete game.
+) -> ProfileSequence:
+    """Every pure Nash equilibrium of the discrete game, as a lazy
+    ``ProfileSequence`` over the equilibria's unions.
 
     Since vendor sets are disjoint, profiles correspond one-to-one with
     subsets M of the universe via S_i = M & A_i.  One pass per vendor groups
     the subsets by the others' part, evaluates each payoff once, and marks
-    the subsets where the vendor falls short of its best reply.  Profiles
-    come back in the deterministic ``all_profiles`` order.
+    the subsets where the vendor falls short of its best reply.  The stable
+    unions come back in the deterministic ``all_profiles`` order; a profile
+    is built only when the sequence is read.
     """
     count = 1 << g.universe.n
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
-    pay, _ = _payoff_rule(g, undercut)
-    stable = bytearray(b"\x01") * (1 << g.universe.n)
+    pays, _ = _payoff_rule(g, undercut)
+    stable = bytearray(b"\x01") * count
     for i, (owned, mine) in enumerate(zip(g.vendor_masks, g.offer_tables)):
         for rest in submasks_of(g.universe.full_mask & ~owned):
-            pays = [pay(rest | offer, i) for offer in mine]
-            best = max(pays)
-            for offer, p in zip(mine, pays):
+            block = pays(rest, i)
+            best = max(block)
+            for offer, p in zip(mine, block):
                 if p != best:
                     stable[rest | offer] = 0
-    return [
-        StrategyProfile(offers)
-        for offers in itertools.product(*g.offer_tables)
-        if stable[sum(offers)]  # disjoint offers: the sum is the union
-    ]
+    return ProfileSequence(g, [u for u in _profile_unions(g) if stable[u]])

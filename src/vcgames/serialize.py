@@ -11,12 +11,14 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Any
+from functools import cache
+from itertools import islice
+from typing import Any, Iterable, Iterator
 
 from .analysis import EquilibriumReport
 from .items import Universe
 from .market import PriceVector
-from .pmvc import GameInstance, StrategyProfile
+from .pmvc import GameInstance, ProfileSequence, StrategyProfile
 from .rationals import format_rational, parse_rational
 from .valuation import (
     AdditiveGroupsValuation,
@@ -39,6 +41,8 @@ __all__ = [
     "prices_from_obj",
     "payoff_table_csv",
     "payoff_table_obj",
+    "equilibria_to_obj",
+    "equilibria_to_text",
     "report_to_obj",
     "report_to_text",
     "trace_to_jsonl",
@@ -303,11 +307,51 @@ def payoff_table_obj(g: GameInstance, outcomes) -> dict[str, Any]:
 # -- reports ---------------------------------------------------------------
 
 
+def _equilibrium_cells(g: GameInstance, nes: ProfileSequence, welfare: bool = False) -> Iterator:
+    """The text of each equilibrium's profile in order, or with ``welfare``
+    its ``(profile, welfare)`` texts, rendered from the unions.
+
+    Each vendor's offers are formatted once; then each run of offers before
+    the last vendor's, and each distinct integer welfare, is rendered once,
+    so an equilibrium costs a few cached lookups.
+    """
+    u = g.universe
+    *head, last = g.vendor_masks
+    offers = {offer: u.format_set(offer) for table in g.offer_tables for offer in table}
+    prefix = cache(lambda union: "".join(offers[union & owned] + "|" for owned in head))
+    before_last = u.full_mask & ~last
+    profiles = (prefix(x & before_last) + offers[x & last] for x in nes.unions)
+    if not welfare:
+        return profiles
+    table, scale = g.valuation.dense_scaled()
+    value = cache(lambda w: _fmt(Fraction(w, scale)))
+    return zip(profiles, (value(table[x]) for x in nes.unions))
+
+
+def _join_lines(head: str, lines: Iterable[str], tail: list[str]) -> str:
+    """``head``, ``lines`` and ``tail`` joined by newlines; ``lines`` is
+    joined a chunk at a time, so no list of all its lines is ever held."""
+    parts = [head]
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):
+        parts.append("\n".join(chunk))
+    return "\n".join(parts + tail)
+
+
+def equilibria_to_obj(g: GameInstance, nes: ProfileSequence) -> dict[str, Any]:
+    return {"count": len(nes), "equilibria": list(_equilibrium_cells(g, nes))}
+
+
+def equilibria_to_text(g: GameInstance, nes: ProfileSequence) -> str:
+    lines = (f"  {p}" for p in _equilibrium_cells(g, nes))
+    return _join_lines(f"{len(nes)} pure Nash equilibria", lines, [])
+
+
 def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
     return {
         "equilibria": [
-            {"profile": s.format(g.universe), "welfare": _fmt(w)}
-            for s, w in report.equilibria
+            {"profile": p, "welfare": w}
+            for p, w in _equilibrium_cells(g, report.profiles, welfare=True)
         ],
         "optimal_welfare": _fmt(report.optimal_welfare),
         "poa": None if report.poa is None else _fmt(report.poa),
@@ -319,21 +363,21 @@ def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
 
 def report_to_text(g: GameInstance, report: EquilibriumReport) -> str:
     m = g.max_vendor_size
-    lines = [f"{len(report.equilibria)} pure Nash equilibria"]
-    for s, w in report.equilibria:
-        lines.append(f"  {s.format(g.universe)}  welfare {_fmt(w)}")
-    lines.append(f"optimal welfare = {_fmt(report.optimal_welfare)}")
+    lines = (
+        f"  {p}  welfare {w}" for p, w in _equilibrium_cells(g, report.profiles, welfare=True)
+    )
+    tail = [f"optimal welfare = {_fmt(report.optimal_welfare)}"]
     if report.poa is None:
-        lines.append("PoA undefined (no pure NE)")
-        lines.append("PoS undefined (no pure NE)")
+        tail.append("PoA undefined (no pure NE)")
+        tail.append("PoS undefined (no pure NE)")
     else:
         verdict = "satisfied" if report.bound_satisfied else "VIOLATED"
-        lines.append(
+        tail.append(
             f"PoA = {_fmt(report.poa)}, bound H_{m}+1 = "
             f"{_fmt(report.welfare_ratio_bound)}, {verdict}"
         )
-        lines.append(f"PoS = {_fmt(report.pos)}")
-    return "\n".join(lines)
+        tail.append(f"PoS = {_fmt(report.pos)}")
+    return _join_lines(f"{len(report.profiles)} pure Nash equilibria", lines, tail)
 
 
 def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:

@@ -180,12 +180,16 @@ class AdditiveGroupsValuation(Valuation):
         return math.lcm(*(c.denominator for c in self.curve))
 
     def _fill_dense(self, scale: int) -> list[int]:
+        # by doubling over items: adding item j to a mask m of lower items
+        # raises its group's hit count from |m & lower| by one
         curve_int = [c.numerator * (scale // c.denominator) for c in self.curve]
-        groups = self.group_masks
-        return [
-            sum(curve_int[(m & g).bit_count()] for g in groups)
-            for m in range(1 << self.universe.n)
-        ]
+        inc = [b - a for a, b in zip(curve_int, curve_int[1:])]
+        table = [0]
+        for item in range(self.universe.n):
+            bit = 1 << item
+            lower = next(g for g in self.group_masks if g & bit) & (bit - 1)
+            table += [x + inc[(m & lower).bit_count()] for m, x in enumerate(table)]
+        return table
 
     def structural_certificate(self) -> tuple[bool, bool]:
         # v is a sum of curve(|S & group|) over disjoint groups, so it is

@@ -120,6 +120,15 @@ def test_poa_json_no_ne(capsys):
     assert data["optimal_welfare"] == "7.6045"
 
 
+@pytest.mark.parametrize("command", ["ne", "poa", "table"])
+def test_nonmonotone_valuation_refused_by_name(capsys, command):
+    # marginal pricing of {x,y} would price y at v({x,y}) - v({x}) = -1
+    code, out, err = run(capsys, command, str(DATA / "nonmonotone.json"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: valuation is not monotone: item y has marginal -1 at {x}\n"
+
+
 # -- dynamics --------------------------------------------------------------
 
 

@@ -1,0 +1,200 @@
+"""Equilibria held as unions: the lazy profile sequence, the report built on
+it, and the rendering from unions, each against a route that builds every
+profile and welfare the long way."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vcgames import (
+    ProfileSequence,
+    StrategyProfile,
+    all_profiles,
+    counterexample_instance,
+    equilibrium_report,
+    harmonic_instance,
+    harmonic_number,
+    pmvc_best_response,
+    pmvc_pure_ne,
+    random_instance,
+)
+from vcgames.cli import main
+from vcgames.rationals import format_rational
+from vcgames.serialize import load_instance, report_to_obj, report_to_text
+
+DATA = Path(__file__).parent / "data"
+FILES = sorted(str(p) for p in DATA.glob("*.json"))
+UNDERCUTS = [None, Fraction(1, 1000)]
+
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+# -- the reference route ---------------------------------------------------
+
+
+def reference_ne(g, undercut=None):
+    """Every profile, in ``all_profiles`` order, from which no vendor's best
+    reply departs."""
+    return [
+        s
+        for s in all_profiles(g)
+        if all(s.offers[i] in pmvc_best_response(g, i, s, undercut) for i in range(g.n_vendors))
+    ]
+
+
+def reference_ne_outputs(g, nes):
+    """``ne`` as text and as JSON, each profile formatted on its own."""
+    texts = [s.format(g.universe) for s in nes]
+    text = "\n".join([f"{len(nes)} pure Nash equilibria"] + [f"  {t}" for t in texts])
+    return text + "\n", json.dumps({"count": len(nes), "equilibria": texts}, indent=2) + "\n"
+
+
+def reference_report(g, nes):
+    """``poa`` as text and as a JSON object, each welfare valued on its own."""
+    fmt = format_rational
+    welfares = [Fraction(g.valuation.value_mask(s.union_mask)) for s in nes]
+    opt = g.valuation.value_mask(g.universe.full_mask)
+    bound = harmonic_number(g.max_vendor_size) + 1
+    lines = [f"{len(nes)} pure Nash equilibria"]
+    lines += [f"  {s.format(g.universe)}  welfare {fmt(w)}" for s, w in zip(nes, welfares)]
+    lines.append(f"optimal welfare = {fmt(opt)}")
+    poa = pos = None
+    if not nes:
+        lines += ["PoA undefined (no pure NE)", "PoS undefined (no pure NE)"]
+    else:
+        poa, pos = (opt / min(welfares), opt / max(welfares)) if opt else (Fraction(1),) * 2
+        verdict = "satisfied" if poa <= bound else "VIOLATED"
+        lines.append(f"PoA = {fmt(poa)}, bound H_{g.max_vendor_size}+1 = {fmt(bound)}, {verdict}")
+        lines.append(f"PoS = {fmt(pos)}")
+    obj = {
+        "equilibria": [
+            {"profile": s.format(g.universe), "welfare": fmt(w)} for s, w in zip(nes, welfares)
+        ],
+        "optimal_welfare": fmt(opt),
+        "poa": None if poa is None else fmt(poa),
+        "pos": None if pos is None else fmt(pos),
+        "welfare_ratio_bound": fmt(bound),
+        "bound_satisfied": poa is None or poa <= bound,
+    }
+    return "\n".join(lines), obj
+
+
+def assert_outputs_match(g, source):
+    """``source`` is the CLI's input: a file path, or ``--gen SPEC``."""
+    for eps in UNDERCUTS:
+        flags = [] if eps is None else ["--eps", str(eps)]
+        text, js = reference_ne_outputs(g, reference_ne(g, eps))
+        assert cli("ne", *source, *flags) == (0, text)
+        assert cli("ne", *source, *flags, "--format", "json") == (0, js)
+    nes = reference_ne(g)
+    text, obj = reference_report(g, nes)
+    rep = equilibrium_report(g)
+    assert report_to_text(g, rep) == text
+    assert report_to_obj(g, rep) == obj
+    assert cli("poa", *source) == (0, text + "\n")
+    assert cli("poa", *source, "--format", "json") == (0, json.dumps(obj, indent=2) + "\n")
+
+
+# -- rendering against the reference ---------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 7),
+    st.integers(1, 3),
+    st.sampled_from(["coverage", "additive-concave"]),
+)
+def test_outputs_match_reference_on_random_games(seed, n, k, generator):
+    k = min(k, n)
+    g = random_instance(seed, n, k, generator)
+    assert_outputs_match(g, ["--gen", f"random:{seed},{n},{k},{generator}"])
+
+
+def test_outputs_match_reference_without_equilibria():
+    g = counterexample_instance()
+    assert reference_ne(g) == []
+    assert_outputs_match(g, ["--gen", "counterexample"])
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: Path(p).name)
+def test_outputs_match_reference_on_data_files(path):
+    g = load_instance(path)
+    if not g.monotone_certified:
+        # exact marginal pricing is refused on every route; an undercut
+        # prices a negative marginal at 0 and still has equilibria
+        with pytest.raises(ValueError, match="not monotone"):
+            reference_ne(g)
+        for argv in (["ne", path], ["poa", path]):
+            assert cli(*argv) == (2, "")
+        eps = UNDERCUTS[1]
+        text, _ = reference_ne_outputs(g, reference_ne(g, eps))
+        assert cli("ne", path, "--eps", str(eps)) == (0, text)
+        return
+    assert_outputs_match(g, [path])
+
+
+# -- the lazy sequence -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        harmonic_instance(2, 3),
+        random_instance(3, 6, 3),
+        random_instance(8, 7, 2, "additive-concave"),
+    ],
+    ids=["harmonic-2-3", "random-3-6-3", "random-8-7-2"],
+)
+def test_profile_sequence_contract(g):
+    expected = reference_ne(g)
+    nes = pmvc_pure_ne(g)
+    assert isinstance(nes, ProfileSequence)
+    assert len(nes) == len(expected) > 2
+    assert list(nes) == expected
+    assert nes.unions == [s.union_mask for s in expected]
+    for j in (0, 1, len(expected) - 1, -1, -2, -len(expected)):
+        assert nes[j] == expected[j]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            nes[index]
+    for cut in (slice(None, 5), slice(2, None, 3), slice(None, None, -1), slice(-3, -1)):
+        assert isinstance(nes[cut], ProfileSequence)
+        assert nes[cut] == expected[cut]
+    assert nes == expected and expected == nes
+    assert nes == tuple(expected) and tuple(expected) == nes
+    assert nes == pmvc_pure_ne(g)
+    assert hash(nes) == hash(tuple(expected))
+    assert nes != expected[:-1]
+    assert nes != expected[::-1]
+    assert nes != set(expected)
+    assert expected[1] in nes
+    assert expected[0] not in nes[1:]
+
+
+def test_profile_sequence_empty():
+    nes = pmvc_pure_ne(counterexample_instance())
+    assert nes == [] and nes == () and not nes
+    assert list(nes) == [] and nes[:3] == []
+    assert nes != [StrategyProfile((0, 0))]
+
+
+def test_report_pairs_built_once():
+    g = harmonic_instance(2, 3)
+    rep = equilibrium_report(g)
+    pairs = rep.equilibria
+    assert rep.equilibria is pairs
+    assert hash(rep) == hash(equilibrium_report(g))
+    assert [s for s, _ in pairs] == list(rep.profiles)
+    assert [w for _, w in pairs] == [g.valuation.value_mask(s.union_mask) for s in rep.profiles]

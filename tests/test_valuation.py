@@ -224,3 +224,15 @@ def test_additive_structural_agrees_with_scan(curve, groups):
 def test_category_max_certify_agrees_with_scan(vals, cats):
     v = CategoryMaxValuation(U3, cats, vals)
     assert v.certify() == (check_monotone(v).ok, check_submodular(v).ok)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_curves(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_additive_dense_matches_fractions(curve, labels):
+    # interleaved groups, so the table's doubling sees each group's lower
+    # items scattered among the other groups'
+    u = Universe(tuple("abcdef"))
+    groups = [sum(1 << i for i, g in enumerate(labels) if g == label) for label in set(labels)]
+    v = AdditiveGroupsValuation(u, groups, curve + [curve[-1]] * 3)
+    table, scale = v.dense_scaled()
+    assert all(Fraction(table[m], scale) == v.value_mask(m) for m in range(64))
