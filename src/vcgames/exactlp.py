@@ -33,7 +33,8 @@ cross-multiplication, so nothing is ever divided except by d.
 
 The exact best response has one variable per item of the target and one row
 per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
-rows, and the 12-item cap allows 4,095.
+rows, and the 12-item cap allows 4,095.  It passes its bounds as integers
+over its price scale, which only rescales x, and divides the optimum once.
 """
 
 from __future__ import annotations

@@ -51,8 +51,9 @@ class PriceVector:
     def __post_init__(self) -> None:
         if len(self.prices) != self.universe.n:
             raise ValueError("need one price per item")
-        object.__setattr__(self, "prices", tuple(Fraction(p) for p in self.prices))
-        if any(p < 0 for p in self.prices):
+        prices = tuple(p if type(p) is Fraction else Fraction(p) for p in self.prices)
+        object.__setattr__(self, "prices", prices)
+        if any(p < 0 for p in prices):
             raise ValueError("prices must be nonnegative")
 
     def total(self, mask: int) -> Fraction:
@@ -62,7 +63,7 @@ class PriceVector:
     def replace(self, updates: dict[int, Fraction]) -> "PriceVector":
         prices = list(self.prices)
         for i, q in updates.items():
-            prices[i] = Fraction(q)
+            prices[i] = q
         return PriceVector(self.universe, tuple(prices))
 
     def format(self) -> str:
@@ -111,11 +112,13 @@ def _live_mask(v: Valuation, scale: int, price_int) -> int:
 def _live_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], list[int], int]:
     """Every subset of the live items, ascending by mask, with its utility as
     an exact integer over a common denominator: ``(masks, utils, scale)``."""
-    table, scale, price_int = common_scale(v, p.prices)
+    table, f, scale, price_int = common_scale(v, p.prices)
     live = list(bits_of(_live_mask(v, scale, price_int)))
     masks = subset_sums([1 << i for i in live])
     costs = subset_sums([price_int[i] for i in live])
-    return masks, [table[m] - c for m, c in zip(masks, costs)], scale
+    if f == 1:
+        return masks, [table[m] - c for m, c in zip(masks, costs)], scale
+    return masks, [f * table[m] - c for m, c in zip(masks, costs)], scale
 
 
 def _scan_utilities(utils: list[int]) -> tuple[int, int, int, bool]:

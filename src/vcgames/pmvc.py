@@ -290,7 +290,9 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             return out
 
         return pays, 1
-    table, scale, (eps,) = common_scale(g.valuation, [Fraction(undercut or 0)])
+    table, f, scale, (eps,) = common_scale(g.valuation, [Fraction(undercut or 0)])
+    if f != 1:  # an undercut the table's denominator lacks: one copy per call
+        table = [x * f for x in table]
     drops = g.offer_drops
 
     def pays(rest: int, vendor: int) -> list[int]:

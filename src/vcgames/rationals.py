@@ -35,10 +35,8 @@ def format_rational(q: Fraction) -> str:
     # A reduced fraction has a finite decimal expansion iff its denominator
     # factors as 2^a * 5^b.
     den = q.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5

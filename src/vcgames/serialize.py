@@ -381,10 +381,24 @@ def report_to_text(g: GameInstance, report: EquilibriumReport) -> str:
 
 
 def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:
+    # prices and payoffs repeat from step to step: format each rational once,
+    # keyed on its terms (a Fraction's own hash runs a modular pow)
+    texts: dict[tuple[int, int], str] = {}
+
+    def fmt(q: Fraction) -> str:
+        key = (q.numerator, q.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _fmt(q)
+        return text
+
+    def priced(p: PriceVector) -> dict[str, str]:
+        return dict(zip(g.universe.names, map(fmt, p.prices)))
+
     if isinstance(trace.start, StrategyProfile):
         start: Any = trace.start.format(g.universe)
     else:
-        start = prices_to_obj(trace.start)
+        start = priced(trace.start)
     lines = [json.dumps({"mode": trace.mode, "start": start})]
     for i, step in enumerate(trace.steps):
         lines.append(
@@ -393,8 +407,8 @@ def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:
                     "step": i,
                     "vendor": step.vendor,
                     "profile": None if step.profile is None else step.profile.format(g.universe),
-                    "prices": None if step.prices is None else prices_to_obj(step.prices),
-                    "payoffs": [_fmt(q) for q in step.payoffs],
+                    "prices": None if step.prices is None else priced(step.prices),
+                    "payoffs": [fmt(q) for q in step.payoffs],
                 }
             )
         )

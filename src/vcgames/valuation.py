@@ -251,18 +251,18 @@ class CategoryMaxValuation(Valuation):
 # -- module-level operations ----------------------------------------------
 
 
-def common_scale(v: Valuation, extras) -> tuple[list[int], int, list[int]]:
+def common_scale(v: Valuation, extras) -> tuple[list[int], int, int, list[int]]:
     """The dense table of v and the rationals ``extras`` over one denominator.
 
-    Returns ``(table, L, ints)`` with ``table[mask] / L == v(mask)`` and
-    ``ints[j] / L == extras[j]``; L is the least common denominator, and the
-    cached table itself comes back when it needs no rescaling.
+    Returns ``(table, f, L, ints)`` with ``table[mask] * f / L == v(mask)``
+    and ``ints[j] / L == extras[j]``; L is the least common denominator.
+    ``table`` is the cached table itself, over its own denominator L // f,
+    and is never copied: a reader multiplies by f only the entries it reads,
+    and skips that when f == 1.
     """
     table, lv = v.dense_scaled()
     scale = math.lcm(lv, *(q.denominator for q in extras))
-    if scale != lv:
-        table = [x * (scale // lv) for x in table]
-    return table, scale, [q.numerator * (scale // q.denominator) for q in extras]
+    return table, scale // lv, scale, [q.numerator * (scale // q.denominator) for q in extras]
 
 
 def check_monotone(v: Valuation) -> ValidationReport:

@@ -165,44 +165,45 @@ def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
 # -- target-set-exact ------------------------------------------------------
 
 
-def _scaled_prices(g: GameInstance, p: PriceVector, vendor: int, scan: str):
-    """Value table, scale, and subset sums of the competitors' prices (own
-    items count 0), all as integers over one common denominator.  ``scan``
-    says why the calling tier refuses more than EXACT_MAX_ITEMS items."""
+def _exact_scale(g: GameInstance, p: PriceVector, scan: str):
+    """``common_scale`` of the value table and p, for a tier that refuses more
+    than EXACT_MAX_ITEMS items; ``scan`` says why."""
     if g.universe.n > EXACT_MAX_ITEMS:
         raise ValueError(f"{scan}; capped at {EXACT_MAX_ITEMS} items")
-    table, scale, price_int = common_scale(g.valuation, p.prices)
-    owned = g.vendor_masks[vendor]
-    competitors = [0 if owned >> i & 1 else q for i, q in enumerate(price_int)]
-    return table, scale, subset_sums(competitors)
+    return common_scale(g.valuation, p.prices)
 
 
 def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
+    v = g.valuation
     owned = g.vendor_masks[vendor]
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, scale, pmsum = _scaled_prices(g, p, vendor, "target-set-exact enumerates 2^n targets")
+    table, f, scale, price_int = _exact_scale(g, p, "target-set-exact enumerates 2^n targets")
     glob = g.offer_tables[vendor]
-    # competitor items that can sell; the others are in no maximizing S'
-    others = ~owned & _live_mask(g.valuation, scale, [pmsum[1 << i] for i in range(g.universe.n)])
+    # competitor items that can sell; the others are in no maximizing S'.
+    # Their subsets in submasks_of order (descending), as global masks and
+    # price sums.
+    others = list(bits_of(~owned & _live_mask(v, scale, price_int)))
+    out_masks = subset_sums([1 << i for i in others])[::-1]
+    out_costs = subset_sums([price_int[i] for i in others])[::-1]
 
     # reach[T] = max over competitor sets S' of v(T | S') - p(S'): the best
     # utility (before own prices) of a bundle whose own part is T.  The target
     # with own part B_i uses the maximizing S', since a larger reach relaxes
     # every constraint; the constraint row of W subseteq B_i compares it with
     # switching to B_i - W, so its bound is reach[B_i] - reach[B_i - W].
+    # Ties go to the first maximizer in submasks_of order, the largest S'.
     reach = [0] * (1 << ni)
     best_out = [0] * (1 << ni)
     for lm in range(1 << ni):
         bg = glob[lm]
-        best = None
-        arg = 0
-        for sp in submasks_of(others):
-            cand = table[bg | sp] - pmsum[sp]
-            if best is None or cand > best:
-                best, arg = cand, sp
+        if f == 1:
+            cands = [table[bg | sp] - c for sp, c in zip(out_masks, out_costs)]
+        else:
+            cands = [f * table[bg | sp] - c for sp, c in zip(out_masks, out_costs)]
+        best = max(cands)
         reach[lm] = best
-        best_out[lm] = arg
+        best_out[lm] = out_masks[cands.index(best)]
 
     # subset-max of reach: a target is infeasible (no nonnegative prices make
     # the buyer prefer it) iff some sub-target reaches strictly further
@@ -213,6 +214,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
             if lm & bit and sub_reach[lm ^ bit] > sub_reach[lm]:
                 sub_reach[lm] = sub_reach[lm ^ bit]
 
+    # LP bounds, values and vertices stay integers over scale until the end
     best_rev = Fraction(0)
     best_target = 0
     best_x: dict[int, Fraction] = {}  # local bit -> price at the best target
@@ -220,7 +222,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     order = sorted(range(1, 1 << ni), key=lambda lm: (-reach[lm], lm))
     for lm in order:
         upper = reach[lm] - reach[0]  # the W = B_i constraint row
-        if Fraction(upper, scale) <= best_rev:
+        if upper <= best_rev:
             break  # sorted descending by this bound; nothing better remains
         if sub_reach[lm] > reach[lm]:
             continue  # no prices make the buyer prefer this target
@@ -231,7 +233,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
             if wl == 0:
                 continue
             rows.append([1 if wl & (1 << b) else 0 for b in var_bits])
-            rhs.append(Fraction(reach[lm] - reach[lm ^ wl], scale))
+            rhs.append(reach[lm] - reach[lm ^ wl])
         value, x = exactlp.maximize([1] * len(var_bits), rows, rhs)
         if value > best_rev:
             best_rev = value
@@ -239,9 +241,9 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
             best_x = dict(zip(var_bits, x))
 
     # items off the best target are withheld at the sentinel
-    sent = sentinel_price(g.valuation)
-    prices = {item: best_x.get(b, sent) for b, item in enumerate(items)}
-    return prices, best_rev, glob[best_target] | best_out[best_target]
+    sent = sentinel_price(v)
+    prices = {item: best_x[b] / scale if b in best_x else sent for b, item in enumerate(items)}
+    return prices, best_rev / scale, glob[best_target] | best_out[best_target]
 
 
 # -- candidate-set ---------------------------------------------------------
@@ -273,7 +275,11 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     owned = g.vendor_masks[vendor]
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, scale, pmsum = _scaled_prices(g, p, vendor, "grid search builds the full marginal grid")
+    table, f, scale, price_int = _exact_scale(g, p, "grid search builds the full marginal grid")
+    if f != 1:
+        table = [x * f for x in table]
+    # subset sums of the competitors' prices, own items counting 0
+    pmsum = subset_sums([0 if owned >> i & 1 else q for i, q in enumerate(price_int)])
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1
     for mask in range(1, 1 << n):
         v_mask = table[mask]

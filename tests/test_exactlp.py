@@ -244,3 +244,34 @@ def test_against_scipy(data):
     )
     assert res.status == 0
     assert abs(float(val) + res.fun) < 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.one_of(st.integers(-4, 4), fracs), min_size=n, max_size=n),
+            st.integers(1, 4).flatmap(
+                lambda m: st.lists(
+                    st.lists(st.one_of(st.integers(-4, 4), fracs), min_size=n, max_size=n),
+                    min_size=m,
+                    max_size=m,
+                )
+            ),
+        )
+    ),
+    st.data(),
+    st.integers(1, 2**300) | st.fractions(F(1, 50), F(50), max_denominator=50),
+)
+def test_rhs_scale_scales_value_and_vertex(lp, data, s):
+    # a common positive rhs scale changes no pivot: the exact best response
+    # relies on this to pass integer bounds over its price scale
+    c, rows = lp
+    rhs = data.draw(st.lists(pos_fracs | st.integers(0, 9), min_size=len(rows), max_size=len(rows)))
+    try:
+        val, x = maximize(c, rows, rhs)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            maximize(c, rows, [s * b for b in rhs])
+        return
+    assert maximize(c, rows, [s * b for b in rhs]) == (s * val, [s * xi for xi in x])

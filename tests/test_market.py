@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import big_denominator_fractions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from vcgames import (
     sentinel_price,
 )
 from vcgames.items import bits_of
-from vcgames.valuation import AdditiveGroupsValuation
+from vcgames.valuation import AdditiveGroupsValuation, common_scale
 
 G = counterexample_instance()
 U = G.universe
@@ -41,6 +42,19 @@ def test_price_vector_validation():
         PriceVector(U, (Fraction(1),) * 3)
     with pytest.raises(ValueError):
         PriceVector(U, (Fraction(-1), Fraction(0), Fraction(0), Fraction(0)))
+
+
+def test_price_vector_converts_what_is_not_a_fraction():
+    third = Fraction(1, 3)
+    p = PriceVector(U, (1, "2.5", third, 0))
+    assert p.prices == (1, Fraction(5, 2), third, 0)
+    assert all(type(q) is Fraction for q in p.prices)
+    assert p.prices[2] is third  # a Fraction is kept, not rebuilt
+    assert p.replace({0: "0.5"}).prices[0] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PriceVector(U, (0, 0, -1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        p.replace({1: "-0.1"})
 
 
 def test_price_vector_total_and_replace():
@@ -200,3 +214,38 @@ def test_demand_chosen_is_maximal(vals, prices):
     res = demand(v, p)
     for m in demand_all(v, p):
         assert not (m > res.chosen and m & res.chosen == res.chosen and m != res.chosen)
+
+
+# -- prices whose denominators the table lacks ----------------------------
+
+# quarters mixed with prices over denominators no table has: f = L / lv > 1
+mixed_prices3 = st.lists(
+    st.fractions(F(0), F(10), max_denominator=4) | big_denominator_fractions(10),
+    min_size=3,
+    max_size=3,
+).filter(lambda ps: any(q.denominator.bit_length() > 200 for q in ps))
+TINY = F(1, 2**100 * 3**90)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals8, mixed_prices3)
+# b and c tie in and out of every maximizer at price 0; a sells just below 2
+@example([F(2), F(0), F(2), F(0), F(2), F(0), F(2)], [2 - TINY, F(0), F(0)])
+# {a} and {b} tie at a huge-denominator price, their union is worse
+@example([F(1), F(1), F(1), F(0), F(1), F(1), F(1)], [TINY, TINY, F(7)])
+def test_demand_off_the_table_scale_matches_naive_oracle(vals, prices):
+    v = TableValuation(U3, [Fraction(0)] + vals)
+    p = PriceVector(U3, tuple(prices))
+    table, f, _, _ = common_scale(v, p.prices)
+    assert f > 1 and table is v.dense_scaled()[0]  # read in place, not copied
+    res = demand(v, p)
+    chosen, best, count, union_ok = naive_demand(v, p)
+    assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (
+        chosen,
+        best,
+        count,
+        union_ok,
+    )
+    assert demand_all(v, p) == sorted(
+        m for m in range(8) if v.value_mask(m) - p.total(m) == best
+    )

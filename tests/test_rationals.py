@@ -79,3 +79,13 @@ def test_dyadic_times_five_prints_as_decimal(n, a, b):
     text = format_rational(q)
     assert "/" not in text
     assert parse_rational(text) == q
+
+
+@given(st.integers(-10**9, 10**9), st.integers(0, 400), st.integers(0, 60))
+def test_long_dyadic_decimals_keep_every_digit(n, a, b):
+    # denominators up to 2^400 * 5^60, as in continuous dynamics; with n prime
+    # to 10 the decimal needs exactly max(a, b) places
+    n = 10 * n + 3
+    text = format_rational(Fraction(n, 2**a * 5**b))
+    assert parse_rational(text) == Fraction(n, 2**a * 5**b)
+    assert len(text.partition(".")[2]) == max(a, b)

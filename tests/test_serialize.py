@@ -278,6 +278,20 @@ def test_trace_jsonl_shape():
     assert trailer == {"status": "cycle", "period": 4, "moves": 4}
 
 
+def test_trace_jsonl_continuous_formats_every_rational():
+    from vcgames import br_dynamics, pmvc_prices
+    from vcgames.rationals import format_rational
+    from vcgames.serialize import trace_to_jsonl
+
+    trace = br_dynamics(G, pmvc_prices(G, G.parse_profile("{a}|{c}")), "continuous", 6)
+    lines = [json.loads(line) for line in trace_to_jsonl(G, trace).split("\n")]
+    assert lines[0]["start"] == prices_to_obj(trace.start)
+    assert len(lines) == len(trace.steps) + 2
+    for line, step in zip(lines[1:], trace.steps):
+        assert line["prices"] == prices_to_obj(step.prices)
+        assert line["payoffs"] == [format_rational(q) for q in step.payoffs]
+
+
 def test_verification_obj_shape():
     from vcgames import pmvc_prices, vc_verify_ne
     from vcgames.serialize import verification_to_obj

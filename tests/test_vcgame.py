@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import big_denominator_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,10 @@ from vcgames import (
     vc_verify_ne,
     vendor_revenue,
 )
+from vcgames import exactlp
+from vcgames.items import bits_of, submasks_of
 from vcgames.serialize import verification_to_obj
+from vcgames.valuation import common_scale
 
 G = counterexample_instance()
 U = G.universe
@@ -369,3 +373,92 @@ def test_harmonic_discrete_dynamics_converge():
     start = StrategyProfile((0,) * g.n_vendors)
     trace = br_dynamics(g, start, "discrete")
     assert trace.status == "converged"
+
+
+# -- the exact tier at prices whose denominators the table lacks -----------
+
+
+def exact_reference(g, vendor, p):
+    """The exact tier over plain Fractions: every competitor set, no scale.
+
+    Returns ``(revenue, prices of the target items, target_mask)``.  reach
+    ties go to the first maximizer in submasks_of order, the largest
+    competitor set; no sorted cut, so each feasible target's LP is solved
+    and the first best one, in the tier's order, wins.
+    """
+    v = g.valuation
+    owned = g.vendor_masks[vendor]
+    others = g.universe.full_mask & ~owned
+    own = g.offer_tables[vendor]
+    reach, best_out = [], []
+    for bg in own:
+        best = None
+        for sp in submasks_of(others):
+            u = v.value_mask(bg | sp) - p.total(sp)
+            if best is None or u > best:
+                best, arg = u, sp
+        reach.append(best)
+        best_out.append(arg)
+    best = (Fraction(0), {}, own[0] | best_out[0])
+    for lm in sorted(range(1, len(own)), key=lambda lm: (-reach[lm], lm)):
+        if any(reach[sub] > reach[lm] for sub in submasks_of(lm)):
+            continue
+        var_bits = list(bits_of(lm))
+        walls = [wl for wl in submasks_of(lm) if wl]
+        rows = [[wl >> b & 1 for b in var_bits] for wl in walls]
+        rhs = [reach[lm] - reach[lm ^ wl] for wl in walls]
+        value, x = exactlp.maximize([1] * len(var_bits), rows, rhs)
+        if value > best[0]:
+            items = g.vendor_items(vendor)
+            best = (value, {items[b]: q for b, q in zip(var_bits, x)}, own[lm] | best_out[lm])
+    return best
+
+
+def check_exact_against_reference(g, vendor, p):
+    assert common_scale(g.valuation, p.prices)[1] > 1  # f > 1: off the table's scale
+    br = vc_best_response(g, vendor, p, "target-set-exact")
+    revenue, prices, target = exact_reference(g, vendor, p)
+    assert br.revenue == revenue
+    assert br.target_mask == target
+    sent = sentinel_price(g.valuation)
+    assert br.prices == {i: prices.get(i, sent) for i in g.vendor_items(vendor)}
+
+
+def test_exact_reach_tie_takes_largest_competitor_set():
+    # b adds its price exactly, so the competitor sets with and without it
+    # tie in every reach entry; the largest, {b,c}, is the one reported
+    v = TableValuation(Universe(("a", "b", "c")), [0, 1, 1, 2, 1, 2, 2, 3])
+    g = GameInstance(v, (0b001, 0b110))
+    p = PriceVector(v.universe, (Fraction(1, 2**100 * 3**90), Fraction(1), Fraction(1, 2)))
+    check_exact_against_reference(g, 0, p)
+    br = vc_best_response(g, 0, p)
+    assert (br.revenue, br.prices) == (1, {0: Fraction(1)})
+    assert br.target_mask == 0b111
+
+
+@st.composite
+def instance_and_big_prices(draw):
+    seed = draw(st.integers(0, 5_000))
+    gen = draw(st.sampled_from(["coverage", "additive-concave"]))
+    g = random_instance(seed, n_items=5, n_vendors=2, generator=gen)
+    vendor = draw(st.integers(0, 1))
+    sent = sentinel_price(g.valuation)
+    prices = []
+    for i in range(5):
+        # a price at one of the item's marginals ties the sets with and
+        # without it, which is what the reach tie rule decides
+        bit = 1 << i
+        mask = draw(st.integers(0, g.universe.full_mask)) & ~bit
+        marginal = g.valuation.marginal_mask(i, mask)
+        prices.append(
+            draw(st.sampled_from([sent, marginal]) | big_denominator_fractions(8))
+        )
+    # the vendor's own prices are ignored by the tier but still set the scale
+    prices[g.vendor_items(vendor)[0]] = draw(big_denominator_fractions(8))
+    return g, vendor, PriceVector(g.universe, tuple(prices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_and_big_prices())
+def test_exact_tier_matches_fraction_reference(case):
+    check_exact_against_reference(*case)
