@@ -160,23 +160,20 @@ def cmd_table(args) -> int:
     g = _load(args)
     eps = parse_rational(args.eps) if args.eps else None
     table = payoff_table(g, cap=args.cap, undercut=eps)
-    csv_text = serialize.payoff_table_csv(g, table)
     if args.golden:
         with open(args.golden, "r", encoding="utf-8") as fh:
             expected = fh.read()
-        if csv_text != expected:
+        if serialize.payoff_table_csv(g, table) != expected:
             print("golden mismatch", file=sys.stderr)
             return 1
         print(f"golden match: {args.golden}")
         return 0
     if args.format == "csv":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(serialize.payoff_table_csv(g, table))
     elif args.format == "json":
         _print_json(serialize.payoff_table_obj(g, table))
     else:
-        for o in table:
-            payoffs = "  ".join(format_rational(q) for q in o.vendor_payoffs)
-            print(f"{o.profile.format(g.universe)}\t{payoffs}")
+        print(serialize.payoff_table_text(g, table))
     return 0
 
 

@@ -53,7 +53,7 @@ class PriceVector:
             raise ValueError("need one price per item")
         prices = tuple(p if type(p) is Fraction else Fraction(p) for p in self.prices)
         object.__setattr__(self, "prices", prices)
-        if any(p < 0 for p in prices):
+        if any(p.numerator < 0 for p in prices):  # a Fraction's denominator is positive
             raise ValueError("prices must be nonnegative")
 
     def total(self, mask: int) -> Fraction:

@@ -85,6 +85,7 @@ class GameInstance:
         self.vendor_masks = universe.partition(vendor_masks, "vendor item sets", allow_empty=True)
         self.valuation = valuation
         self.universe = universe
+        self._pricings: dict[Fraction | None, MarginalPricing] = {}
         monotone, submodular = valuation.certify()
         self.monotone_certified = monotone
         self.submodular_certified = submodular
@@ -134,6 +135,14 @@ class GameInstance:
                 tuple(ints[lm ^ (1 << j)] for j in range(size) if lm >> j & 1) for lm in masks
             ))
         return tuple(drops)
+
+    def pricing(self, undercut: Fraction | None = None) -> "MarginalPricing":
+        """The mechanism's pricing rule at ``undercut``, built once per game
+        and undercut."""
+        rule = self._pricings.get(undercut)
+        if rule is None:
+            rule = self._pricings[undercut] = MarginalPricing(self, undercut)
+        return rule
 
     def profile_of(self, union: int) -> StrategyProfile:
         """The profile whose offers make up ``union``: vendor i offers
@@ -218,6 +227,57 @@ class Outcome:
     demand: DemandResult
 
 
+class MarginalPricing:
+    """The mechanism's prices of one game at one undercut, as integers over
+    one scale.
+
+    ``table[U] * f / scale`` is v(U), ``eps / scale`` the undercut (0 when
+    there is none) and ``sentinel / scale`` the withheld price v(A*) + 1, all
+    from ``valuation.common_scale``.  ``fraction`` turns an integer over the
+    scale into a Fraction once, so equal prices and payoffs share one object.
+    """
+
+    def __init__(self, g: GameInstance, undercut: Fraction | None):
+        if undercut is not None and undercut <= 0:
+            raise ValueError("undercut epsilon must be positive")
+        v = g.valuation
+        self.universe = g.universe
+        self.table, self.f, self.scale, (self.eps, self.sentinel) = common_scale(
+            v, [Fraction(undercut or 0), sentinel_price(v)]
+        )
+        self._fractions: dict[int, Fraction] = {}
+
+    def fraction(self, x: int) -> Fraction:
+        q = self._fractions.get(x)
+        if q is None:
+            q = self._fractions[x] = Fraction(x, self.scale)
+        return q
+
+    def prices(self, union: int) -> list[int]:
+        """Each item's price over the scale when ``union`` is offered: an
+        offered item's marginal ``f*table[U] - f*table[U ^ bit]``, less the
+        undercut and clamped at 0, and the sentinel for a withheld item.
+        Without an undercut a negative marginal is refused."""
+        table, f, eps = self.table, self.f, self.eps
+        v_union = table[union]
+        out = [self.sentinel] * self.universe.n
+        for item in bits_of(union):
+            m = f * (v_union - table[union ^ (1 << item)])
+            if eps:  # positive exactly when there is an undercut
+                m = max(m - eps, 0)
+            elif m < 0:
+                u = self.universe
+                raise ValueError(
+                    f"valuation is not monotone: item {u.names[item]} has marginal "
+                    f"{format_rational(self.fraction(m))} at {u.format_set(union ^ (1 << item))}"
+                )
+            out[item] = m
+        return out
+
+    def price_vector(self, prices: list[int]) -> PriceVector:
+        return PriceVector(self.universe, tuple(map(self.fraction, prices)))
+
+
 def pmvc_prices(g: GameInstance, s: StrategyProfile, undercut: Fraction | None = None) -> PriceVector:
     """Marginal-contribution prices for the offers, sentinel for the rest.
 
@@ -228,40 +288,24 @@ def pmvc_prices(g: GameInstance, s: StrategyProfile, undercut: Fraction | None =
     negative marginal, which would be a negative price, is refused.
     """
     g.check_profile(s)
-    if undercut is not None and undercut <= 0:
-        raise ValueError("undercut epsilon must be positive")
-    v = g.valuation
-    union = s.union_mask
-    unavailable = sentinel_price(v)
-    prices = []
-    v_union = v.value_mask(union)
-    for item in range(g.universe.n):
-        bit = 1 << item
-        if union & bit:
-            m = v_union - v.value_mask(union ^ bit)
-            if undercut is not None:
-                m = max(m - undercut, Fraction(0))
-            elif m < 0:
-                raise ValueError(
-                    f"valuation is not monotone: item {g.universe.names[item]} has "
-                    f"marginal {format_rational(m)} at {g.universe.format_set(union ^ bit)}"
-                )
-            prices.append(m)
-        else:
-            prices.append(unavailable)
-    return PriceVector(g.universe, tuple(prices))
+    rule = g.pricing(undercut)
+    return rule.price_vector(rule.prices(s.union_mask))
 
 
 def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None = None) -> Outcome:
-    """Price the profile, run the buyer, split revenue by ownership."""
-    p = pmvc_prices(g, s, undercut)
+    """Price the profile, run the buyer, split revenue by ownership.
+    Payoffs and welfare are summed as integers over the pricing's scale."""
+    g.check_profile(s)
+    rule = g.pricing(undercut)
+    prices = rule.prices(s.union_mask)
+    p = rule.price_vector(prices)
     d = demand(g.valuation, p)
+    chosen = d.chosen
     payoffs = tuple(
-        p.total(d.chosen & owned & offer)
-        for owned, offer in zip(g.vendor_masks, s.offers)
+        rule.fraction(sum(prices[i] for i in bits_of(chosen & offer))) for offer in s.offers
     )
-    welfare = g.valuation.value_mask(d.chosen)
-    return Outcome(s, p, d.chosen, payoffs, d.utility, welfare, d)
+    welfare = rule.fraction(rule.f * rule.table[chosen])
+    return Outcome(s, p, chosen, payoffs, d.utility, welfare, d)
 
 
 def _payoff_rule(g: GameInstance, undercut: Fraction | None):
@@ -269,13 +313,13 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
     vendor i's payoff, over ``scale``, for each of its offers in
     ``g.offer_tables[i]`` order, the others' offers making up ``rest``.
 
-    Certified instances use the integer closed form, each offered item
-    selling at its (undercut) marginal: one block reads the 2^|A_i| table
-    entries once and takes every marginal from them.  Others run
-    ``pmvc_outcome`` once per union, on the profile ``g.profile_of(union)``.
+    Certified instances use the integer closed form over the scale of
+    ``g.pricing(undercut)``, each offered item selling at its (undercut)
+    marginal: one block reads the 2^|A_i| table entries once and takes every
+    marginal from them.  Others run ``pmvc_outcome`` once per union, on the
+    profile ``g.profile_of(union)``.
     """
-    if undercut is not None and undercut <= 0:
-        raise ValueError("undercut epsilon must be positive")
+    rule = g.pricing(undercut)
     offer_tables = g.offer_tables
     if not g.certified:
         outcomes: dict[int, tuple[Fraction, ...]] = {}
@@ -290,7 +334,7 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             return out
 
         return pays, 1
-    table, f, scale, (eps,) = common_scale(g.valuation, [Fraction(undercut or 0)])
+    table, f, scale, eps = rule.table, rule.f, rule.scale, rule.eps
     if f != 1:  # an undercut the table's denominator lacks: one copy per call
         table = [x * f for x in table]
     drops = g.offer_drops

@@ -41,6 +41,7 @@ __all__ = [
     "prices_from_obj",
     "payoff_table_csv",
     "payoff_table_obj",
+    "payoff_table_text",
     "equilibria_to_obj",
     "equilibria_to_text",
     "report_to_obj",
@@ -57,6 +58,21 @@ class SchemaError(ValueError):
 
 def _fmt(q: Fraction) -> str:
     return format_rational(q)
+
+
+def _rational_texts():
+    """A ``_fmt`` that formats each distinct rational once, keyed on its
+    terms (a Fraction's own hash runs a modular pow)."""
+    texts: dict[tuple[int, int], str] = {}
+
+    def fmt(q: Fraction) -> str:
+        key = (q.numerator, q.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _fmt(q)
+        return text
+
+    return fmt
 
 
 def _need(data: dict, key: str, kind: type, where: str):
@@ -279,10 +295,18 @@ def prices_from_obj(u: Universe, data: dict[str, Any], default: Fraction) -> Pri
 
 
 def _table_rows(g: GameInstance, outcomes) -> list[tuple[str, list[str]]]:
+    """Each outcome's profile text and payoff texts.  Each vendor offer and
+    each distinct payoff is formatted once."""
+    offer = cache(g.universe.format_set)
+    fmt = _rational_texts()
     return [
-        (o.profile.format(g.universe), [_fmt(q) for q in o.vendor_payoffs])
+        ("|".join(map(offer, o.profile.offers)), list(map(fmt, o.vendor_payoffs)))
         for o in outcomes
     ]
+
+
+def payoff_table_text(g: GameInstance, outcomes) -> str:
+    return "\n".join(f"{key}\t{'  '.join(payoffs)}" for key, payoffs in _table_rows(g, outcomes))
 
 
 def payoff_table_csv(g: GameInstance, outcomes) -> str:
@@ -381,16 +405,7 @@ def report_to_text(g: GameInstance, report: EquilibriumReport) -> str:
 
 
 def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:
-    # prices and payoffs repeat from step to step: format each rational once,
-    # keyed on its terms (a Fraction's own hash runs a modular pow)
-    texts: dict[tuple[int, int], str] = {}
-
-    def fmt(q: Fraction) -> str:
-        key = (q.numerator, q.denominator)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _fmt(q)
-        return text
+    fmt = _rational_texts()  # prices and payoffs repeat from step to step
 
     def priced(p: PriceVector) -> dict[str, str]:
         return dict(zip(g.universe.names, map(fmt, p.prices)))

@@ -504,12 +504,12 @@ def br_dynamics(
     status = "cap"
     period = None
     while len(steps) < max_steps:
-        key = (state, pos)
-        if key in seen:
+        known = len(seen)
+        at = seen.setdefault((state, pos), len(steps))  # one hash of the state
+        if len(seen) == known:
             status = "cycle"
-            period = len(steps) - seen[key]
+            period = len(steps) - at
             break
-        seen[key] = len(steps)
         moved = move(g, state, pos, payoffs)
         if moved is not None:
             state, payoffs = moved

@@ -55,6 +55,26 @@ def test_demand_runs_of_the_price_game_are_counted():
     assert vcgame.demand is market.demand
 
 
+def test_payoff_table_prices_each_profile_through_the_counted_calls(monkeypatch):
+    # a traced table run counts pmvc_outcome calls and spans market.demand,
+    # both rebound in pmvc; the table must reach each once per profile
+    market = importlib.import_module("vcgames.market")
+    pmvc = importlib.import_module("vcgames.pmvc")
+    assert pmvc.demand is market.demand
+    calls = {"pmvc_outcome": 0, "demand": 0}
+    for name in calls:
+        original = getattr(pmvc, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pmvc, name, counted)
+    table = pmvc.payoff_table(G)
+    assert calls == {"pmvc_outcome": len(table), "demand": len(table)}
+    assert len(table) == 1 << G.universe.n
+
+
 G = counterexample_instance()
 START = G.parse_profile("{a}|{c}")
 # span name -> (arguments of one small real call, the attrs expected from it)
