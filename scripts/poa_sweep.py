@@ -27,7 +27,7 @@ def harmonic_sweep(max_vendors: int, max_block: int) -> None:
                 continue
             rep = equilibrium_report(harmonic_instance(k, m))
             print(
-                f"  {k:>2} {m:>2} {len(rep.equilibria):>10}"
+                f"  {k:>2} {m:>2} {len(rep.profiles):>10}"
                 f" {format_rational(rep.poa):>8}"
                 f" {format_rational(harmonic_number(m)):>8}"
                 f" {format_rational(rep.pos):>4}"

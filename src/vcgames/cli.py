@@ -122,7 +122,10 @@ def _parse_prices(g: GameInstance, text: str | None):
         name, eq, raw = part.partition("=")
         if not eq:
             raise CliError(f"price {part!r}: expected item=value")
-        pairs[name.strip()] = raw.strip()
+        name = name.strip()
+        if name in pairs:
+            raise CliError(f"price for item {name!r} given twice")
+        pairs[name] = raw.strip()
     try:
         return serialize.prices_from_obj(g.universe, pairs, sent)
     except SchemaError as e:

@@ -41,20 +41,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Sequence
+
+from .rationals import integers
 
 __all__ = ["Unbounded", "maximize"]
 
 
 class Unbounded(ArithmeticError):
     """The LP has rays of unbounded improvement."""
-
-
-def _integers(values) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    scale = lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def maximize(
@@ -80,13 +75,13 @@ def maximize(
     tab = []
     scaled_rhs = []
     for row, b in zip(rows, rhs):
-        ints, scale = _integers(row)
+        ints, scale = integers(row)
         tab.append(ints)
         scaled_rhs.append(b * scale)
-    rhs_ints, rhs_scale = _integers(scaled_rhs)
+    rhs_ints, rhs_scale = integers(scaled_rhs)
     for ints, b in zip(tab, rhs_ints):
         ints.append(b)
-    tab.append(_integers(c)[0] + [0])
+    tab.append(integers(c)[0] + [0])
     basis = list(range(n, n + m))  # the variable of each row: slacks first
     nonbasic = list(range(n))  # the variable of each column
     d = 1

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import Universe, bits_of, subset_sums
+from .rationals import format_rational, integers
 from .valuation import Valuation, common_scale
 
 __all__ = [
@@ -58,7 +59,8 @@ class PriceVector:
 
     def total(self, mask: int) -> Fraction:
         self.universe._check_mask(mask)
-        return sum((self.prices[i] for i in bits_of(mask)), Fraction(0))
+        ints, scale = integers([self.prices[i] for i in bits_of(mask)])
+        return Fraction(sum(ints), scale)
 
     def replace(self, updates: dict[int, Fraction]) -> "PriceVector":
         prices = list(self.prices)
@@ -67,8 +69,6 @@ class PriceVector:
         return PriceVector(self.universe, tuple(prices))
 
     def format(self) -> str:
-        from .rationals import format_rational
-
         pairs = (
             f"{name}={format_rational(p)}"
             for name, p in zip(self.universe.names, self.prices)
@@ -95,13 +95,14 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
     return v.value_mask(mask) - p.total(mask)
 
 
-def _live_mask(v: Valuation, scale: int, price_int) -> int:
-    """The items that can sell at ``price_int``, integers over ``scale``.
+def _live_mask(v: Valuation, f: int, price_int) -> int:
+    """The items that can sell at ``price_int``, integers over f times the
+    dense table's scale (as from ``common_scale``).
 
     Item i is live iff its price is at most the table's spread.  A dead item
     costs more than it can add to any bundle, so it is in no maximizer.
     """
-    spread = v.dense_spread(scale)
+    spread = f * v.dense_spread()
     live = 0
     for i, q in enumerate(price_int):
         if q <= spread:
@@ -113,7 +114,7 @@ def _live_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], list[int],
     """Every subset of the live items, ascending by mask, with its utility as
     an exact integer over a common denominator: ``(masks, utils, scale)``."""
     table, f, scale, price_int = common_scale(v, p.prices)
-    live = list(bits_of(_live_mask(v, scale, price_int)))
+    live = list(bits_of(_live_mask(v, f, price_int)))
     masks = subset_sums([1 << i for i in live])
     costs = subset_sums([price_int[i] for i in live])
     if f == 1:

@@ -309,9 +309,9 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
 
 
 def _payoff_rule(g: GameInstance, undercut: Fraction | None):
-    """The offer game's payoffs as ``(pays, scale)``: ``pays(rest, i)`` lists
-    vendor i's payoff, over ``scale``, for each of its offers in
-    ``g.offer_tables[i]`` order, the others' offers making up ``rest``.
+    """The offer game's payoffs as ``pays(rest, i)``: vendor i's payoff for
+    each of its offers in ``g.offer_tables[i]`` order, the others' offers
+    making up ``rest``.  Payoffs compare exactly within one block.
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
@@ -333,8 +333,8 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
                 out.append(outcomes[union][vendor])
             return out
 
-        return pays, 1
-    table, f, scale, eps = rule.table, rule.f, rule.scale, rule.eps
+        return pays
+    table, f, eps = rule.table, rule.f, rule.eps
     if f != 1:  # an undercut the table's denominator lacks: one copy per call
         table = [x * f for x in table]
     drops = g.offer_drops
@@ -352,11 +352,12 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             out.append(total)
         return out
 
-    return pays, scale
+    return pays
 
 
 def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
-    """Closed-form payoffs sum_{a in S_i} m_a(S* - a).
+    """Closed-form payoffs sum_{a in S_i} m_a(S* - a), read from the prices
+    of ``g.pricing()`` without running the buyer.
 
     Equals the demand-based payoffs of ``pmvc_outcome`` whenever the
     valuation is certified (full-sale invariant); refuses otherwise.
@@ -364,12 +365,9 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     if not g.certified:
         raise ValueError("closed-form payoffs need a certified valuation")
     g.check_profile(s)
-    pays, scale = _payoff_rule(g, None)
-    union = s.union_mask
-    return tuple(
-        Fraction(pays(union & ~owned, i)[mine.index(offer)], scale)
-        for i, (owned, offer, mine) in enumerate(zip(g.vendor_masks, s.offers, g.offer_tables))
-    )
+    rule = g.pricing()
+    prices = rule.prices(s.union_mask)
+    return tuple(rule.fraction(sum(prices[i] for i in bits_of(offer))) for offer in s.offers)
 
 
 def _profile_unions(g: GameInstance) -> list[int]:
@@ -411,17 +409,10 @@ def pmvc_best_response(
     maximizer, ascending by mask.  A vendor owning no items has [0].
     """
     g.check_vendor(vendor)
-    offers = others.offers if isinstance(others, StrategyProfile) else tuple(others)
-    if len(offers) != g.n_vendors:
-        raise ValueError("profile length != vendor count")
-    rest = 0
-    for j, offer in enumerate(offers):
-        if j != vendor:
-            if offer & ~g.vendor_masks[j]:
-                raise ValueError("vendor offering items it does not own")
-            rest |= offer
-    pays, _ = _payoff_rule(g, undercut)
-    block = pays(rest, vendor)
+    offers = others.offers if isinstance(others, StrategyProfile) else others
+    rest = StrategyProfile(tuple(0 if j == vendor else o for j, o in enumerate(offers)))
+    g.check_profile(rest)
+    block = _payoff_rule(g, undercut)(rest.union_mask, vendor)
     best = max(block)
     return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
 
@@ -444,7 +435,7 @@ def pmvc_pure_ne(
     count = 1 << g.universe.n
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
-    pays, _ = _payoff_rule(g, undercut)
+    pays = _payoff_rule(g, undercut)
     stable = bytearray(b"\x01") * count
     for i, (owned, mine) in enumerate(zip(g.vendor_masks, g.offer_tables)):
         for rest in submasks_of(g.universe.full_mask & ~owned):

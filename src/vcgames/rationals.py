@@ -4,13 +4,23 @@ All quantities in this package are `fractions.Fraction`.  Interchange formats
 (JSON, CSV, CLI output) carry rationals as strings: a plain decimal like
 "2.503" when the denominator divides a power of ten, "num/den" otherwise.
 Parsing and printing round-trip exactly; floats never enter the pipeline.
+Hot paths work on integers over one common denominator, from ``integers``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["parse_rational", "format_rational"]
+__all__ = ["parse_rational", "format_rational", "integers"]
+
+
+def integers(values, scale: int = 1) -> tuple[list[int], int]:
+    """``(ints, L)`` with ``ints[j] / L == values[j]``, L the lcm of ``scale``
+    and the denominators of the sequence ``values``.  The package's one
+    rational-to-integer rule."""
+    scale = lcm(scale, *[q.denominator for q in values])
+    return [q.numerator * (scale // q.denominator) for q in values], scale
 
 
 def parse_rational(text: str) -> Fraction:

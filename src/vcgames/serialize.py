@@ -259,10 +259,20 @@ def instance_from_obj(data: dict[str, Any], allow_uncertified: bool = True) -> G
         raise SchemaError(str(e)) from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict, refusing a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"key {key!r} repeated in one JSON object")
+        out[key] = value
+    return out
+
+
 def load_instance(path: str) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     return instance_from_obj(data)

@@ -19,11 +19,11 @@ which is exact and much faster than repeated Fraction arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import Universe, bits_of
+from .rationals import integers
 
 __all__ = [
     "Valuation",
@@ -81,32 +81,25 @@ class Valuation:
 
     # -- dense integer form ----------------------------------------------
 
-    def _denominator_lcm(self) -> int:
-        raise NotImplementedError
-
-    def _fill_dense(self, scale: int) -> list[int]:
-        n = self.universe.n
-        return [int(self.value_mask(m) * scale) for m in range(1 << n)]
-
     def dense_scaled(self) -> tuple[list[int], int]:
         """All 2^n values as integers over a common denominator.
 
-        Returns ``(table, L)`` with ``table[mask] * Fraction(1, L) == v(mask)``.
+        Returns ``(table, L)`` with ``table[mask] * Fraction(1, L) == v(mask)``
+        and L the lcm of the kind's own rationals, from its ``_fill_dense``.
         Exact; cached per instance.
         """
         if self._dense is None:
-            scale = self._denominator_lcm()
-            self._dense = (self._fill_dense(scale), scale)
+            self._dense = self._fill_dense()
         return self._dense
 
-    def dense_spread(self, scale: int) -> int:
-        """``max(table) - min(table)`` of the dense table, as an integer over
-        ``scale``, a multiple of its denominator.  No item adds more than this
-        to any bundle.  Computed once, beside the cached table."""
+    def dense_spread(self) -> int:
+        """``max(table) - min(table)`` of the dense table, over the table's
+        own scale.  No item adds more than this to any bundle.  Computed
+        once, beside the cached table."""
         if self._spread is None:
-            table, _ = self._dense or self.dense_scaled()
+            table, _ = self.dense_scaled()
             self._spread = max(table) - min(table)
-        return self._spread * (scale // self._dense[1])
+        return self._spread
 
     # -- certification ---------------------------------------------------
 
@@ -141,11 +134,8 @@ class TableValuation(Valuation):
     def value_mask(self, mask: int) -> Fraction:
         return self.values[mask]
 
-    def _denominator_lcm(self) -> int:
-        return math.lcm(*(v.denominator for v in self.values))
-
-    def _fill_dense(self, scale: int) -> list[int]:
-        return [v.numerator * (scale // v.denominator) for v in self.values]
+    def _fill_dense(self) -> tuple[list[int], int]:
+        return integers(self.values)
 
 
 def _harmonic_curve(m: int) -> tuple[Fraction, ...]:
@@ -176,20 +166,17 @@ class AdditiveGroupsValuation(Valuation):
             total += self.curve[(mask & g).bit_count()]
         return total
 
-    def _denominator_lcm(self) -> int:
-        return math.lcm(*(c.denominator for c in self.curve))
-
-    def _fill_dense(self, scale: int) -> list[int]:
+    def _fill_dense(self) -> tuple[list[int], int]:
         # by doubling over items: adding item j to a mask m of lower items
         # raises its group's hit count from |m & lower| by one
-        curve_int = [c.numerator * (scale // c.denominator) for c in self.curve]
+        curve_int, scale = integers(self.curve)
         inc = [b - a for a, b in zip(curve_int, curve_int[1:])]
         table = [0]
         for item in range(self.universe.n):
             bit = 1 << item
             lower = next(g for g in self.group_masks if g & bit) & (bit - 1)
             table += [x + inc[(m & lower).bit_count()] for m, x in enumerate(table)]
-        return table
+        return table, scale
 
     def structural_certificate(self) -> tuple[bool, bool]:
         # v is a sum of curve(|S & group|) over disjoint groups, so it is
@@ -223,11 +210,8 @@ class CategoryMaxValuation(Valuation):
                 total += max(self.item_values[i] for i in bits_of(hit))
         return total
 
-    def _denominator_lcm(self) -> int:
-        return math.lcm(*(v.denominator for v in self.item_values))
-
-    def _fill_dense(self, scale: int) -> list[int]:
-        vals_int = [v.numerator * (scale // v.denominator) for v in self.item_values]
+    def _fill_dense(self) -> tuple[list[int], int]:
+        vals_int, scale = integers(self.item_values)
         out = []
         cats = self.category_masks
         for m in range(1 << self.universe.n):
@@ -237,7 +221,7 @@ class CategoryMaxValuation(Valuation):
                 if hit:
                     total += max(vals_int[i] for i in bits_of(hit))
             out.append(total)
-        return out
+        return out, scale
 
     def structural_certificate(self) -> tuple[bool, bool] | None:
         # A nonnegative best-of per category is monotone and submodular.  With
@@ -261,8 +245,8 @@ def common_scale(v: Valuation, extras) -> tuple[list[int], int, int, list[int]]:
     and skips that when f == 1.
     """
     table, lv = v.dense_scaled()
-    scale = math.lcm(lv, *(q.denominator for q in extras))
-    return table, scale // lv, scale, [q.numerator * (scale // q.denominator) for q in extras]
+    ints, scale = integers(extras, lv)
+    return table, scale // lv, scale, ints
 
 
 def check_monotone(v: Valuation) -> ValidationReport:
@@ -292,7 +276,9 @@ def check_submodular(v: Valuation) -> ValidationReport:
     """Exhaustive scan of the local condition m_a(S) >= m_a(S + b).
 
     The local condition over all S, a, b is equivalent to submodularity on
-    every pair of sets, so a PASS here is a full certificate.
+    every pair of sets, so a PASS here is a full certificate.  The condition
+    is symmetric in a and b, so only a < b is scanned, which finds the same
+    first violation as the scan of every ordered pair.
     """
     n = v.universe.n
     table, _ = v.dense_scaled()
@@ -302,9 +288,9 @@ def check_submodular(v: Valuation) -> ValidationReport:
             if mask & abit:
                 continue
             base = table[mask | abit] - table[mask]
-            for b in range(n):
+            for b in range(a + 1, n):
                 bbit = 1 << b
-                if b == a or mask & bbit:
+                if mask & bbit:
                     continue
                 if table[mask | abit | bbit] - table[mask | bbit] > base:
                     names = v.universe

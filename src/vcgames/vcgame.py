@@ -183,7 +183,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     # competitor items that can sell; the others are in no maximizing S'.
     # Their subsets in submasks_of order (descending), as global masks and
     # price sums.
-    others = list(bits_of(~owned & _live_mask(v, scale, price_int)))
+    others = list(bits_of(~owned & _live_mask(v, f, price_int)))
     out_masks = subset_sums([1 << i for i in others])[::-1]
     out_costs = subset_sums([price_int[i] for i in others])[::-1]
 

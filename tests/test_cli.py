@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from vcgames.cli import main
-from vcgames.serialize import SchemaError, instance_from_obj
+from vcgames.serialize import SchemaError, instance_from_obj, load_instance
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "counterexample_table.csv")
@@ -507,3 +507,28 @@ def test_input_the_model_would_ignore_is_refused(capsys, tmp_path, key, value, m
     code, out, err = run(capsys, "ne", str(path))
     assert code == 2
     assert out == "" and message in err
+
+
+def test_repeated_json_key_refused(capsys, tmp_path):
+    # read last-value-wins, the table would be v(x) = 5 > v(x,y) = 2
+    path = tmp_path / "game.json"
+    path.write_text(
+        '{"type": "table", "items": ["x", "y"],'
+        ' "entries": {"x": "1", "y": "1", "x,y": "2", "x": "5"}}'
+    )
+    with pytest.raises(SchemaError, match="key 'x' repeated"):
+        load_instance(str(path))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == "" and "key 'x' repeated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["bestresp", "--vendor", "0"]],
+    ids=["verify", "bestresp"],
+)
+def test_repeated_price_item_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--gen", "counterexample", "--prices", "a=1,b=1, a=2")
+    assert code == 2
+    assert out == "" and "'a' given twice" in err

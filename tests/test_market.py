@@ -249,3 +249,19 @@ def test_demand_off_the_table_scale_matches_naive_oracle(vals, prices):
     assert demand_all(v, p) == sorted(
         m for m in range(8) if v.value_mask(m) - p.total(m) == best
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(F(0), F(10), max_denominator=12) | big_denominator_fractions(10),
+        min_size=4,
+        max_size=4,
+    ),
+    st.integers(0, 15),
+)
+def test_price_vector_total_is_the_fraction_sum(prices, mask):
+    p = PriceVector(U, tuple(prices))
+    total = p.total(mask)
+    assert type(total) is Fraction
+    assert total == sum((prices[i] for i in bits_of(mask)), Fraction(0))

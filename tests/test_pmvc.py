@@ -402,3 +402,16 @@ def test_pure_ne_and_best_response_match_brute_force(name, eps, route):
         if stable:
             expected_ne.append(s)
     assert pmvc_pure_ne(g, undercut=eps) == expected_ne
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["coverage", "additive-concave"]),
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+)
+def test_closed_form_matches_demand_route_on_random_instances(seed, gen, shape):
+    g = random_instance(seed, *shape, generator=gen)
+    assert g.certified
+    for s in all_profiles(g):
+        assert pmvc_payoffs(g, s) == pmvc_outcome(g, s).vendor_payoffs

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import big_denominator_fractions
+from hypothesis import given, settings, strategies as st
 
-from vcgames.rationals import format_rational, parse_rational
+from vcgames.rationals import format_rational, integers, parse_rational
 
 
 def test_parse_decimal():
@@ -89,3 +91,21 @@ def test_long_dyadic_decimals_keep_every_digit(n, a, b):
     text = format_rational(Fraction(n, 2**a * 5**b))
     assert parse_rational(text) == Fraction(n, 2**a * 5**b)
     assert len(text.partition(".")[2]) == max(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.integers(-50, 50)
+        | st.fractions(max_denominator=24)
+        | big_denominator_fractions(5),
+        max_size=6,
+    ),
+    st.none() | st.integers(1, 10**30),
+)
+def test_integers_over_the_least_common_scale(values, scale):
+    ints, common = integers(values) if scale is None else integers(values, scale)
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x, common) for x in ints] == values
+    # the least positive multiple of scale that clears every denominator
+    assert common == lcm(scale or 1, *(Fraction(q).denominator for q in values))

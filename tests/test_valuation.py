@@ -1,6 +1,7 @@
 """Valuation classes: values, marginals, certification, dense form."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -236,3 +237,57 @@ def test_additive_dense_matches_fractions(curve, labels):
     v = AdditiveGroupsValuation(u, groups, curve + [curve[-1]] * 3)
     table, scale = v.dense_scaled()
     assert all(Fraction(table[m], scale) == v.value_mask(m) for m in range(64))
+
+
+@pytest.mark.parametrize(
+    "v, rationals",
+    [
+        (TableValuation(U2, ["0", "1/3", "1/4", "7/12"]), ["1/3", "1/4", "7/12"]),
+        (TableValuation(U2, ["0", "2", "3", "5"]), ["2", "3", "5"]),
+        # the curve runs past the largest group, and its last entry sets L
+        (
+            AdditiveGroupsValuation(U3, (0b011, 0b100), ["0", "1", "3/2", "11/6", "25/12"]),
+            ["1", "3/2", "11/6", "25/12"],
+        ),
+        (CategoryMaxValuation(U3, (0b011, 0b100), ["1/5", "2/3", "1"]), ["1/5", "2/3", "1"]),
+    ],
+    ids=["table", "table-integral", "additive-groups", "category-max"],
+)
+def test_dense_scale_is_the_lcm_of_the_kinds_own_rationals(v, rationals):
+    table, scale = v.dense_scaled()
+    assert scale == lcm(*(Fraction(q).denominator for q in rationals))
+    assert all(Fraction(table[m], scale) == v.value_mask(m) for m in range(len(table)))
+
+
+def _ordered_pair_submodular_scan(v):
+    """The scan over every ordered pair (a, b), as a reference."""
+    n = v.universe.n
+    table, _ = v.dense_scaled()
+    names = v.universe
+    for mask in range(1 << n):
+        for a in range(n):
+            if mask >> a & 1:
+                continue
+            base = table[mask | 1 << a] - table[mask]
+            for b in range(n):
+                if b == a or mask >> b & 1:
+                    continue
+                if table[mask | 1 << a | 1 << b] - table[mask | 1 << b] > base:
+                    return (mask, mask | 1 << b, a), (
+                        f"marginal of {names.names[a]} rises from "
+                        f"{names.format_set(mask)} to {names.format_set(mask | 1 << b)}"
+                    )
+    return None, ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+))
+def test_submodular_scan_matches_the_ordered_pair_scan(values):
+    n = (len(values) + 1).bit_length() - 1
+    v = TableValuation(Universe(tuple("abcd"[:n])), [0] + values)
+    report = check_submodular(v)
+    witness, detail = _ordered_pair_submodular_scan(v)
+    assert report.ok == (witness is None)
+    assert (report.witness, report.detail) == (witness, detail)
