@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success, 1 when an analysis comes back negative (a failed
 validation, a refuted equilibrium, a golden-file mismatch), 2 for usage or
-parse problems.
+parse problems, and 141 (128 + SIGPIPE), silently, when stdout is closed
+before the output is written (``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import serialize
@@ -352,7 +354,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the exit flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, ValueError, OSError, EnumerationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

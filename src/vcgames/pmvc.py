@@ -12,6 +12,14 @@ withheld one strictly hurts), so vendor i's payoff collapses to
 ``sum_{a in S_i} m_a(S* - a)``.  That closed form is what the fast
 equilibrium enumeration uses; ``pmvc_outcome`` always goes through the demand
 oracle so the invariant stays observable.
+
+When v adds up over the disjoint parts of ``Valuation.components()``,
+``v(S) = sum_P v(S & P)``, every marginal, and so every (undercut) price, is
+one inside its part, and a vendor's payoff is the sum of its per-part
+payoffs.  A profile is then a pure equilibrium exactly when each part's
+sub-profile is one of that part's game, so ``pmvc_pure_ne`` solves the parts
+one at a time and takes their product.  An uncertified game is one part:
+the buyer's largest-bitmask fallback does not split by part.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
@@ -86,6 +95,8 @@ class GameInstance:
         self.valuation = valuation
         self.universe = universe
         self._pricings: dict[Fraction | None, MarginalPricing] = {}
+        self._offers: dict[int, tuple[int, ...]] = {}
+        self._drops: dict[int, tuple[tuple[int, ...], ...]] = {}
         monotone, submodular = valuation.certify()
         self.monotone_certified = monotone
         self.submodular_certified = submodular
@@ -113,28 +124,31 @@ class GameInstance:
 
     @cached_property
     def offer_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Per vendor, every offer it can make indexed by local mask (bit j
-        picks its j-th lowest item).  Ascending by local mask is ascending by
-        global mask too."""
-        return tuple(
-            tuple(subset_sums([1 << item for item in bits_of(owned)]))
-            for owned in self.vendor_masks
-        )
+        """Per vendor, every offer it can make: ``offers_in`` its own set."""
+        return tuple(self.offers_in(owned) for owned in self.vendor_masks)
 
-    @cached_property
-    def offer_drops(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per vendor, for each offer by local mask, the local masks of the
-        offers one item smaller.  The lists share one int object per mask,
-        which keeps a large vendor's lists at about 40% of their size."""
-        drops = []
-        for owned in self.vendor_masks:
-            size = owned.bit_count()
+    def offers_in(self, mask: int) -> tuple[int, ...]:
+        """Every offer inside ``mask``, indexed by local mask (bit j picks its
+        j-th lowest item).  Ascending by local mask is ascending by global
+        mask too.  Built once per mask."""
+        offers = self._offers.get(mask)
+        if offers is None:
+            offers = self._offers[mask] = tuple(subset_sums([1 << item for item in bits_of(mask)]))
+        return offers
+
+    def offer_drops(self, size: int) -> tuple[tuple[int, ...], ...]:
+        """For each offer of a ``size``-item set by local mask, the local
+        masks of the offers one item smaller.  The lists share one int
+        object per mask, which keeps a large set's lists at about 40% of
+        their size.  Built once per size."""
+        drops = self._drops.get(size)
+        if drops is None:
             masks = range(1 << size)
             ints = list(masks)
-            drops.append(tuple(
+            drops = self._drops[size] = tuple(
                 tuple(ints[lm ^ (1 << j)] for j in range(size) if lm >> j & 1) for lm in masks
-            ))
-        return tuple(drops)
+            )
+        return drops
 
     def pricing(self, undercut: Fraction | None = None) -> "MarginalPricing":
         """The mechanism's pricing rule at ``undercut``, built once per game
@@ -233,8 +247,9 @@ class MarginalPricing:
 
     ``table[U] * f / scale`` is v(U), ``eps / scale`` the undercut (0 when
     there is none) and ``sentinel / scale`` the withheld price v(A*) + 1, all
-    from ``valuation.common_scale``.  ``fraction`` turns an integer over the
-    scale into a Fraction once, so equal prices and payoffs share one object.
+    from ``valuation.common_scale``; ``scaled`` holds the table times f.
+    ``fraction`` turns an integer over the scale into a Fraction once, so
+    equal prices and payoffs share one object.
     """
 
     def __init__(self, g: GameInstance, undercut: Fraction | None):
@@ -246,6 +261,13 @@ class MarginalPricing:
             v, [Fraction(undercut or 0), sentinel_price(v)]
         )
         self._fractions: dict[int, Fraction] = {}
+
+    @cached_property
+    def scaled(self) -> list[int]:
+        """The whole table over the scale, ``table[U] * f``, for readers of
+        every entry: built on first read, and the table itself when f == 1."""
+        f = self.f
+        return self.table if f == 1 else [x * f for x in self.table]
 
     def fraction(self, x: int) -> Fraction:
         q = self._fractions.get(x)
@@ -309,24 +331,26 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
 
 
 def _payoff_rule(g: GameInstance, undercut: Fraction | None):
-    """The offer game's payoffs as ``pays(rest, i)``: vendor i's payoff for
-    each of its offers in ``g.offer_tables[i]`` order, the others' offers
-    making up ``rest``.  Payoffs compare exactly within one block.
+    """The offer game's payoffs as ``pays(rest, i, mine)``: vendor i's payoff
+    for each of its offers inside ``mine`` in ``g.offers_in(mine)`` order,
+    the others' offers making up ``rest``.  Payoffs compare exactly within
+    one block.
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
-    marginal: one block reads the 2^|A_i| table entries once and takes every
-    marginal from them.  Others run ``pmvc_outcome`` once per union, on the
-    profile ``g.profile_of(union)``.
+    marginal: one block reads the 2^|mine| entries of the pricing's
+    ``scaled`` table once and takes every marginal from them.  Others run
+    ``pmvc_outcome`` once per union, on the profile ``g.profile_of(union)``,
+    and need ``mine`` to be all of A_i.
     """
     rule = g.pricing(undercut)
-    offer_tables = g.offer_tables
+    offers_in = g.offers_in
     if not g.certified:
         outcomes: dict[int, tuple[Fraction, ...]] = {}
 
-        def pays(rest: int, vendor: int) -> list[Fraction]:
+        def pays(rest: int, vendor: int, mine: int) -> list[Fraction]:
             out = []
-            for offer in offer_tables[vendor]:
+            for offer in offers_in(mine):
                 union = rest | offer
                 if union not in outcomes:
                     outcomes[union] = pmvc_outcome(g, g.profile_of(union), undercut).vendor_payoffs
@@ -334,15 +358,13 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             return out
 
         return pays
-    table, f, eps = rule.table, rule.f, rule.eps
-    if f != 1:  # an undercut the table's denominator lacks: one copy per call
-        table = [x * f for x in table]
-    drops = g.offer_drops
+    table, eps = rule.scaled, rule.eps
+    drops_of = g.offer_drops
 
-    def pays(rest: int, vendor: int) -> list[int]:
-        values = [table[rest | offer] for offer in offer_tables[vendor]]
+    def pays(rest: int, vendor: int, mine: int) -> list[int]:
+        values = [table[rest | offer] for offer in offers_in(mine)]
         out = []
-        for v_union, drop in zip(values, drops[vendor]):
+        for v_union, drop in zip(values, drops_of(mine.bit_count())):
             v_union -= eps
             total = 0
             for smaller in drop:
@@ -412,7 +434,7 @@ def pmvc_best_response(
     offers = others.offers if isinstance(others, StrategyProfile) else others
     rest = StrategyProfile(tuple(0 if j == vendor else o for j, o in enumerate(offers)))
     g.check_profile(rest)
-    block = _payoff_rule(g, undercut)(rest.union_mask, vendor)
+    block = _payoff_rule(g, undercut)(rest.union_mask, vendor, g.vendor_masks[vendor])
     best = max(block)
     return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
 
@@ -426,22 +448,56 @@ def pmvc_pure_ne(
     ``ProfileSequence`` over the equilibria's unions.
 
     Since vendor sets are disjoint, profiles correspond one-to-one with
-    subsets M of the universe via S_i = M & A_i.  One pass per vendor groups
-    the subsets by the others' part, evaluates each payoff once, and marks
-    the subsets where the vendor falls short of its best reply.  The stable
+    subsets M of the universe via S_i = M & A_i.  Where v adds up over the
+    parts of ``Valuation.components()``, every price and every vendor's
+    payoff split by part, so a profile is an equilibrium exactly when each
+    part's sub-profile is one of that part's game.  Each part is solved on
+    its own (an uncertified game is one part: the buyer's largest-bitmask
+    fallback does not split), and the equilibria are the product of the
+    parts'.  In a part, one pass per vendor owning items there groups the
+    part's subsets by the others' offers, evaluates each payoff once, and
+    drops those where the vendor falls short of its best reply.  The stable
     unions come back in the deterministic ``all_profiles`` order; a profile
     is built only when the sequence is read.
     """
     count = 1 << g.universe.n
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
+    parts = g.valuation.components() if g.certified else (g.universe.full_mask,)
     pays = _payoff_rule(g, undercut)
-    stable = bytearray(b"\x01") * count
-    for i, (owned, mine) in enumerate(zip(g.vendor_masks, g.offer_tables)):
-        for rest in submasks_of(g.universe.full_mask & ~owned):
-            block = pays(rest, i)
+    per_part = []
+    for part in parts:
+        per_part.append(_part_equilibria(g, pays, part))
+        if not per_part[-1]:
+            return ProfileSequence(g, [])
+    marked = _mark_product(count, per_part)
+    del per_part  # freed before the full profile order is built
+    return ProfileSequence(g, [u for u in _profile_unions(g) if marked[u]])
+
+
+def _part_equilibria(g: GameInstance, pays, part: int) -> list[int]:
+    """The stable unions inside ``part`` of the part's own game."""
+    stable = bytearray(b"\x01") * (part + 1)
+    for i, owned in enumerate(g.vendor_masks):
+        mine = owned & part
+        if not mine:
+            continue
+        offers = g.offers_in(mine)
+        for rest in submasks_of(part & ~owned):
+            block = pays(rest, i, mine)
             best = max(block)
-            for offer, p in zip(mine, block):
+            for offer, p in zip(offers, block):
                 if p != best:
                     stable[rest | offer] = 0
-    return ProfileSequence(g, [u for u in _profile_unions(g) if stable[u]])
+    return [u for u in submasks_of(part) if stable[u]]
+
+
+def _mark_product(count: int, per_part: list[list[int]]) -> bytearray:
+    """Mark every union that takes one stable union from each part, streamed
+    from the product: parts are disjoint, so a sum is a union."""
+    marked = bytearray(count)
+    *heads, last = sorted(per_part, key=len)
+    for base in map(sum, product(*heads)):
+        for u in last:
+            marked[base + u] = 1
+    return marked

@@ -79,6 +79,13 @@ class Valuation:
             raise ValueError(f"item {item} already in set")
         return self.value_mask(mask | bit) - self.value_mask(mask)
 
+    def components(self) -> tuple[int, ...]:
+        """Disjoint masks covering the universe over which v adds up:
+        ``v(S) = sum_P v(S & P)``.  Every marginal of an item is then one
+        inside its part.  The base class knows no such split and returns the
+        whole universe as one part; kinds built as sums override it."""
+        return (self.universe.full_mask,)
+
     # -- dense integer form ----------------------------------------------
 
     def dense_scaled(self) -> tuple[list[int], int]:
@@ -166,6 +173,9 @@ class AdditiveGroupsValuation(Valuation):
             total += self.curve[(mask & g).bit_count()]
         return total
 
+    def components(self) -> tuple[int, ...]:
+        return self.group_masks
+
     def _fill_dense(self) -> tuple[list[int], int]:
         # by doubling over items: adding item j to a mask m of lower items
         # raises its group's hit count from |m & lower| by one
@@ -209,6 +219,9 @@ class CategoryMaxValuation(Valuation):
             if hit:
                 total += max(self.item_values[i] for i in bits_of(hit))
         return total
+
+    def components(self) -> tuple[int, ...]:
+        return self.category_masks
 
     def _fill_dense(self) -> tuple[list[int], int]:
         vals_int, scale = integers(self.item_values)

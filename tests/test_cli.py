@@ -1,6 +1,9 @@
 """End-to-end command checks, run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from vcgames.cli import main
 from vcgames.serialize import SchemaError, instance_from_obj, load_instance
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "counterexample_table.csv")
 TWO_TV = str(DATA / "two_tv.json")
@@ -532,3 +536,23 @@ def test_repeated_price_item_refused(capsys, argv):
     code, out, err = run(capsys, *argv, "--gen", "counterexample", "--prices", "a=1,b=1, a=2")
     assert code == 2
     assert out == "" and "'a' given twice" in err
+
+
+# -- a closed stdout ---------------------------------------------------------
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line and leaves (as `| head -1` does); the rest of
+    # the 29,791 listed equilibria has nowhere to go
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vcgames", "ne", "--gen", "harmonic:3,5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"29791 pure Nash equilibria\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

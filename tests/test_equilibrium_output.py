@@ -16,12 +16,15 @@ from vcgames import (
     ProfileSequence,
     StrategyProfile,
     all_profiles,
+    cdsp_instance,
     counterexample_instance,
     equilibrium_report,
     harmonic_instance,
     harmonic_number,
     pmvc_best_response,
     pmvc_pure_ne,
+    pos_instance,
+    random_cdsp_spec,
     random_instance,
 )
 from vcgames.cli import main
@@ -126,6 +129,20 @@ def test_outputs_match_reference_without_equilibria():
     g = counterexample_instance()
     assert reference_ne(g) == []
     assert_outputs_match(g, ["--gen", "counterexample"])
+
+
+# games solved one additive part at a time, by their --gen spec; the listing
+# must still follow all_profiles order across the parts
+SEPARABLE = {
+    "harmonic:3,3": lambda: harmonic_instance(3, 3),
+    "pos:2,4,1/100": lambda: pos_instance(2, 4, Fraction(1, 100)),
+    "cdsp_random:4,7,3,3": lambda: cdsp_instance(random_cdsp_spec(4, 7, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SEPARABLE))
+def test_outputs_match_reference_on_separable_games(spec):
+    assert_outputs_match(SEPARABLE[spec](), ["--gen", spec])
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: Path(p).name)

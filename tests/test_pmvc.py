@@ -1,5 +1,6 @@
 """Discrete offer game: marginal pricing, payoffs, best replies, pure NE."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from vcgames import (
     all_profiles,
     cdsp_instance,
     counterexample_instance,
+    expand_to_table,
     harmonic_instance,
     payoff_table,
     pmvc_best_response,
@@ -22,10 +24,12 @@ from vcgames import (
     pmvc_payoffs,
     pmvc_prices,
     pmvc_pure_ne,
+    pos_instance,
     random_cdsp_spec,
     random_instance,
 )
 from vcgames.items import submasks_of
+from vcgames.pmvc import _payoff_rule
 
 G = counterexample_instance()
 U = G.universe
@@ -362,6 +366,9 @@ REFERENCE_GAMES = {
     "random-3-8-3": lambda: random_instance(3, 8, 3),
     "random-5-7-2": lambda: random_instance(5, 7, 2),
     "cdsp-4-6-3": lambda: cdsp_instance(random_cdsp_spec(4, 6, 3)),
+    "pos-3-3": lambda: pos_instance(3, 3, Fraction(1, 100)),
+    # three groups; the group {c,d,e,h} holds items of all three vendors
+    "additive-concave-8-8-3": lambda: random_instance(8, 8, 3, "additive-concave"),
 }
 
 
@@ -415,3 +422,71 @@ def test_closed_form_matches_demand_route_on_random_instances(seed, gen, shape):
     assert g.certified
     for s in all_profiles(g):
         assert pmvc_payoffs(g, s) == pmvc_outcome(g, s).vendor_payoffs
+
+
+# -- one additive part at a time -------------------------------------------
+
+
+def _one_part_twin(g):
+    """The same game over a plain table, which declares no parts."""
+    return GameInstance(expand_to_table(g.valuation), g.vendor_masks)
+
+
+SHAPES = st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(3, n))))
+PART_UNDERCUTS = st.sampled_from([None, Fraction(1, 7), Fraction(1, 1000)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), SHAPES, PART_UNDERCUTS)
+def test_per_part_pass_matches_one_part_on_additive_groups(seed, shape, eps):
+    g = random_instance(seed, *shape, "additive-concave")
+    assert g.valuation.components() == g.valuation.group_masks
+    assert pmvc_pure_ne(g, undercut=eps) == pmvc_pure_ne(_one_part_twin(g), undercut=eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), SHAPES, st.integers(1, 9), PART_UNDERCUTS)
+def test_per_part_pass_matches_one_part_on_categories(seed, shape, categories, eps):
+    n, k = shape
+    g = cdsp_instance(random_cdsp_spec(seed, n, min(categories, n), k))
+    assert g.valuation.components() == g.valuation.category_masks
+    assert pmvc_pure_ne(g, undercut=eps) == pmvc_pure_ne(_one_part_twin(g), undercut=eps)
+
+
+class PartedTable(TableValuation):
+    """An explicit table that declares the parts it adds up over."""
+
+    def __init__(self, universe, values, parts):
+        super().__init__(universe, values)
+        self.parts = parts
+
+    def components(self):
+        return self.parts
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 1000)], ids=str)
+def test_a_part_without_equilibria_leaves_none(eps):
+    # the counterexample's items a..d beside the block of harmonic_instance(2, 2);
+    # the second vendor owns c, d and the block's first two items
+    block = harmonic_instance(2, 2)
+    u = Universe(U.names + block.universe.names)
+    values = [
+        G.valuation.value_mask(m & 0b1111) + block.valuation.value_mask(m >> 4)
+        for m in range(1 << 8)
+    ]
+    g = GameInstance(PartedTable(u, values, (0b1111, 0b1111_0000)), (0b11, 0b11_1100, 0b1100_0000))
+    assert pmvc_pure_ne(G, undercut=eps) == []
+    assert len(pmvc_pure_ne(block, undercut=eps)) > 0
+    assert pmvc_pure_ne(g, undercut=eps) == [] == pmvc_pure_ne(_one_part_twin(g), undercut=eps)
+
+
+def test_payoff_rules_share_one_scaled_table():
+    g = harmonic_instance(3, 5)
+    eps = Fraction(1, 7)
+    rule = g.pricing(eps)
+    assert rule.f > 1  # the table's denominator lacks 7
+    first, second = (
+        inspect.getclosurevars(_payoff_rule(g, eps)).nonlocals["table"] for _ in range(2)
+    )
+    assert first is second is rule.scaled
+    assert rule.scaled == [x * rule.f for x in rule.table]
