@@ -138,6 +138,12 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _write_text(pieces) -> None:
+    """Write a listing as its pieces are rendered, then a final newline."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
+
+
 def _emit(args: argparse.Namespace, text_out: str, obj) -> None:
     if args.format == "json":
         _print_json(obj)
@@ -189,7 +195,7 @@ def cmd_ne(args) -> int:
     if args.format == "json":
         _print_json(serialize.equilibria_to_obj(g, nes))
     else:
-        print(serialize.equilibria_to_text(g, nes))
+        _write_text(serialize.equilibria_to_text(g, nes))
     return 0
 
 
@@ -199,7 +205,7 @@ def cmd_poa(args) -> int:
     if args.format == "json":
         _print_json(serialize.report_to_obj(g, report))
     else:
-        print(serialize.report_to_text(g, report))
+        _write_text(serialize.report_to_text(g, report))
     return 0
 
 

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
@@ -392,13 +392,17 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     return tuple(rule.fraction(sum(prices[i] for i in bits_of(offer))) for offer in s.offers)
 
 
-def _profile_unions(g: GameInstance) -> list[int]:
-    """The union of every profile's offers, in ``all_profiles`` order, built
-    by doubling over the vendors; offers are disjoint, so a sum is a union."""
-    order = [0]
-    for table in g.offer_tables:
-        order = [a + b for a in order for b in table]
-    return order
+def _profile_unions(g: GameInstance) -> Iterator[int]:
+    """An iterator over the union of every profile's offers, in
+    ``all_profiles`` order: the prefixes over all vendors but the last, built
+    by doubling, each plus each of the last vendor's offers as it is read, so
+    the 2^n order is walked, never held.  Offers are disjoint, so a sum is a
+    union."""
+    *head, last = g.offer_tables
+    prefixes = [0]
+    for table in head:
+        prefixes = [a + b for a in prefixes for b in table]
+    return starmap(operator.add, product(prefixes, last))
 
 
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
@@ -471,7 +475,7 @@ def pmvc_pure_ne(
         if not per_part[-1]:
             return ProfileSequence(g, [])
     marked = _mark_product(count, per_part)
-    del per_part  # freed before the full profile order is built
+    del per_part  # freed before the profile order is walked
     return ProfileSequence(g, [u for u in _profile_unions(g) if marked[u]])
 
 

@@ -362,21 +362,26 @@ def _equilibrium_cells(g: GameInstance, nes: ProfileSequence, welfare: bool = Fa
     return zip(profiles, (value(table[x]) for x in nes.unions))
 
 
-def _join_lines(head: str, lines: Iterable[str], tail: list[str]) -> str:
-    """``head``, ``lines`` and ``tail`` joined by newlines; ``lines`` is
-    joined a chunk at a time, so no list of all its lines is ever held."""
-    parts = [head]
+def _join_lines(head: str, lines: Iterable[str], tail: list[str]) -> Iterator[str]:
+    """``head``, ``lines`` and ``tail`` joined by newlines, a piece at a time:
+    ``head``, each chunk of up to 4,096 ``lines``, then each tail line, each
+    led by its newline.  Neither the whole text nor all the lines are held."""
+    yield head
     lines = iter(lines)
     while chunk := list(islice(lines, 4096)):
-        parts.append("\n".join(chunk))
-    return "\n".join(parts + tail)
+        yield "\n" + "\n".join(chunk)
+    for line in tail:
+        yield "\n" + line
 
 
 def equilibria_to_obj(g: GameInstance, nes: ProfileSequence) -> dict[str, Any]:
     return {"count": len(nes), "equilibria": list(_equilibrium_cells(g, nes))}
 
 
-def equilibria_to_text(g: GameInstance, nes: ProfileSequence) -> str:
+def equilibria_to_text(g: GameInstance, nes: ProfileSequence) -> Iterator[str]:
+    """The ``ne`` text listing as an iterator of pieces, rendered as they are
+    read: the count line, then the equilibria a chunk of lines at a time.
+    ``"".join`` of the pieces gives the text, without a final newline."""
     lines = (f"  {p}" for p in _equilibrium_cells(g, nes))
     return _join_lines(f"{len(nes)} pure Nash equilibria", lines, [])
 
@@ -395,7 +400,11 @@ def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
     }
 
 
-def report_to_text(g: GameInstance, report: EquilibriumReport) -> str:
+def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
+    """The ``poa`` text listing as an iterator of pieces, rendered as they
+    are read: the count line, the equilibria with their welfare a chunk of
+    lines at a time, then the optimum and the PoA/PoS lines.  ``"".join`` of
+    the pieces gives the text, without a final newline."""
     m = g.max_vendor_size
     lines = (
         f"  {p}  welfare {w}" for p, w in _equilibrium_cells(g, report.profiles, welfare=True)

@@ -541,13 +541,15 @@ def test_repeated_price_item_refused(capsys, argv):
 # -- a closed stdout ---------------------------------------------------------
 
 
-def test_closed_stdout_exits_141_quietly():
+@pytest.mark.parametrize("command", ["ne", "poa"])
+def test_closed_stdout_exits_141_quietly(command):
     # the reader takes one line and leaves (as `| head -1` does); the rest of
-    # the 29,791 listed equilibria has nowhere to go
+    # the 29,791 listed equilibria has nowhere to go, and the closed pipe
+    # shows while the listing is being written
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "vcgames", "ne", "--gen", "harmonic:3,5"],
+        [sys.executable, "-m", "vcgames", command, "--gen", "harmonic:3,5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.readline() == b"29791 pure Nash equilibria\n"

@@ -29,7 +29,7 @@ from vcgames import (
 )
 from vcgames.cli import main
 from vcgames.rationals import format_rational
-from vcgames.serialize import load_instance, report_to_obj, report_to_text
+from vcgames.serialize import equilibria_to_text, load_instance, report_to_obj, report_to_text
 
 DATA = Path(__file__).parent / "data"
 FILES = sorted(str(p) for p in DATA.glob("*.json"))
@@ -103,7 +103,7 @@ def assert_outputs_match(g, source):
     nes = reference_ne(g)
     text, obj = reference_report(g, nes)
     rep = equilibrium_report(g)
-    assert report_to_text(g, rep) == text
+    assert "".join(report_to_text(g, rep)) == text
     assert report_to_obj(g, rep) == obj
     assert cli("poa", *source) == (0, text + "\n")
     assert cli("poa", *source, "--format", "json") == (0, json.dumps(obj, indent=2) + "\n")
@@ -160,6 +160,24 @@ def test_outputs_match_reference_on_data_files(path):
         assert cli("ne", path, "--eps", str(eps)) == (0, text)
         return
     assert_outputs_match(g, [path])
+
+
+@pytest.mark.parametrize("command", ["ne", "poa"])
+def test_text_listing_comes_in_chunks(command):
+    # 127^2 = 16,129 equilibria: more lines than one chunk of 4,096
+    g = harmonic_instance(2, 7)
+    if command == "ne":
+        pieces = equilibria_to_text(g, pmvc_pure_ne(g))
+    else:
+        pieces = report_to_text(g, equilibrium_report(g))
+    head = next(pieces)
+    assert head == "16129 pure Nash equilibria"
+    rest = list(pieces)
+    listed = [piece.count("\n  ") for piece in rest]  # equilibrium lines per piece
+    assert sum(n > 0 for n in listed) > 1
+    assert max(listed) <= 4096
+    assert sum(listed) == 16129
+    assert cli(command, "--gen", "harmonic:2,7") == (0, head + "".join(rest) + "\n")
 
 
 # -- the lazy sequence -----------------------------------------------------

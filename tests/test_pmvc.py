@@ -360,6 +360,14 @@ def _random_offer(rng, owned):
     return mask
 
 
+def _pos_with_idle_vendor(first):
+    """``pos_instance(2, 2, 1/100)`` with one more vendor, placed first or
+    last, that owns nothing: its only offer is the empty set."""
+    g = pos_instance(2, 2, Fraction(1, 100))
+    masks = (0, *g.vendor_masks) if first else (*g.vendor_masks, 0)
+    return GameInstance(g.valuation, masks)
+
+
 REFERENCE_GAMES = {
     "counterexample": lambda: G,
     "harmonic-2-2": lambda: harmonic_instance(2, 2),
@@ -369,6 +377,11 @@ REFERENCE_GAMES = {
     "pos-3-3": lambda: pos_instance(3, 3, Fraction(1, 100)),
     # three groups; the group {c,d,e,h} holds items of all three vendors
     "additive-concave-8-8-3": lambda: random_instance(8, 8, 3, "additive-concave"),
+    # the profile order's edge cases: no vendor before the last one, and an
+    # empty offer table first or last
+    "harmonic-1-4": lambda: harmonic_instance(1, 4),
+    "pos-2-2-first-idle": lambda: _pos_with_idle_vendor(first=True),
+    "pos-2-2-last-idle": lambda: _pos_with_idle_vendor(first=False),
 }
 
 

@@ -236,7 +236,7 @@ def test_payoff_table_obj_shape():
 
 
 def test_report_text_no_equilibrium():
-    text = report_to_text(G, equilibrium_report(G))
+    text = "".join(report_to_text(G, equilibrium_report(G)))
     assert "0 pure Nash equilibria" in text
     assert "optimal welfare = 7.6045" in text
     assert "PoA undefined (no pure NE)" in text
@@ -244,7 +244,7 @@ def test_report_text_no_equilibrium():
 
 def test_report_text_with_equilibria():
     g = pos_instance(2, 2, F(1, 100))
-    text = report_to_text(g, equilibrium_report(g))
+    text = "".join(report_to_text(g, equilibrium_report(g)))
     assert "4 pure Nash equilibria" in text
     assert "  {a1}|{b1}  welfare 2" in text
     assert "optimal welfare = 2.98" in text
