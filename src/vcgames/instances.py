@@ -16,7 +16,7 @@ from fractions import Fraction
 from .items import bits_of, MAX_ITEMS, Universe
 from .market import PriceVector, sentinel_price
 from .pmvc import GameInstance
-from .rationals import parse_rational
+from .rationals import exact, parse_rational
 from .valuation import (
     AdditiveGroupsValuation,
     CategoryMaxValuation,
@@ -108,7 +108,7 @@ def pos_instance(k: int, m: int, eps: Fraction) -> GameInstance:
     A flat shave would leave larger offers still earning exactly 1 and admit
     extra equilibria; the graded one removes them all.
     """
-    eps = Fraction(eps)
+    eps = exact(eps)
     if not 0 < eps < Fraction(1, 2 * m):
         raise ValueError(f"perturbation must lie strictly between 0 and 1/{2 * m}")
     u, masks = _block_universe(k, m)
@@ -135,9 +135,7 @@ class CdspSpec:
 
     def __post_init__(self):
         u = self.universe
-        object.__setattr__(
-            self, "item_values", tuple(Fraction(q) for q in self.item_values)
-        )
+        object.__setattr__(self, "item_values", tuple(map(exact, self.item_values)))
         if len(self.item_values) != u.n:
             raise ValueError("need one value per item")
         if any(q < 0 for q in self.item_values):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import Universe, bits_of, subset_sums
-from .rationals import format_rational, integers
+from .rationals import exact, format_rational, integers
 from .valuation import Valuation, common_scale
 
 __all__ = [
@@ -52,7 +52,7 @@ class PriceVector:
     def __post_init__(self) -> None:
         if len(self.prices) != self.universe.n:
             raise ValueError("need one price per item")
-        prices = tuple(p if type(p) is Fraction else Fraction(p) for p in self.prices)
+        prices = tuple(p if type(p) is Fraction else exact(p) for p in self.prices)
         object.__setattr__(self, "prices", prices)
         if any(p.numerator < 0 for p in prices):  # a Fraction's denominator is positive
             raise ValueError("prices must be nonnegative")
@@ -65,6 +65,8 @@ class PriceVector:
     def replace(self, updates: dict[int, Fraction]) -> "PriceVector":
         prices = list(self.prices)
         for i, q in updates.items():
+            if not 0 <= i < len(prices):
+                raise ValueError(f"no item {i} among {len(prices)}")
             prices[i] = q
         return PriceVector(self.universe, tuple(prices))
 
@@ -95,59 +97,21 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
     return v.value_mask(mask) - p.total(mask)
 
 
-def _live_mask(v: Valuation, f: int, price_int) -> int:
-    """The items that can sell at ``price_int``, integers over f times the
-    dense table's scale (as from ``common_scale``).
+def _bundles(v: Valuation, p: PriceVector, within: int):
+    """The buyer's scan over the items of ``within`` that can sell.
 
-    Item i is live iff its price is at most the table's spread.  A dead item
-    costs more than it can add to any bundle, so it is in no maximizer.
+    Returns ``(table, f, scale, masks, costs)``: the dense table and p over
+    one scale (``common_scale`` over all of p), and every subset of the live
+    items of ``within``, ascending by mask, with its price sum over the
+    scale.  ``f * table[m] - c`` is a bundle's utility over the scale.  Item
+    i is live iff its price is at most the table's spread; a dead item costs
+    more than it can add to any bundle, so it is in no maximizer.
     """
-    spread = f * v.dense_spread()
-    live = 0
-    for i, q in enumerate(price_int):
-        if q <= spread:
-            live |= 1 << i
-    return live
-
-
-def _live_utilities(v: Valuation, p: PriceVector) -> tuple[list[int], list[int], int]:
-    """Every subset of the live items, ascending by mask, with its utility as
-    an exact integer over a common denominator: ``(masks, utils, scale)``."""
     table, f, scale, price_int = common_scale(v, p.prices)
-    live = list(bits_of(_live_mask(v, f, price_int)))
+    spread = f * v.dense_spread()
+    live = [i for i in bits_of(within) if price_int[i] <= spread]
     masks = subset_sums([1 << i for i in live])
-    costs = subset_sums([price_int[i] for i in live])
-    if f == 1:
-        return masks, [table[m] - c for m, c in zip(masks, costs)], scale
-    return masks, [f * table[m] - c for m, c in zip(masks, costs)], scale
-
-
-def _scan_utilities(utils: list[int]) -> tuple[int, int, int, bool]:
-    """Apply the tie rule to the utilities of all subsets of the live items,
-    indexed by local mask (bit j for the j-th live item).
-
-    Returns ``(chosen, best, count, union_ok)`` with ``chosen`` a local mask.
-    The chosen set is the union of all maximizers when that union also
-    maximizes, else the maximizer with the largest bitmask.  Local masks keep
-    the order of the global ones, so that is the largest global maximizer.
-    """
-    best = utils[0]
-    union = 0
-    count = 0
-    best_mask = 0
-    for mask, u in enumerate(utils):
-        if u > best:
-            best = u
-            union = mask
-            count = 1
-            best_mask = mask
-        elif u == best:
-            union |= mask
-            count += 1
-            best_mask = mask
-    union_ok = utils[union] == best
-    chosen = union if union_ok else best_mask
-    return chosen, best, count, union_ok
+    return table, f, scale, masks, subset_sums([price_int[i] for i in live])
 
 
 def demand(v: Valuation, p: PriceVector) -> DemandResult:
@@ -164,9 +128,22 @@ def demand(v: Valuation, p: PriceVector) -> DemandResult:
     """
     if p.universe is not v.universe and p.universe != v.universe:
         raise ValueError("price vector universe mismatch")
-    masks, utils, scale = _live_utilities(v, p)
-    chosen, _, count, union_ok = _scan_utilities(utils)
-    return DemandResult(masks[chosen], Fraction(utils[chosen], scale), count, union_ok)
+    table, f, scale, masks, costs = _bundles(v, p, v.universe.full_mask)
+    utils = [f * table[m] - c for m, c in zip(masks, costs)]
+    # the union of the maximizers if it maximizes too, else the last one;
+    # masks ascend, so that is the largest maximizer
+    best = utils[0]
+    union = count = last = 0
+    for j, u in enumerate(utils):
+        if u > best:
+            best, union, count, last = u, j, 1, j
+        elif u == best:
+            union |= j
+            count += 1
+            last = j
+    union_ok = utils[union] == best
+    chosen = union if union_ok else last
+    return DemandResult(masks[chosen], Fraction(best, scale), count, union_ok)
 
 
 def demand_all(v: Valuation, p: PriceVector) -> list[int]:
@@ -175,6 +152,7 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
         raise ValueError(
             f"demand_all enumerates maximizers explicitly; capped at {DEMAND_ALL_MAX_ITEMS} items"
         )
-    masks, utils, _ = _live_utilities(v, p)
+    table, f, _, masks, costs = _bundles(v, p, v.universe.full_mask)
+    utils = [f * table[m] - c for m, c in zip(masks, costs)]
     best = max(utils)
     return [mask for mask, u in zip(masks, utils) if u == best]

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
 from .market import DemandResult, PriceVector, demand, sentinel_price
-from .rationals import format_rational
+from .rationals import exact, format_rational
 from .valuation import Valuation, common_scale
 
 __all__ = [
@@ -153,6 +153,8 @@ class GameInstance:
     def pricing(self, undercut: Fraction | None = None) -> "MarginalPricing":
         """The mechanism's pricing rule at ``undercut``, built once per game
         and undercut."""
+        if undercut is not None:
+            undercut = exact(undercut)
         rule = self._pricings.get(undercut)
         if rule is None:
             rule = self._pricings[undercut] = MarginalPricing(self, undercut)
@@ -245,9 +247,10 @@ class MarginalPricing:
     """The mechanism's prices of one game at one undercut, as integers over
     one scale.
 
-    ``table[U] * f / scale`` is v(U), ``eps / scale`` the undercut (0 when
-    there is none) and ``sentinel / scale`` the withheld price v(A*) + 1, all
-    from ``valuation.common_scale``; ``scaled`` holds the table times f.
+    ``table[U] / scale`` is v(U), ``eps / scale`` the undercut (0 when there
+    is none) and ``sentinel / scale`` the withheld price v(A*) + 1, all from
+    ``valuation.common_scale``.  ``table`` is the cached dense table itself
+    when that is already over the scale, else one copy of it times f.
     ``fraction`` turns an integer over the scale into a Fraction once, so
     equal prices and payoffs share one object.
     """
@@ -257,17 +260,11 @@ class MarginalPricing:
             raise ValueError("undercut epsilon must be positive")
         v = g.valuation
         self.universe = g.universe
-        self.table, self.f, self.scale, (self.eps, self.sentinel) = common_scale(
-            v, [Fraction(undercut or 0), sentinel_price(v)]
+        table, f, self.scale, (self.eps, self.sentinel) = common_scale(
+            v, [undercut or Fraction(0), sentinel_price(v)]
         )
+        self.table = table if f == 1 else [x * f for x in table]
         self._fractions: dict[int, Fraction] = {}
-
-    @cached_property
-    def scaled(self) -> list[int]:
-        """The whole table over the scale, ``table[U] * f``, for readers of
-        every entry: built on first read, and the table itself when f == 1."""
-        f = self.f
-        return self.table if f == 1 else [x * f for x in self.table]
 
     def fraction(self, x: int) -> Fraction:
         q = self._fractions.get(x)
@@ -277,14 +274,14 @@ class MarginalPricing:
 
     def prices(self, union: int) -> list[int]:
         """Each item's price over the scale when ``union`` is offered: an
-        offered item's marginal ``f*table[U] - f*table[U ^ bit]``, less the
+        offered item's marginal ``table[U] - table[U ^ bit]``, less the
         undercut and clamped at 0, and the sentinel for a withheld item.
         Without an undercut a negative marginal is refused."""
-        table, f, eps = self.table, self.f, self.eps
+        table, eps = self.table, self.eps
         v_union = table[union]
         out = [self.sentinel] * self.universe.n
         for item in bits_of(union):
-            m = f * (v_union - table[union ^ (1 << item)])
+            m = v_union - table[union ^ (1 << item)]
             if eps:  # positive exactly when there is an undercut
                 m = max(m - eps, 0)
             elif m < 0:
@@ -326,7 +323,7 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
     payoffs = tuple(
         rule.fraction(sum(prices[i] for i in bits_of(chosen & offer))) for offer in s.offers
     )
-    welfare = rule.fraction(rule.f * rule.table[chosen])
+    welfare = rule.fraction(rule.table[chosen])
     return Outcome(s, p, chosen, payoffs, d.utility, welfare, d)
 
 
@@ -339,7 +336,7 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
     marginal: one block reads the 2^|mine| entries of the pricing's
-    ``scaled`` table once and takes every marginal from them.  Others run
+    ``table`` once and takes every marginal from them.  Others run
     ``pmvc_outcome`` once per union, on the profile ``g.profile_of(union)``,
     and need ``mine`` to be all of A_i.
     """
@@ -358,7 +355,7 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             return out
 
         return pays
-    table, eps = rule.scaled, rule.eps
+    table, eps = rule.table, rule.eps
     drops_of = g.offer_drops
 
     def pays(rest: int, vendor: int, mine: int) -> list[int]:
@@ -411,15 +408,22 @@ def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     return map(g.profile_of, _profile_unions(g))
 
 
+def _profile_count(g: GameInstance, cap: int) -> int:
+    """The number of profiles, 2^n since vendor sets partition the universe;
+    refused above ``cap``."""
+    count = 1 << g.universe.n
+    if count > cap:
+        raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
+    return count
+
+
 def payoff_table(
     g: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     undercut: Fraction | None = None,
 ) -> list[Outcome]:
     """Full normal form of the discrete game, one demand run per profile."""
-    count = 1 << g.universe.n  # vendor sets partition the universe
-    if count > cap:
-        raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
+    _profile_count(g, cap)
     return [pmvc_outcome(g, s, undercut) for s in all_profiles(g)]
 
 
@@ -464,9 +468,7 @@ def pmvc_pure_ne(
     unions come back in the deterministic ``all_profiles`` order; a profile
     is built only when the sequence is read.
     """
-    count = 1 << g.universe.n
-    if count > cap:
-        raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
+    count = _profile_count(g, cap)
     parts = g.valuation.components() if g.certified else (g.universe.full_mask,)
     pays = _payoff_rule(g, undercut)
     per_part = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["parse_rational", "format_rational", "integers"]
+__all__ = ["exact", "parse_rational", "format_rational", "integers"]
 
 
 def integers(values, scale: int = 1) -> tuple[list[int], int]:
@@ -21,6 +21,19 @@ def integers(values, scale: int = 1) -> tuple[list[int], int]:
     rational-to-integer rule."""
     scale = lcm(scale, *[q.denominator for q in values])
     return [q.numerator * (scale // q.denominator) for q in values], scale
+
+
+def exact(x) -> Fraction:
+    """``x`` as a Fraction: an int or a Fraction as it is, a str through
+    ``parse_rational``.  Anything else is refused; a float, say, has already
+    been rounded.  The package's one rule for exact inputs."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    raise ValueError(f"not an exact rational: {x!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import Universe, bits_of
-from .rationals import integers
+from .rationals import exact, integers
 
 __all__ = [
     "Valuation",
@@ -129,7 +129,7 @@ class TableValuation(Valuation):
 
     def __init__(self, universe: Universe, values):
         super().__init__(universe)
-        vals = tuple(Fraction(x) for x in values)
+        vals = tuple(map(exact, values))
         if len(vals) != 1 << universe.n:
             raise ValueError(
                 f"need {1 << universe.n} entries for {universe.n} items, got {len(vals)}"
@@ -139,6 +139,7 @@ class TableValuation(Valuation):
         self.values = vals
 
     def value_mask(self, mask: int) -> Fraction:
+        self.universe._check_mask(mask)
         return self.values[mask]
 
     def _fill_dense(self) -> tuple[list[int], int]:
@@ -159,7 +160,7 @@ class AdditiveGroupsValuation(Valuation):
     def __init__(self, universe: Universe, group_masks, curve):
         super().__init__(universe)
         self.group_masks = universe.partition(group_masks, "groups")
-        self.curve = tuple(Fraction(x) for x in curve)
+        self.curve = tuple(map(exact, curve))
         self.max_group_size = max(g.bit_count() for g in self.group_masks)
         if len(self.curve) < self.max_group_size + 1:
             raise ValueError("curve shorter than the largest group")
@@ -206,7 +207,7 @@ class CategoryMaxValuation(Valuation):
     def __init__(self, universe: Universe, category_masks, item_values):
         super().__init__(universe)
         self.category_masks = universe.partition(category_masks, "categories")
-        vals = tuple(Fraction(x) for x in item_values)
+        vals = tuple(map(exact, item_values))
         if len(vals) != universe.n:
             raise ValueError("need one value per item")
         self.item_values = vals
@@ -253,9 +254,8 @@ def common_scale(v: Valuation, extras) -> tuple[list[int], int, int, list[int]]:
 
     Returns ``(table, f, L, ints)`` with ``table[mask] * f / L == v(mask)``
     and ``ints[j] / L == extras[j]``; L is the least common denominator.
-    ``table`` is the cached table itself, over its own denominator L // f,
-    and is never copied: a reader multiplies by f only the entries it reads,
-    and skips that when f == 1.
+    ``table`` is the cached table itself, over its own denominator L // f;
+    it is not copied here.
     """
     table, lv = v.dense_scaled()
     ints, scale = integers(extras, lv)

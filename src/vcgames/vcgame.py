@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import exactlp
 from .items import bits_of, submasks_of, subset_sums
-from .market import PriceVector, _live_mask, demand, sentinel_price
+from .market import PriceVector, _bundles, demand, sentinel_price
 from .pmvc import (
     GameInstance,
     StrategyProfile,
@@ -165,12 +165,10 @@ def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
 # -- target-set-exact ------------------------------------------------------
 
 
-def _exact_scale(g: GameInstance, p: PriceVector, scan: str):
-    """``common_scale`` of the value table and p, for a tier that refuses more
-    than EXACT_MAX_ITEMS items; ``scan`` says why."""
+def _check_cap(g: GameInstance, scan: str) -> None:
+    """Refuse more than EXACT_MAX_ITEMS items; ``scan`` says why."""
     if g.universe.n > EXACT_MAX_ITEMS:
         raise ValueError(f"{scan}; capped at {EXACT_MAX_ITEMS} items")
-    return common_scale(g.valuation, p.prices)
 
 
 def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
@@ -178,14 +176,13 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     owned = g.vendor_masks[vendor]
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, f, scale, price_int = _exact_scale(g, p, "target-set-exact enumerates 2^n targets")
+    _check_cap(g, "target-set-exact enumerates 2^n targets")
     glob = g.offer_tables[vendor]
-    # competitor items that can sell; the others are in no maximizing S'.
-    # Their subsets in submasks_of order (descending), as global masks and
-    # price sums.
-    others = list(bits_of(~owned & _live_mask(v, f, price_int)))
-    out_masks = subset_sums([1 << i for i in others])[::-1]
-    out_costs = subset_sums([price_int[i] for i in others])[::-1]
+    # the competitor sets S' that can be in a maximizer, in submasks_of
+    # order (descending), as global masks and price sums
+    table, f, scale, out_masks, out_costs = _bundles(v, p, g.universe.full_mask ^ owned)
+    out_masks.reverse()
+    out_costs.reverse()
 
     # reach[T] = max over competitor sets S' of v(T | S') - p(S'): the best
     # utility (before own prices) of a bundle whose own part is T.  The target
@@ -197,10 +194,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     best_out = [0] * (1 << ni)
     for lm in range(1 << ni):
         bg = glob[lm]
-        if f == 1:
-            cands = [table[bg | sp] - c for sp, c in zip(out_masks, out_costs)]
-        else:
-            cands = [f * table[bg | sp] - c for sp, c in zip(out_masks, out_costs)]
+        cands = [f * table[bg | sp] - c for sp, c in zip(out_masks, out_costs)]
         best = max(cands)
         reach[lm] = best
         best_out[lm] = out_masks[cands.index(best)]
@@ -275,9 +269,9 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     owned = g.vendor_masks[vendor]
     items = g.vendor_items(vendor)
     ni = len(items)
-    table, f, scale, price_int = _exact_scale(g, p, "grid search builds the full marginal grid")
-    if f != 1:
-        table = [x * f for x in table]
+    _check_cap(g, "grid search builds the full marginal grid")
+    table, f, scale, price_int = common_scale(g.valuation, p.prices)
+    table = [x * f for x in table]
     # subset sums of the competitors' prices, own items counting 0
     pmsum = subset_sums([0 if owned >> i & 1 else q for i, q in enumerate(price_int)])
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1

@@ -265,3 +265,10 @@ def test_price_vector_total_is_the_fraction_sum(prices, mask):
     total = p.total(mask)
     assert type(total) is Fraction
     assert total == sum((prices[i] for i in bits_of(mask)), Fraction(0))
+
+
+@pytest.mark.parametrize("item", [-1, 4, 7])
+def test_replace_refuses_an_item_outside_the_universe(item):
+    p = PriceVector(U, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=f"no item {item}"):
+        p.replace({item: 5})

@@ -497,9 +497,11 @@ def test_payoff_rules_share_one_scaled_table():
     g = harmonic_instance(3, 5)
     eps = Fraction(1, 7)
     rule = g.pricing(eps)
-    assert rule.f > 1  # the table's denominator lacks 7
+    dense, dense_scale = g.valuation.dense_scaled()
+    f = rule.scale // dense_scale
+    assert f > 1  # the table's denominator lacks 7
     first, second = (
         inspect.getclosurevars(_payoff_rule(g, eps)).nonlocals["table"] for _ in range(2)
     )
-    assert first is second is rule.scaled
-    assert rule.scaled == [x * rule.f for x in rule.table]
+    assert first is second is rule.table
+    assert rule.table == [x * f for x in dense]

@@ -129,8 +129,8 @@ def test_undercut_the_table_lacks_scales_the_table(seed):
     g = random_instance(seed, 5, 2)
     eps = Fraction(1, 7 * 11 * 13)
     rule = g.pricing(eps)
-    assert rule.f > 1
-    assert rule.scale == g.valuation.dense_scaled()[1] * rule.f
+    dense_scale = g.valuation.dense_scaled()[1]
+    assert rule.scale % dense_scale == 0 and rule.scale > dense_scale
     assert_matches_oracle(g, eps)
     assert g.pricing(eps) is rule  # one rule per game and undercut
 

@@ -5,7 +5,17 @@ import pytest
 from conftest import big_denominator_fractions
 from hypothesis import given, settings, strategies as st
 
-from vcgames.rationals import format_rational, integers, parse_rational
+from vcgames import (
+    AdditiveGroupsValuation,
+    CategoryMaxValuation,
+    CdspSpec,
+    PriceVector,
+    TableValuation,
+    Universe,
+    counterexample_instance,
+    pos_instance,
+)
+from vcgames.rationals import exact, format_rational, integers, parse_rational
 
 
 def test_parse_decimal():
@@ -109,3 +119,45 @@ def test_integers_over_the_least_common_scale(values, scale):
     assert [Fraction(x, common) for x in ints] == values
     # the least positive multiple of scale that clears every denominator
     assert common == lcm(scale or 1, *(Fraction(q).denominator for q in values))
+
+
+def test_exact_keeps_ints_and_fractions_and_parses_strings():
+    third = Fraction(1, 3)
+    assert exact(third) is third
+    assert exact(7) == 7 and type(exact(7)) is Fraction
+    assert exact("2.503") == Fraction(2503, 1000)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        exact("1e400")
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, None, [1], (1, 2)], ids=repr)
+def test_exact_refuses_what_is_not_exact(bad):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        exact(bad)
+
+
+U = Universe(("a", "b", "c"))
+# one input per public entry point that takes rationals, each one the entry
+# point must refuse: a float is already rounded, and an exponent string can
+# build an integer of any size from a few characters
+REFUSED = {
+    "PriceVector": lambda: PriceVector(U, (0.1, 0, 0)),
+    "PriceVector-exponent": lambda: PriceVector(U, ("1e200000", 0, 0)),
+    "TableValuation": lambda: TableValuation(U, ["0", "1", "1", "2", "1e1", "3", "3", "4"]),
+    "AdditiveGroupsValuation": lambda: AdditiveGroupsValuation(U, (0b011, 0b100), [0, 1, 1.5]),
+    "CategoryMaxValuation": lambda: CategoryMaxValuation(U, (0b011, 0b100), [1, 0.25, 2]),
+    "CdspSpec": lambda: CdspSpec(U, (0b011, 0b100), (10, 8, 0.5), (0b001, 0b110)),
+    "pos_instance": lambda: pos_instance(2, 3, 0.01),
+    "GameInstance.pricing": lambda: counterexample_instance().pricing(0.1),
+}
+
+
+@pytest.mark.parametrize("build", REFUSED.values(), ids=REFUSED)
+def test_entry_points_refuse_inexact_rationals(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_pricing_reads_an_undercut_string_exactly():
+    g = counterexample_instance()
+    assert g.pricing("1/7") is g.pricing(Fraction(1, 7))

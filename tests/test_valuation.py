@@ -14,6 +14,7 @@ from vcgames import (
     Universe,
     check_monotone,
     check_submodular,
+    counterexample_instance,
     expand_to_table,
 )
 
@@ -291,3 +292,22 @@ def test_submodular_scan_matches_the_ordered_pair_scan(values):
     witness, detail = _ordered_pair_submodular_scan(v)
     assert report.ok == (witness is None)
     assert (report.witness, report.detail) == (witness, detail)
+
+
+COUNTEREXAMPLE_TABLE = counterexample_instance().valuation
+KINDS = {
+    "table": COUNTEREXAMPLE_TABLE,
+    "additive-groups": AdditiveGroupsValuation(U3, (0b011, 0b100), [0, 1, Fraction(3, 2)]),
+    "category-max": CategoryMaxValuation(U3, (0b011, 0b100), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("v", KINDS.values(), ids=KINDS)
+@pytest.mark.parametrize(
+    "query",
+    [lambda v: v.value_mask(-1), lambda v: v.marginal_mask(0, -2), lambda v: v.value_mask(99)],
+    ids=["value(-1)", "marginal(0,-2)", "value(99)"],
+)
+def test_masks_outside_the_universe_are_refused(v, query):
+    with pytest.raises(ValueError, match="outside universe"):
+        query(v)
