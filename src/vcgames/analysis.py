@@ -76,8 +76,8 @@ class EquilibriumReport:
     """Pure equilibria of the marginal-pricing game with their welfares, the
     optimal welfare, and the anarchy/stability ratios.
 
-    ``profiles`` is the lazy sequence ``pmvc_pure_ne`` returns, held as
-    unions; ``equilibria`` pairs each profile with its welfare, built on
+    ``profiles`` is the lazy sequence ``pmvc_pure_ne`` returns, held in
+    blocks; ``equilibria`` pairs each profile with its welfare, built on
     first access and kept.  ``welfare_ratio_bound`` is 1 plus the harmonic
     number of the largest vendor's catalogue size; ``bound_satisfied``
     records whether every equilibrium's welfare ratio stays within it.
@@ -110,7 +110,10 @@ def equilibrium_report(
     With a monotone valuation the optimal welfare is the value of the whole
     item set.  When the optimum is zero, monotonicity plus submodularity force
     every set's value to zero, so both ratios degenerate to 1.  Welfare is
-    aggregated in integers over the dense table's scale.
+    aggregated in integers over the dense table's scale: an equilibrium
+    takes one stable union from each part of ``profiles.parts``, and v adds
+    over the parts, so the worst welfare is the sum of the parts' least
+    values and the best the sum of their greatest.
     """
     nes = pmvc_pure_ne(g, cap=cap)
     table, scale = g.valuation.dense_scaled()  # cached; the certified NE pass built it
@@ -118,8 +121,7 @@ def equilibrium_report(
     bound = harmonic_number(g.max_vendor_size) + 1
     if not nes:
         return EquilibriumReport(nes, opt, None, None, bound, True)
-    welfares = set(map(table.__getitem__, nes.unions))
-    worst = min(welfares)
+    worst = sum(min(map(table.__getitem__, part)) for part in nes.parts)
     if opt == 0:
         poa = pos = Fraction(1)
     elif worst <= 0:
@@ -130,7 +132,8 @@ def equilibrium_report(
         )
     else:
         poa = opt / Fraction(worst, scale)
-        pos = opt / Fraction(max(welfares), scale)
+        best = sum(max(map(table.__getitem__, part)) for part in nes.parts)
+        pos = opt / Fraction(best, scale)
     return EquilibriumReport(
         profiles=nes,
         optimal_welfare=opt,

@@ -57,6 +57,11 @@ class PriceVector:
         if any(p.numerator < 0 for p in prices):  # a Fraction's denominator is positive
             raise ValueError("prices must be nonnegative")
 
+    def check_universe(self, universe: Universe) -> None:
+        """Refuse prices over any universe but ``universe``."""
+        if self.universe is not universe and self.universe != universe:
+            raise ValueError("price vector universe mismatch")
+
     def total(self, mask: int) -> Fraction:
         self.universe._check_mask(mask)
         ints, scale = integers([self.prices[i] for i in bits_of(mask)])
@@ -126,8 +131,7 @@ def demand(v: Valuation, p: PriceVector) -> DemandResult:
     largest bitmask (a maximal one, since the bitmask order extends strict
     inclusion).
     """
-    if p.universe is not v.universe and p.universe != v.universe:
-        raise ValueError("price vector universe mismatch")
+    p.check_universe(v.universe)
     table, f, scale, masks, costs = _bundles(v, p, v.universe.full_mask)
     utils = [f * table[m] - c for m, c in zip(masks, costs)]
     # the union of the maximizers if it maximizes too, else the last one;
@@ -152,6 +156,7 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
         raise ValueError(
             f"demand_all enumerates maximizers explicitly; capped at {DEMAND_ALL_MAX_ITEMS} items"
         )
+    p.check_universe(v.universe)
     table, f, _, masks, costs = _bundles(v, p, v.universe.full_mask)
     utils = [f * table[m] - c for m, c in zip(masks, costs)]
     best = max(utils)

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, starmap
+from itertools import chain, groupby, product, starmap
 from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
@@ -193,30 +193,63 @@ class GameInstance:
 
 
 class ProfileSequence(Sequence[StrategyProfile]):
-    """A read-only sequence of profiles of one game, held as their unions.
+    """A read-only sequence of profiles of one game, held in blocks.
 
-    ``unions[j]`` is the union of the j-th profile's offers; the profile
-    itself (``GameInstance.profile_of``) is built only when it is read.  A
-    slice is again a ``ProfileSequence``.  Compares equal to a list, tuple or
-    ``ProfileSequence`` holding the same profiles in the same order.
+    ``blocks`` lists ``(prefix, offers)`` pairs in order: ``prefix`` is the
+    union of the offers of every vendor but the last, and the block holds
+    the profiles whose unions are ``prefix + o``, for each of the last
+    vendor's ``offers`` in order.  The item mask ``tail`` is a union of
+    additive parts of the valuation, so ``v(u) = v(u & ~tail) + v(u &
+    tail)``, and two blocks whose prefixes agree on ``tail`` list the same
+    offers.  ``parts`` are lists of unions over disjoint items, and the
+    profiles' unions are exactly the sums taking one union from each list.
+
+    ``unions[j]`` is the union of the j-th profile's offers, listed only
+    when read; the profile itself (``GameInstance.profile_of``) is built
+    only when it is read.  A slice is again a ``ProfileSequence``.  Compares
+    equal to a list, tuple or ``ProfileSequence`` holding the same profiles
+    in the same order.
     """
 
-    __slots__ = ("game", "unions")
-
-    def __init__(self, game: GameInstance, unions: list[int]):
+    def __init__(self, game: GameInstance, blocks: list[tuple[int, list[int]]],
+                 parts: list[list[int]], tail: int):
         self.game = game
-        self.unions = unions
+        self.blocks = blocks
+        self.parts = parts
+        self.tail = tail
+        self._len = sum(len(offers) for _, offers in blocks)
+
+    @classmethod
+    def of_unions(cls, game: GameInstance, unions: list[int]) -> "ProfileSequence":
+        """The profiles of ``unions``, in their order: one part, and one block
+        per run of a prefix (a slice of ``all_profiles`` order runs each
+        prefix once)."""
+        last = game.vendor_masks[-1]
+        blocks = [
+            (prefix, [u - prefix for u in run])
+            for prefix, run in groupby(unions, lambda u: u & ~last)
+        ]
+        return cls(game, blocks, [unions], game.universe.full_mask)
+
+    def _walk(self) -> Iterator[int]:
+        return chain.from_iterable(
+            map(prefix.__add__, offers) for prefix, offers in self.blocks
+        )
+
+    @cached_property
+    def unions(self) -> list[int]:
+        return list(self._walk())
 
     def __len__(self) -> int:
-        return len(self.unions)
+        return self._len
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ProfileSequence(self.game, self.unions[index])
+            return ProfileSequence.of_unions(self.game, self.unions[index])
         return self.game.profile_of(self.unions[index])
 
     def __iter__(self) -> Iterator[StrategyProfile]:
-        return map(self.game.profile_of, self.unions)
+        return map(self.game.profile_of, self._walk())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, tuple, ProfileSequence)):
@@ -389,17 +422,21 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     return tuple(rule.fraction(sum(prices[i] for i in bits_of(offer))) for offer in s.offers)
 
 
+def _prefixes(g: GameInstance) -> list[int]:
+    """The union of the offers of every vendor but the last, for each
+    profile prefix in ``all_profiles`` order, built by doubling.  Offers are
+    disjoint, so a sum is a union."""
+    prefixes = [0]
+    for table in g.offer_tables[:-1]:
+        prefixes = [a + b for a in prefixes for b in table]
+    return prefixes
+
+
 def _profile_unions(g: GameInstance) -> Iterator[int]:
     """An iterator over the union of every profile's offers, in
-    ``all_profiles`` order: the prefixes over all vendors but the last, built
-    by doubling, each plus each of the last vendor's offers as it is read, so
-    the 2^n order is walked, never held.  Offers are disjoint, so a sum is a
-    union."""
-    *head, last = g.offer_tables
-    prefixes = [0]
-    for table in head:
-        prefixes = [a + b for a in prefixes for b in table]
-    return starmap(operator.add, product(prefixes, last))
+    ``all_profiles`` order: each prefix plus each of the last vendor's
+    offers as it is read, so the 2^n order is walked, never held."""
+    return starmap(operator.add, product(_prefixes(g), g.offer_tables[-1]))
 
 
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
@@ -408,13 +445,12 @@ def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     return map(g.profile_of, _profile_unions(g))
 
 
-def _profile_count(g: GameInstance, cap: int) -> int:
-    """The number of profiles, 2^n since vendor sets partition the universe;
-    refused above ``cap``."""
+def _profile_count(g: GameInstance, cap: int) -> None:
+    """Refuse more than ``cap`` profiles; there are 2^n, since vendor sets
+    partition the universe."""
     count = 1 << g.universe.n
     if count > cap:
         raise EnumerationCapExceeded(f"{count} profiles exceed cap {cap}")
-    return count
 
 
 def payoff_table(
@@ -453,7 +489,7 @@ def pmvc_pure_ne(
     undercut: Fraction | None = None,
 ) -> ProfileSequence:
     """Every pure Nash equilibrium of the discrete game, as a lazy
-    ``ProfileSequence`` over the equilibria's unions.
+    ``ProfileSequence`` in the deterministic ``all_profiles`` order.
 
     Since vendor sets are disjoint, profiles correspond one-to-one with
     subsets M of the universe via S_i = M & A_i.  Where v adds up over the
@@ -464,21 +500,40 @@ def pmvc_pure_ne(
     fallback does not split), and the equilibria are the product of the
     parts'.  In a part, one pass per vendor owning items there groups the
     part's subsets by the others' offers, evaluates each payoff once, and
-    drops those where the vendor falls short of its best reply.  The stable
-    unions come back in the deterministic ``all_profiles`` order; a profile
-    is built only when the sequence is read.
+    drops those where the vendor falls short of its best reply.
+
+    The product is listed a block at a time.  The parts meeting the last
+    vendor's items make up ``tail``; a prefix p is kept when its items
+    outside ``tail`` take a stable union from every other part, and its
+    block is the last vendor's offers o for which ``(p & tail) + o`` takes
+    one from every part in ``tail``, worked out once per ``p & tail``.  A
+    profile is built only when the sequence is read.
     """
-    count = _profile_count(g, cap)
+    _profile_count(g, cap)
     parts = g.valuation.components() if g.certified else (g.universe.full_mask,)
     pays = _payoff_rule(g, undercut)
     per_part = []
     for part in parts:
         per_part.append(_part_equilibria(g, pays, part))
         if not per_part[-1]:
-            return ProfileSequence(g, [])
-    marked = _mark_product(count, per_part)
-    del per_part  # freed before the profile order is walked
-    return ProfileSequence(g, [u for u in _profile_unions(g) if marked[u]])
+            return ProfileSequence.of_unions(g, [])
+    last = g.vendor_masks[-1]
+    tail = sum(part for part in parts if part & last)
+    marked_tail = _mark_product(tail, [s for part, s in zip(parts, per_part) if part & last])
+    marked_head = _mark_product(g.universe.full_mask & ~tail,
+                                [s for part, s in zip(parts, per_part) if not part & last])
+    offers = g.offer_tables[-1]
+    runs: dict[int, list[int]] = {}
+    blocks = []
+    for prefix in _prefixes(g):
+        if marked_head[prefix & ~tail]:
+            context = prefix & tail
+            run = runs.get(context)
+            if run is None:
+                run = runs[context] = [o for o in offers if marked_tail[context + o]]
+            if run:
+                blocks.append((prefix, run))
+    return ProfileSequence(g, blocks, per_part, tail)
 
 
 def _part_equilibria(g: GameInstance, pays, part: int) -> list[int]:
@@ -498,11 +553,13 @@ def _part_equilibria(g: GameInstance, pays, part: int) -> list[int]:
     return [u for u in submasks_of(part) if stable[u]]
 
 
-def _mark_product(count: int, per_part: list[list[int]]) -> bytearray:
-    """Mark every union that takes one stable union from each part, streamed
-    from the product: parts are disjoint, so a sum is a union."""
-    marked = bytearray(count)
-    *heads, last = sorted(per_part, key=len)
+def _mark_product(mask: int, per_part: list[list[int]]) -> bytearray:
+    """Mark, among the subsets of ``mask``, every union that takes one
+    stable union from each of ``per_part`` (only the empty set for no
+    parts), streamed from the product: parts are disjoint, so a sum is a
+    union."""
+    marked = bytearray(mask + 1)
+    *heads, last = sorted(per_part, key=len) or [[0]]
     for base in map(sum, product(*heads)):
         for u in last:
             marked[base + u] = 1

@@ -12,8 +12,7 @@ import io
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .analysis import EquilibriumReport
 from .items import Universe
@@ -341,56 +340,93 @@ def payoff_table_obj(g: GameInstance, outcomes) -> dict[str, Any]:
 # -- reports ---------------------------------------------------------------
 
 
-def _equilibrium_cells(g: GameInstance, nes: ProfileSequence, welfare: bool = False) -> Iterator:
-    """The text of each equilibrium's profile in order, or with ``welfare``
-    its ``(profile, welfare)`` texts, rendered from the unions.
+def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Iterator:
+    """Each block of ``nes`` as its prefix's text (every vendor's offer but
+    the last, each followed by "|") and a list with one entry per
+    equilibrium in it: the last vendor's offer's text, or with ``line``,
+    ``line(offer text, welfare text)``.
 
-    Each vendor's offers are formatted once; then each run of offers before
-    the last vendor's, and each distinct integer welfare, is rendered once,
-    so an equilibrium costs a few cached lookups.
+    Each vendor's offer and each distinct welfare is formatted once, and a
+    block's list is built once per context c = p & tail of its prefix p
+    and base welfare ``table[p & ~tail]``: v adds up across ``tail``, and
+    v(empty) = 0, so ``table[p + o] == table[p & ~tail] + table[c + o]``.
+    The lists kept for reuse hold at most about 65,536 texts, so a game
+    whose contexts never repeat (one part, say) is still streamed.
     """
     u = g.universe
-    *head, last = g.vendor_masks
-    offers = {offer: u.format_set(offer) for table in g.offer_tables for offer in table}
-    prefix = cache(lambda union: "".join(offers[union & owned] + "|" for owned in head))
-    before_last = u.full_mask & ~last
-    profiles = (prefix(x & before_last) + offers[x & last] for x in nes.unions)
-    if not welfare:
-        return profiles
-    table, scale = g.valuation.dense_scaled()
-    value = cache(lambda w: _fmt(Fraction(w, scale)))
-    return zip(profiles, (value(table[x]) for x in nes.unions))
+    head_masks = g.vendor_masks[:-1]
+    offers = {offer: u.format_set(offer) for own in g.offer_tables for offer in own}
+    tail = nes.tail
+    if line is not None:
+        table, scale = g.valuation.dense_scaled()
+        value = cache(lambda w: _fmt(Fraction(w, scale)))
+    built: dict[tuple[int, int], list] = {}
+    held = 0
+    for prefix, block in nes.blocks:
+        context = prefix & tail
+        base = 0 if line is None else table[prefix & ~tail]
+        texts = built.get((context, base))
+        if texts is None:
+            if held > 1 << 16:
+                built.clear()
+                held = 0
+            held += len(block)
+            if line is None:
+                texts = [offers[o] for o in block]
+            else:
+                texts = [line(offers[o], value(base + table[context + o])) for o in block]
+            built[context, base] = texts
+        yield "".join(offers[prefix & owned] + "|" for owned in head_masks), texts
 
 
-def _join_lines(head: str, lines: Iterable[str], tail: list[str]) -> Iterator[str]:
-    """``head``, ``lines`` and ``tail`` joined by newlines, a piece at a time:
-    ``head``, each chunk of up to 4,096 ``lines``, then each tail line, each
-    led by its newline.  Neither the whole text nor all the lines are held."""
+def _listing(g: GameInstance, nes: ProfileSequence, head: str, tail: list[str],
+             line=None) -> Iterator[str]:
+    """``head``, a line per equilibrium ("  " and the profile, then what
+    ``line`` adds) and the ``tail`` lines, joined by newlines a piece at a
+    time: ``head``, pieces of up to 4,096 equilibrium lines, then each tail
+    line, each led by its newline.  A piece packs consecutive blocks, each
+    joined with one ``str.join``, and a block longer than a piece is split.
+    Neither the whole text nor all the lines are held."""
     yield head
-    lines = iter(lines)
-    while chunk := list(islice(lines, 4096)):
-        yield "\n" + "\n".join(chunk)
-    for line in tail:
-        yield "\n" + line
+    piece: list[str] = []
+    size = 0
+    for prefix, texts in _equilibrium_blocks(g, nes, line):
+        lead = "\n  " + prefix
+        for i in range(0, len(texts), 4096):
+            run = texts[i:i + 4096]
+            if size + len(run) > 4096:
+                yield "".join(piece)
+                piece, size = [], 0
+            piece.append(lead + lead.join(run))
+            size += len(run)
+    if piece:
+        yield "".join(piece)
+    for text in tail:
+        yield "\n" + text
 
 
 def equilibria_to_obj(g: GameInstance, nes: ProfileSequence) -> dict[str, Any]:
-    return {"count": len(nes), "equilibria": list(_equilibrium_cells(g, nes))}
+    return {
+        "count": len(nes),
+        "equilibria": [
+            prefix + offer for prefix, texts in _equilibrium_blocks(g, nes) for offer in texts
+        ],
+    }
 
 
 def equilibria_to_text(g: GameInstance, nes: ProfileSequence) -> Iterator[str]:
     """The ``ne`` text listing as an iterator of pieces, rendered as they are
-    read: the count line, then the equilibria a chunk of lines at a time.
+    read: the count line, then the equilibria a piece at a time.
     ``"".join`` of the pieces gives the text, without a final newline."""
-    lines = (f"  {p}" for p in _equilibrium_cells(g, nes))
-    return _join_lines(f"{len(nes)} pure Nash equilibria", lines, [])
+    return _listing(g, nes, f"{len(nes)} pure Nash equilibria", [])
 
 
 def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
     return {
         "equilibria": [
-            {"profile": p, "welfare": w}
-            for p, w in _equilibrium_cells(g, report.profiles, welfare=True)
+            {"profile": prefix + offer, "welfare": w}
+            for prefix, pairs in _equilibrium_blocks(g, report.profiles, lambda o, w: (o, w))
+            for offer, w in pairs
         ],
         "optimal_welfare": _fmt(report.optimal_welfare),
         "poa": None if report.poa is None else _fmt(report.poa),
@@ -402,13 +438,10 @@ def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
 
 def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
     """The ``poa`` text listing as an iterator of pieces, rendered as they
-    are read: the count line, the equilibria with their welfare a chunk of
-    lines at a time, then the optimum and the PoA/PoS lines.  ``"".join`` of
-    the pieces gives the text, without a final newline."""
+    are read: the count line, the equilibria with their welfare a piece at
+    a time, then the optimum and the PoA/PoS lines.  ``"".join`` of the
+    pieces gives the text, without a final newline."""
     m = g.max_vendor_size
-    lines = (
-        f"  {p}  welfare {w}" for p, w in _equilibrium_cells(g, report.profiles, welfare=True)
-    )
     tail = [f"optimal welfare = {_fmt(report.optimal_welfare)}"]
     if report.poa is None:
         tail.append("PoA undefined (no pure NE)")
@@ -420,7 +453,8 @@ def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
             f"{_fmt(report.welfare_ratio_bound)}, {verdict}"
         )
         tail.append(f"PoS = {_fmt(report.pos)}")
-    return _join_lines(f"{len(report.profiles)} pure Nash equilibria", lines, tail)
+    head = f"{len(report.profiles)} pure Nash equilibria"
+    return _listing(g, report.profiles, head, tail, "{}  welfare {}".format)
 
 
 def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:

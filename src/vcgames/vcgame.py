@@ -372,6 +372,7 @@ def vc_best_response(
     """
     _require_certified(g)
     g.check_vendor(vendor)
+    p.check_universe(g.universe)
     prices, revenue, target = _tier(method)(g, vendor, p)
     realized = _sale(g, p.replace(prices))[1][vendor]
     return BestResponse(vendor, method, prices, revenue, realized, target)
@@ -411,6 +412,7 @@ def vc_verify_ne(
     price vector without a deviation found is ``not-refuted``.
     """
     _require_certified(g)
+    p.check_universe(g.universe)
     tier = _tier(method)
     _, paid = _sale(g, p)
     checks = []
@@ -476,6 +478,8 @@ def br_dynamics(
     _require_certified(g)
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if isinstance(start, PriceVector):
+        start.check_universe(g.universe)
     if mode == "discrete":
         if isinstance(start, PriceVector):
             start, _ = map_to_pmvc(g, start)

@@ -51,6 +51,12 @@ COMMANDS = [
     ("check", *CE),
     ("bestresp", *CE, "--vendor", "5"),
     ("table", *CE, "--eps", "0"),
+    *(
+        (cmd, "--gen", spec, "--format", fmt)
+        for spec in ("harmonic:1,13", "random:8,8,3,additive-concave")
+        for cmd in ("ne", "poa")
+        for fmt in ("text", "json")
+    ),
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcgames import (
+    GameInstance,
     ProfileSequence,
     StrategyProfile,
     all_profiles,
@@ -28,6 +29,8 @@ from vcgames import (
     random_instance,
 )
 from vcgames.cli import main
+from vcgames.items import Universe
+from vcgames.valuation import TableValuation
 from vcgames.rationals import format_rational
 from vcgames.serialize import equilibria_to_text, load_instance, report_to_obj, report_to_text
 
@@ -180,6 +183,147 @@ def test_text_listing_comes_in_chunks(command):
     assert cli(command, "--gen", "harmonic:2,7") == (0, head + "".join(rest) + "\n")
 
 
+def test_a_block_longer_than_a_piece_is_split():
+    # one vendor, 13 items: 8,191 equilibria in one block
+    g = harmonic_instance(1, 13)
+    nes = pmvc_pure_ne(g)
+    assert nes.blocks == [(0, list(range(1, 1 << 13)))]
+    for command, pieces in (
+        ("ne", equilibria_to_text(g, nes)),
+        ("poa", report_to_text(g, equilibrium_report(g))),
+    ):
+        pieces = list(pieces)
+        listed = [piece.count("\n  ") for piece in pieces[1:]]
+        assert sum(n > 0 for n in listed) > 1
+        assert max(listed) <= 4096
+        assert sum(listed) == 8191
+        assert cli(command, "--gen", "harmonic:1,13") == (0, "".join(pieces) + "\n")
+
+
+# -- the block walk on composite games --------------------------------------
+
+
+class PartsTable(TableValuation):
+    """An explicit table that adds up over the given parts."""
+
+    def __init__(self, universe, values, parts):
+        super().__init__(universe, values)
+        self.parts = parts
+
+    def components(self):
+        return self.parts
+
+
+def monotone_table(rng_values, n):
+    """A monotone table from raw values: each set is raised to the largest
+    value of a set one item smaller."""
+    values = [Fraction(0)] + [Fraction(x) for x in rng_values[: (1 << n) - 1]]
+    for mask in range(1, 1 << n):
+        values[mask] = max([values[mask]] + [values[mask ^ (1 << i)] for i in range(n) if mask >> i & 1])
+    return values
+
+
+def spread_parts(part_tables, order):
+    """The sum of per-part tables, part p on the items ``order`` gives it,
+    as a ``PartsTable``."""
+    n = len(order)
+    items, parts, start = [], [], 0
+    for values in part_tables:
+        size = (len(values) - 1).bit_length()
+        items.append(order[start:start + size])
+        parts.append(sum(1 << i for i in items[-1]))
+        start += size
+    totals = []
+    for mask in range(1 << n):
+        total = Fraction(0)
+        for values, own in zip(part_tables, items):
+            total += values[sum(1 << j for j, i in enumerate(own) if mask >> i & 1)]
+        totals.append(total)
+    return PartsTable(Universe(tuple("abcdefgh"[:n])), totals, tuple(parts))
+
+
+COUNTEREXAMPLE_TABLE = counterexample_instance().valuation.values
+
+
+@st.composite
+def composite_games(draw):
+    """A game with its vendor sets drawn across its parts, or one vendor per
+    part, possibly with an itemless vendor first or last."""
+    kind = draw(st.sampled_from(["parts", "additive-concave", "cdsp", "uncertified"]))
+    seed = draw(st.integers(0, 10_000))
+    pinned = {}  # item -> vendor
+    if kind == "parts":
+        # coverage tables of 1..3 items, or the counterexample, whose items
+        # keep their two vendors {a, b} | {c, d}: a part with no pure NE
+        tables, n = [], 0
+        while n < draw(st.integers(2, 5)):
+            if draw(st.integers(0, 4)) == 0:
+                tables.append(COUNTEREXAMPLE_TABLE)
+                n += 4
+            else:
+                m = draw(st.integers(1, 3))
+                tables.append(random_instance(draw(st.integers(0, 999)), m, 1).valuation.values)
+                n += m
+        order = draw(st.permutations(range(n)))
+        v = spread_parts(tables, order)
+        start = 0
+        for values in tables:
+            if values is COUNTEREXAMPLE_TABLE:
+                pinned.update(zip(order[start:start + 4], (0, 0, 1, 1)))
+            start += (len(values) - 1).bit_length()
+    elif kind == "additive-concave":
+        n = draw(st.integers(2, 7))
+        v = random_instance(seed, n, 1, kind).valuation
+    elif kind == "cdsp":
+        n = draw(st.integers(2, 7))
+        v = cdsp_instance(random_cdsp_spec(seed, n, draw(st.integers(1, n)))).valuation
+    else:
+        n = draw(st.integers(1, 5))
+        raw = draw(st.lists(st.integers(0, 3), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+        v = TableValuation(Universe(tuple("abcdefgh"[:n])), monotone_table(raw, n))
+    k = draw(st.integers(2 if pinned else 1, 3))
+    if draw(st.booleans()):
+        owner = draw(st.lists(st.integers(0, k - 1), min_size=v.universe.n, max_size=v.universe.n))
+    else:
+        parts = v.components()
+        by_part = draw(st.lists(st.integers(0, k - 1), min_size=len(parts), max_size=len(parts)))
+        owner = [next(o for part, o in zip(parts, by_part) if part >> i & 1) for i in range(v.universe.n)]
+    for item, vendor in pinned.items():
+        owner[item] = vendor
+    masks = [sum(1 << i for i, o in enumerate(owner) if o == j) for j in range(k)]
+    empty = draw(st.sampled_from([None, "first", "last"]))
+    if empty == "first":
+        masks.insert(0, 0)
+    elif empty == "last":
+        masks.append(0)
+    return GameInstance(v, masks, allow_uncertified=kind == "uncertified")
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_games(), st.sampled_from([None, Fraction(1, 7)]))
+def test_block_walk_matches_brute_force(g, undercut):
+    expected = reference_ne(g, undercut)
+    nes = pmvc_pure_ne(g, undercut=undercut)
+    assert list(nes) == expected
+    assert len(nes) == len(expected)
+    text, _ = reference_ne_outputs(g, expected)
+    assert "".join(equilibria_to_text(g, nes)) + "\n" == text
+    if undercut is not None:
+        return
+    welfares = [g.valuation.value_mask(s.union_mask) for s in expected]
+    opt = g.valuation.value_mask(g.universe.full_mask)
+    if expected and opt and min(welfares) <= 0:
+        # only an uncertified table gets here
+        assert not g.certified
+        with pytest.raises(ValueError, match="no welfare ratio"):
+            equilibrium_report(g)
+        return
+    rep = equilibrium_report(g)
+    if expected:
+        assert (rep.poa, rep.pos) == ((opt / min(welfares), opt / max(welfares)) if opt else (1, 1))
+    assert "".join(report_to_text(g, rep)) == reference_report(g, expected)[0]
+
+
 # -- the lazy sequence -----------------------------------------------------
 
 
@@ -216,6 +360,17 @@ def test_profile_sequence_contract(g):
     assert nes != set(expected)
     assert expected[1] in nes
     assert expected[0] not in nes[1:]
+
+
+def test_cap_sized_listing_is_counted_and_reported_from_blocks():
+    # 31^4 = 923,521 equilibria at the 20-item cap
+    g = harmonic_instance(4, 5)
+    nes = pmvc_pure_ne(g)
+    assert len(nes) == 923_521
+    assert len(nes.blocks) == 31**3
+    rep = equilibrium_report(g)
+    assert (rep.poa, rep.pos) == (harmonic_number(5), 1)
+    assert "unions" not in vars(nes) and "unions" not in vars(rep.profiles)
 
 
 def test_profile_sequence_empty():

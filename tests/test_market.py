@@ -131,6 +131,12 @@ def test_demand_universe_mismatch():
         demand(V, p)
 
 
+def test_demand_all_universe_mismatch():
+    p = PriceVector(Universe(U.names[:3]), (Fraction(0),) * 3)
+    with pytest.raises(ValueError, match="price vector universe mismatch"):
+        demand_all(V, p)
+
+
 def test_demand_all_example():
     p = priced(a="2.601", c="2.201")
     masks = demand_all(V, p)

@@ -121,6 +121,28 @@ def test_best_response_argument_errors():
         vc_best_response(G, 0, p, "newton")
 
 
+# prices over three of the counterexample's four items
+SHORT = PriceVector(Universe(U.names[:3]), (SENT,) * 3)
+
+
+@pytest.mark.parametrize("method", ["candidate-set", "target-set-exact", "grid"])
+def test_best_response_refuses_prices_over_another_universe(method):
+    with pytest.raises(ValueError, match="price vector universe mismatch"):
+        vc_best_response(G, 0, SHORT, method)
+
+
+@pytest.mark.parametrize("method", ["candidate-set", "target-set-exact", "grid"])
+def test_verify_refuses_prices_over_another_universe(method):
+    with pytest.raises(ValueError, match="price vector universe mismatch"):
+        vc_verify_ne(G, SHORT, method)
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_dynamics_refuses_prices_over_another_universe(mode):
+    with pytest.raises(ValueError, match="price vector universe mismatch"):
+        br_dynamics(G, SHORT, mode)
+
+
 def test_vendor_game_refuses_uncertified():
     v = TableValuation(Universe(("x", "y")), [0, 1, 1, 3])
     g = GameInstance(v, (0b11,), allow_uncertified=True)
