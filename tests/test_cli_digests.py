@@ -57,6 +57,12 @@ COMMANDS = [
         for cmd in ("ne", "poa")
         for fmt in ("text", "json")
     ),
+    *(
+        ("ne", "--gen", spec, "--format", fmt, "--eps", "1/7")
+        for spec in ("cdsp_random:4,7,3,3", "random:8,8,3,additive-concave")
+        for fmt in ("text", "json")
+    ),
+    ("table", "--gen", "harmonic:2,3", "--format", "csv", "--eps", "1/7"),
 ]
 
 
