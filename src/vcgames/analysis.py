@@ -77,10 +77,12 @@ class EquilibriumReport:
     optimal welfare, and the anarchy/stability ratios.
 
     ``profiles`` is the lazy sequence ``pmvc_pure_ne`` returns, held in
-    blocks; ``equilibria`` pairs each profile with its welfare, built on
-    first access and kept.  ``welfare_ratio_bound`` is 1 plus the harmonic
-    number of the largest vendor's catalogue size; ``bound_satisfied``
-    records whether every equilibrium's welfare ratio stays within it.
+    blocks; ``equilibria`` pairs each profile with its welfare, summed over
+    the valuation's part tables a block at a time
+    (``ProfileSequence.value_blocks``), built on first access and kept.
+    ``welfare_ratio_bound`` is 1 plus the harmonic number of the largest
+    vendor's catalogue size; ``bound_satisfied`` records whether every
+    equilibrium's welfare ratio stays within it.
     """
 
     profiles: ProfileSequence
@@ -92,10 +94,14 @@ class EquilibriumReport:
 
     @cached_property
     def equilibria(self) -> tuple[tuple[StrategyProfile, Fraction], ...]:
-        table, scale = self.profiles.game.valuation.dense_scaled()
-        unions = self.profiles.unions
-        value = {w: Fraction(w, scale) for w in set(map(table.__getitem__, unions))}
-        return tuple(zip(self.profiles, (value[table[u]] for u in unions)))
+        values = self.profiles.game.valuation.part_tables()
+        welfares = [
+            base + w
+            for _, _, base, rest in self.profiles.value_blocks(values.value)
+            for w in rest
+        ]
+        value = {w: Fraction(w, values.scale) for w in set(welfares)}
+        return tuple(zip(self.profiles, map(value.__getitem__, welfares)))
 
     @property
     def has_equilibrium(self) -> bool:
@@ -110,18 +116,21 @@ def equilibrium_report(
     With a monotone valuation the optimal welfare is the value of the whole
     item set.  When the optimum is zero, monotonicity plus submodularity force
     every set's value to zero, so both ratios degenerate to 1.  Welfare is
-    aggregated in integers over the dense table's scale: an equilibrium
-    takes one stable union from each part of ``profiles.parts``, and v adds
-    over the parts, so the worst welfare is the sum of the parts' least
-    values and the best the sum of their greatest.
+    aggregated in integers over the scale of the valuation's part tables
+    (``Valuation.part_tables``, cached; the NE pass of a certified game
+    built them): an equilibrium takes one stable union from each part of
+    ``profiles.parts``, and v adds over the parts, so the worst welfare is
+    the sum of the parts' least values and the best the sum of their
+    greatest.
     """
     nes = pmvc_pure_ne(g, cap=cap)
-    table, scale = g.valuation.dense_scaled()  # cached; the certified NE pass built it
-    opt = Fraction(table[g.universe.full_mask], scale)
+    values = g.valuation.part_tables()
+    value, scale = values.value, values.scale
+    opt = Fraction(value(g.universe.full_mask), scale)
     bound = harmonic_number(g.max_vendor_size) + 1
     if not nes:
         return EquilibriumReport(nes, opt, None, None, bound, True)
-    worst = sum(min(map(table.__getitem__, part)) for part in nes.parts)
+    worst = sum(min(map(value, part)) for part in nes.parts)
     if opt == 0:
         poa = pos = Fraction(1)
     elif worst <= 0:
@@ -132,7 +141,7 @@ def equilibrium_report(
         )
     else:
         poa = opt / Fraction(worst, scale)
-        best = sum(max(map(table.__getitem__, part)) for part in nes.parts)
+        best = sum(max(map(value, part)) for part in nes.parts)
         pos = opt / Fraction(best, scale)
     return EquilibriumReport(
         profiles=nes,

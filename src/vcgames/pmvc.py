@@ -18,8 +18,9 @@ When v adds up over the disjoint parts of ``Valuation.components()``,
 one inside its part, and a vendor's payoff is the sum of its per-part
 payoffs.  A profile is then a pure equilibrium exactly when each part's
 sub-profile is one of that part's game, so ``pmvc_pure_ne`` solves the parts
-one at a time and takes their product.  An uncertified game is one part:
-the buyer's largest-bitmask fallback does not split by part.
+one at a time, each over its own value table (``Valuation.part_tables``),
+and takes their product.  An uncertified game is one part: the buyer's
+largest-bitmask fallback does not split by part.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
 from .market import DemandResult, PriceVector, demand, sentinel_price
-from .rationals import exact, format_rational
-from .valuation import Valuation, common_scale
+from .rationals import exact, format_rational, integers
+from .valuation import Valuation
 
 __all__ = [
     "GameInstance",
@@ -240,6 +241,32 @@ class ProfileSequence(Sequence[StrategyProfile]):
     def unions(self) -> list[int]:
         return list(self._walk())
 
+    def value_blocks(self, value) -> Iterator[tuple[int, list[int], int, list[int]]]:
+        """Each block with the values of its unions split in two,
+        ``(prefix, offers, base, rest)`` with ``value(prefix + o) == base +
+        rest[j]`` for the j-th offer o, where ``value`` (v over some scale,
+        say) adds up over the valuation's parts and is 0 on the empty set.
+
+        Since ``tail`` is a union of parts, ``base`` is ``value(prefix &
+        ~tail)``, read once a block, and ``rest`` lists ``value(c + o)``
+        for the context c = prefix & tail, read once per context: blocks
+        with one context list the same offers.  The lists kept for reuse
+        hold at most about 65,536 values.
+        """
+        tail = self.tail
+        kept: dict[int, list[int]] = {}
+        held = 0
+        for prefix, offers in self.blocks:
+            context = prefix & tail
+            rest = kept.get(context)
+            if rest is None:
+                if held > 1 << 16:
+                    kept.clear()
+                    held = 0
+                held += len(offers)
+                rest = kept[context] = [value(context + o) for o in offers]
+            yield prefix, offers, value(prefix & ~tail), rest
+
     def __len__(self) -> int:
         return self._len
 
@@ -280,24 +307,40 @@ class MarginalPricing:
     """The mechanism's prices of one game at one undercut, as integers over
     one scale.
 
-    ``table[U] / scale`` is v(U), ``eps / scale`` the undercut (0 when there
-    is none) and ``sentinel / scale`` the withheld price v(A*) + 1, all from
-    ``valuation.common_scale``.  ``table`` is the cached dense table itself
-    when that is already over the scale, else one copy of it times f.
-    ``fraction`` turns an integer over the scale into a Fraction once, so
-    equal prices and payoffs share one object.
+    ``values`` holds v as one table per additive part of the valuation
+    (``Valuation.part_tables``), ``values.value(U) / scale`` being v(U);
+    ``eps / scale`` is the undercut (0 when there is none) and
+    ``sentinel / scale`` the withheld price v(A*) + 1.  The scale is the
+    lcm of the tables' and those two's denominators; ``values`` is the
+    valuation's cached part tables themselves when they are already over
+    it, else one copy of them times f.  An item's marginal is one inside its
+    part, so prices and welfare read only the part tables.  ``table``, the
+    dense table over the scale, is built only for a best reply, which scans
+    every offer of a vendor.  ``fraction`` turns an integer over the scale
+    into a Fraction once, so equal prices and payoffs share one object.
     """
 
     def __init__(self, g: GameInstance, undercut: Fraction | None):
         if undercut is not None and undercut <= 0:
             raise ValueError("undercut epsilon must be positive")
-        v = g.valuation
+        self.valuation = v = g.valuation
         self.universe = g.universe
-        table, f, self.scale, (self.eps, self.sentinel) = common_scale(
-            v, [undercut or Fraction(0), sentinel_price(v)]
+        values = v.part_tables()
+        (self.eps, self.sentinel), self.scale = integers(
+            [undercut or Fraction(0), sentinel_price(v)], values.scale
         )
-        self.table = table if f == 1 else [x * f for x in table]
+        self.values = values.scaled(self.scale // values.scale)
         self._fractions: dict[int, Fraction] = {}
+
+    @cached_property
+    def table(self) -> list[int]:
+        """v(U) over the scale for every U: the one part's table, or the
+        cached dense table itself or one copy of it times f."""
+        if len(self.values.tables) == 1:
+            return self.values.tables[0]
+        table, scale = self.valuation.dense_scaled()
+        f = self.scale // scale
+        return table if f == 1 else [x * f for x in table]
 
     def fraction(self, x: int) -> Fraction:
         q = self._fractions.get(x)
@@ -307,23 +350,28 @@ class MarginalPricing:
 
     def prices(self, union: int) -> list[int]:
         """Each item's price over the scale when ``union`` is offered: an
-        offered item's marginal ``table[U] - table[U ^ bit]``, less the
-        undercut and clamped at 0, and the sentinel for a withheld item.
-        Without an undercut a negative marginal is refused."""
-        table, eps = self.table, self.eps
-        v_union = table[union]
+        offered item's marginal v(U) - v(U - item), read from its part's
+        table, less the undercut and clamped at 0, and the sentinel for a
+        withheld item.  Without an undercut a negative marginal is
+        refused."""
+        eps = self.eps
+        packed = self.values.pack(union)
         out = [self.sentinel] * self.universe.n
-        for item in bits_of(union):
-            m = v_union - table[union ^ (1 << item)]
-            if eps:  # positive exactly when there is an undercut
-                m = max(m - eps, 0)
-            elif m < 0:
-                u = self.universe
-                raise ValueError(
-                    f"valuation is not monotone: item {u.names[item]} has marginal "
-                    f"{format_rational(self.fraction(m))} at {u.format_set(union ^ (1 << item))}"
-                )
-            out[item] = m
+        for table, offset, low, items in self.values.fields:
+            local = packed >> offset & low
+            v_local = table[local]
+            for j in bits_of(local):
+                m = v_local - table[local ^ (1 << j)]
+                if eps:  # positive exactly when there is an undercut
+                    m = max(m - eps, 0)
+                elif m < 0:
+                    u, item = self.universe, items[j]
+                    raise ValueError(
+                        f"valuation is not monotone: item {u.names[item]} has marginal "
+                        f"{format_rational(self.fraction(m))} "
+                        f"at {u.format_set(union ^ (1 << item))}"
+                    )
+                out[items[j]] = m
         return out
 
     def price_vector(self, prices: list[int]) -> PriceVector:
@@ -356,11 +404,11 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
     payoffs = tuple(
         rule.fraction(sum(prices[i] for i in bits_of(chosen & offer))) for offer in s.offers
     )
-    welfare = rule.fraction(rule.table[chosen])
+    welfare = rule.fraction(rule.values.value(chosen))
     return Outcome(s, p, chosen, payoffs, d.utility, welfare, d)
 
 
-def _payoff_rule(g: GameInstance, undercut: Fraction | None):
+def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
     """The offer game's payoffs as ``pays(rest, i, mine)``: vendor i's payoff
     for each of its offers inside ``mine`` in ``g.offers_in(mine)`` order,
     the others' offers making up ``rest``.  Payoffs compare exactly within
@@ -368,12 +416,13 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
-    marginal: one block reads the 2^|mine| entries of the pricing's
-    ``table`` once and takes every marginal from them.  Others run
-    ``pmvc_outcome`` once per union, on the profile ``g.profile_of(union)``,
-    and need ``mine`` to be all of A_i.
+    marginal: ``table`` is v over that scale on the masks the rule is asked
+    about (a part's local masks, or all of the universe's), and one block
+    reads its 2^|mine| entries once and takes every marginal from them.
+    Others run ``pmvc_outcome`` once per union, on the profile
+    ``g.profile_of(union)``, and need global masks and ``mine`` to be all
+    of A_i.
     """
-    rule = g.pricing(undercut)
     offers_in = g.offers_in
     if not g.certified:
         outcomes: dict[int, tuple[Fraction, ...]] = {}
@@ -388,7 +437,7 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None):
             return out
 
         return pays
-    table, eps = rule.table, rule.eps
+    eps = g.pricing(undercut).eps
     drops_of = g.offer_drops
 
     def pays(rest: int, vendor: int, mine: int) -> list[int]:
@@ -478,7 +527,8 @@ def pmvc_best_response(
     offers = others.offers if isinstance(others, StrategyProfile) else others
     rest = StrategyProfile(tuple(0 if j == vendor else o for j, o in enumerate(offers)))
     g.check_profile(rest)
-    block = _payoff_rule(g, undercut)(rest.union_mask, vendor, g.vendor_masks[vendor])
+    pays = _payoff_rule(g, undercut, g.pricing(undercut).table)
+    block = pays(rest.union_mask, vendor, g.vendor_masks[vendor])
     best = max(block)
     return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
 
@@ -496,11 +546,12 @@ def pmvc_pure_ne(
     parts of ``Valuation.components()``, every price and every vendor's
     payoff split by part, so a profile is an equilibrium exactly when each
     part's sub-profile is one of that part's game.  Each part is solved on
-    its own (an uncertified game is one part: the buyer's largest-bitmask
-    fallback does not split), and the equilibria are the product of the
-    parts'.  In a part, one pass per vendor owning items there groups the
-    part's subsets by the others' offers, evaluates each payoff once, and
-    drops those where the vendor falls short of its best reply.
+    its own, over its local masks and its table in ``g.pricing(undercut)``
+    (an uncertified game is one part: the buyer's largest-bitmask fallback
+    does not split), and the equilibria are the product of the parts'.  In
+    a part, one pass per vendor owning items there groups the part's
+    subsets by the others' offers, evaluates each payoff once, and drops
+    those where the vendor falls short of its best reply.
 
     The product is listed a block at a time.  The parts meeting the last
     vendor's items make up ``tail``; a prefix p is kept when its items
@@ -510,11 +561,19 @@ def pmvc_pure_ne(
     profile is built only when the sequence is read.
     """
     _profile_count(g, cap)
-    parts = g.valuation.components() if g.certified else (g.universe.full_mask,)
-    pays = _payoff_rule(g, undercut)
+    if g.certified:
+        values = g.pricing(undercut).values
+        parts = values.parts
+        games = [
+            (table, [values.local(k, owned) for owned in g.vendor_masks], values.globals(k))
+            for k, table in enumerate(values.tables)
+        ]
+    else:
+        parts = (g.universe.full_mask,)
+        games = [(None, g.vendor_masks, range(1 << g.universe.n))]
     per_part = []
-    for part in parts:
-        per_part.append(_part_equilibria(g, pays, part))
+    for table, mines, unions in games:
+        per_part.append(_part_equilibria(g, _payoff_rule(g, undercut, table), mines, unions))
         if not per_part[-1]:
             return ProfileSequence.of_unions(g, [])
     last = g.vendor_masks[-1]
@@ -536,21 +595,24 @@ def pmvc_pure_ne(
     return ProfileSequence(g, blocks, per_part, tail)
 
 
-def _part_equilibria(g: GameInstance, pays, part: int) -> list[int]:
-    """The stable unions inside ``part`` of the part's own game."""
-    stable = bytearray(b"\x01") * (part + 1)
-    for i, owned in enumerate(g.vendor_masks):
-        mine = owned & part
+def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],
+                     unions: Sequence[int]) -> list[int]:
+    """The stable unions of one part's own game, descending, solved over
+    the part's local masks: ``mines[i]`` is vendor i's local mask there and
+    ``unions[l]`` the global mask of local mask l."""
+    full = len(unions) - 1
+    stable = bytearray(b"\x01") * (full + 1)
+    for i, mine in enumerate(mines):
         if not mine:
             continue
         offers = g.offers_in(mine)
-        for rest in submasks_of(part & ~owned):
+        for rest in submasks_of(full & ~mine):
             block = pays(rest, i, mine)
             best = max(block)
             for offer, p in zip(offers, block):
                 if p != best:
                     stable[rest | offer] = 0
-    return [u for u in submasks_of(part) if stable[u]]
+    return [unions[u] for u in range(full, -1, -1) if stable[u]]
 
 
 def _mark_product(mask: int, per_part: list[list[int]]) -> bytearray:

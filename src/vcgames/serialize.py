@@ -348,24 +348,27 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Ite
 
     Each vendor's offer and each distinct welfare is formatted once, and a
     block's list is built once per context c = p & tail of its prefix p
-    and base welfare ``table[p & ~tail]``: v adds up across ``tail``, and
-    v(empty) = 0, so ``table[p + o] == table[p & ~tail] + table[c + o]``.
-    The lists kept for reuse hold at most about 65,536 texts, so a game
-    whose contexts never repeat (one part, say) is still streamed.
+    and base welfare v(p & ~tail), summed over the valuation's part tables
+    (``ProfileSequence.value_blocks``): v adds up across ``tail``, and
+    v(empty) = 0, so v(p + o) = v(p & ~tail) + v(c + o).  The lists kept
+    for reuse hold at most about 65,536 texts, so a game whose contexts
+    never repeat (one part, say) is still streamed.
     """
     u = g.universe
     head_masks = g.vendor_masks[:-1]
     offers = {offer: u.format_set(offer) for own in g.offer_tables for offer in own}
     tail = nes.tail
-    if line is not None:
-        table, scale = g.valuation.dense_scaled()
-        value = cache(lambda w: _fmt(Fraction(w, scale)))
+    if line is None:
+        blocks = ((prefix, block, 0, None) for prefix, block in nes.blocks)
+    else:
+        values = g.valuation.part_tables()
+        blocks = nes.value_blocks(values.value)
+        value = cache(lambda w: _fmt(Fraction(w, values.scale)))
     built: dict[tuple[int, int], list] = {}
     held = 0
-    for prefix, block in nes.blocks:
-        context = prefix & tail
-        base = 0 if line is None else table[prefix & ~tail]
-        texts = built.get((context, base))
+    for prefix, block, base, rest in blocks:
+        key = (prefix & tail, base)
+        texts = built.get(key)
         if texts is None:
             if held > 1 << 16:
                 built.clear()
@@ -374,8 +377,8 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Ite
             if line is None:
                 texts = [offers[o] for o in block]
             else:
-                texts = [line(offers[o], value(base + table[context + o])) for o in block]
-            built[context, base] = texts
+                texts = [line(offers[o], value(base + w)) for o, w in zip(block, rest)]
+            built[key] = texts
         yield "".join(offers[prefix & owned] + "|" for owned in head_masks), texts
 
 

@@ -13,20 +13,26 @@ Three representations are supported:
 
 Structured kinds compute values from their structure (never from an expanded
 table); ``expand_to_table`` exists for cross-checking.  All values are
-``Fraction``; hot paths use a dense integer table over a common denominator,
-which is exact and much faster than repeated Fraction arithmetic.
+``Fraction``; hot paths use integer tables over a common denominator, which
+is exact and much faster than repeated Fraction arithmetic.  Work that reads
+the subsets of each additive part only (the offer game's prices, its
+equilibria and their welfare) reads ``Valuation.part_tables``, one table per
+part; the dense 2^n table is built for the scans over every subset (demand,
+the exhaustive checks, best replies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .items import Universe, bits_of
+from .items import Universe, bits_of, subset_sums
 from .rationals import exact, integers
 
 __all__ = [
     "Valuation",
+    "PartTables",
     "TableValuation",
     "AdditiveGroupsValuation",
     "CategoryMaxValuation",
@@ -63,6 +69,7 @@ class Valuation:
         self.universe = universe
         self._dense: tuple[list[int], int] | None = None
         self._spread: int | None = None
+        self._parts: PartTables | None = None
 
     # -- value queries ---------------------------------------------------
 
@@ -98,6 +105,47 @@ class Valuation:
         if self._dense is None:
             self._dense = self._fill_dense()
         return self._dense
+
+    def part_tables(self) -> "PartTables":
+        """v as one value table per part of ``components()``, all over the
+        scale of ``dense_scaled``.  Part P's table is the dense table of v
+        restricted to P's items (``_Part``); with one part it is the dense
+        table itself.  Built once per instance."""
+        if self._parts is None:
+            parts = self.components()
+            if len(parts) == 1:
+                table, scale = self.dense_scaled()
+                tables: tuple[list[int], ...] = (table,)
+            else:
+                built = [_Part(self, part).dense_scaled() for part in parts]
+                tables = tuple(table for table, _ in built)
+                scale = built[0][1]
+            self._parts = PartTables(parts, tables, scale)
+        return self._parts
+
+    def _part_table(self, items: tuple[int, ...]) -> tuple[list[int], int]:
+        """v on the subsets of ``items``, one of the parts, by local mask
+        (bit j stands for ``items[j]``), over the scale of the dense table:
+        here read from it.  Kinds that add up over parts compute it from
+        their structure, and build the dense table from it."""
+        table, scale = self.dense_scaled()
+        return [table[m] for m in subset_sums([1 << i for i in items])], scale
+
+    def _sum_of_parts(self) -> tuple[list[int], int]:
+        """The dense table as the sum of the part tables: listed over the
+        packed masks of ``PartTables`` as their product, the part at the
+        highest offset varying slowest, then read back in mask order.  With
+        one part it is that part's table."""
+        parts = self.components()
+        if len(parts) == 1:
+            return self._part_table(tuple(bits_of(parts[0])))
+        values = self.part_tables()
+        table = [0]
+        for k in sorted(range(len(values.parts)), key=values.offsets.__getitem__, reverse=True):
+            table = [x + y for x in table for y in values.tables[k]]
+        if not values.identity:
+            table = list(map(table.__getitem__, subset_sums(values.bits)))
+        return table, values.scale
 
     def dense_spread(self) -> int:
         """``max(table) - min(table)`` of the dense table, over the table's
@@ -177,17 +225,13 @@ class AdditiveGroupsValuation(Valuation):
     def components(self) -> tuple[int, ...]:
         return self.group_masks
 
-    def _fill_dense(self) -> tuple[list[int], int]:
-        # by doubling over items: adding item j to a mask m of lower items
-        # raises its group's hit count from |m & lower| by one
+    def _part_table(self, items: tuple[int, ...]) -> tuple[list[int], int]:
+        # a group's value is the curve at the number of its items held
         curve_int, scale = integers(self.curve)
-        inc = [b - a for a, b in zip(curve_int, curve_int[1:])]
-        table = [0]
-        for item in range(self.universe.n):
-            bit = 1 << item
-            lower = next(g for g in self.group_masks if g & bit) & (bit - 1)
-            table += [x + inc[(m & lower).bit_count()] for m, x in enumerate(table)]
-        return table, scale
+        return [curve_int[m.bit_count()] for m in range(1 << len(items))], scale
+
+    def _fill_dense(self) -> tuple[list[int], int]:
+        return self._sum_of_parts()
 
     def structural_certificate(self) -> tuple[bool, bool]:
         # v is a sum of curve(|S & group|) over disjoint groups, so it is
@@ -224,18 +268,18 @@ class CategoryMaxValuation(Valuation):
     def components(self) -> tuple[int, ...]:
         return self.category_masks
 
-    def _fill_dense(self) -> tuple[list[int], int]:
+    def _part_table(self, items: tuple[int, ...]) -> tuple[list[int], int]:
+        # by doubling over the category's items: a set holding item j is
+        # worth the better of j and the rest of the set, or j alone
         vals_int, scale = integers(self.item_values)
-        out = []
-        cats = self.category_masks
-        for m in range(1 << self.universe.n):
-            total = 0
-            for c in cats:
-                hit = m & c
-                if hit:
-                    total += max(vals_int[i] for i in bits_of(hit))
-            out.append(total)
-        return out, scale
+        table = [0]
+        for item in items:
+            x = vals_int[item]
+            table += [x] + [max(y, x) for y in table[1:]]
+        return table, scale
+
+    def _fill_dense(self) -> tuple[list[int], int]:
+        return self._sum_of_parts()
 
     def structural_certificate(self) -> tuple[bool, bool] | None:
         # A nonnegative best-of per category is monotone and submodular.  With
@@ -244,6 +288,100 @@ class CategoryMaxValuation(Valuation):
         if all(v >= 0 for v in self.item_values):
             return True, True
         return None
+
+
+class _Part(Valuation):
+    """A valuation restricted to the items of one of its additive parts,
+    over the part's local masks: bit j stands for the part's j-th lowest
+    item.  Its dense table is the part table, from the whole valuation's
+    ``_part_table`` and over its scale."""
+
+    def __init__(self, whole: Valuation, part: int):
+        self.items = tuple(bits_of(part))
+        super().__init__(Universe(tuple(whole.universe.names[i] for i in self.items)))
+        self.whole = whole
+
+    def value_mask(self, mask: int) -> Fraction:
+        self.universe._check_mask(mask)
+        return self.whole.value_mask(sum(1 << self.items[j] for j in bits_of(mask)))
+
+    def _fill_dense(self) -> tuple[list[int], int]:
+        return self.whole._part_table(self.items)
+
+
+class PartTables:
+    """A valuation's value tables, one per additive part, over one scale.
+
+    ``tables[k][l] / scale`` is v(S & parts[k]) for the local mask l of S
+    in part k, whose bit j stands for ``items[k][j]``, the part's j-th
+    lowest item; v(S) adds up over the parts, and ``value(S)`` is the sum
+    over the scale.
+
+    A global mask S goes to the local ones through ``pack``, which moves
+    item i to bit ``bits[i]``: part k's items to a run from bit
+    ``offsets[k]``, the parts laid out by their lowest item.  Part k's
+    local mask is then ``pack(S) >> offsets[k]`` cut to the part's size.
+    When each part is already a run of items, as in the block games, pack
+    is the identity (``identity``); else it reads one 256-entry table per
+    byte of S.
+    """
+
+    def __init__(self, parts: tuple[int, ...], tables: tuple[list[int], ...], scale: int):
+        self.parts = parts
+        self.tables = tables
+        self.scale = scale
+        self.items = tuple(tuple(bits_of(part)) for part in parts)
+        offsets = [0] * len(parts)
+        bits = [0] * sum(map(len, self.items))
+        at = 0
+        for k in sorted(range(len(parts)), key=lambda k: parts[k] & -parts[k]):
+            offsets[k] = at
+            for item in self.items[k]:
+                bits[item] = 1 << at
+                at += 1
+        self.offsets = tuple(offsets)
+        self.bits = tuple(bits)
+        self.identity = all(b == 1 << i for i, b in enumerate(bits))
+        self._bytes = [subset_sums(bits[i:i + 8]) for i in range(0, len(bits), 8)]
+        self.fields = tuple(
+            (table, offset, (1 << len(items)) - 1, items)
+            for table, offset, items in zip(tables, offsets, self.items)
+        )
+
+    def scaled(self, f: int) -> "PartTables":
+        """The same tables times f, over the scale times f: this very
+        object when f is 1."""
+        if f == 1:
+            return self
+        tables = tuple([x * f for x in table] for table in self.tables)
+        return PartTables(self.parts, tables, self.scale * f)
+
+    def pack(self, mask: int) -> int:
+        if self.identity:
+            return mask
+        out = 0
+        for lut in self._bytes:
+            out += lut[mask & 255]
+            mask >>= 8
+        return out
+
+    def local(self, k: int, mask: int) -> int:
+        """Part k's local mask of the global ``mask``."""
+        return self.pack(mask) >> self.offsets[k] & (1 << len(self.items[k])) - 1
+
+    def globals(self, k: int) -> Sequence[int]:
+        """Part k's global masks, by local mask."""
+        if self.identity:
+            return range(0, 1 << len(self.items[k]) + self.offsets[k], 1 << self.offsets[k])
+        return subset_sums([1 << i for i in self.items[k]])
+
+    def value(self, mask: int) -> int:
+        """v(mask) over the scale, summed over the parts."""
+        packed = self.pack(mask)
+        total = 0
+        for table, offset, low, _ in self.fields:
+            total += table[packed >> offset & low]
+        return total
 
 
 # -- module-level operations ----------------------------------------------

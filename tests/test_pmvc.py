@@ -1,6 +1,7 @@
 """Discrete offer game: marginal pricing, payoffs, best replies, pure NE."""
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcgames import (
+    AdditiveGroupsValuation,
+    CategoryMaxValuation,
     EnumerationCapExceeded,
     GameInstance,
     StrategyProfile,
@@ -16,6 +19,7 @@ from vcgames import (
     all_profiles,
     cdsp_instance,
     counterexample_instance,
+    equilibrium_report,
     expand_to_table,
     harmonic_instance,
     payoff_table,
@@ -28,8 +32,10 @@ from vcgames import (
     random_cdsp_spec,
     random_instance,
 )
-from vcgames.items import submasks_of
+from vcgames.instances import _random_partition
+from vcgames.items import bits_of, submasks_of
 from vcgames.pmvc import _payoff_rule
+from vcgames.serialize import equilibria_to_text, report_to_obj, report_to_text
 
 G = counterexample_instance()
 U = G.universe
@@ -497,11 +503,126 @@ def test_payoff_rules_share_one_scaled_table():
     g = harmonic_instance(3, 5)
     eps = Fraction(1, 7)
     rule = g.pricing(eps)
-    dense, dense_scale = g.valuation.dense_scaled()
-    f = rule.scale // dense_scale
-    assert f > 1  # the table's denominator lacks 7
+    values = g.valuation.part_tables()
+    f = rule.scale // values.scale
+    assert f > 1  # the tables' denominator lacks 7
+    assert pmvc_pure_ne(g, undercut=eps)
+    assert g.pricing(eps) is rule
+    assert rule.values.tables == tuple([x * f for x in t] for t in values.tables)
+    assert g.valuation._dense is None  # the NE pass read the part tables only
+    # a best reply scans all of a vendor's offers over the dense table,
+    # scaled once per game and undercut
+    others = StrategyProfile((0,) * 3)
     first, second = (
-        inspect.getclosurevars(_payoff_rule(g, eps)).nonlocals["table"] for _ in range(2)
+        inspect.getclosurevars(_payoff_rule(g, eps, rule.table)).nonlocals["table"]
+        for _ in range(2)
     )
+    pmvc_best_response(g, 0, others, eps)
     assert first is second is rule.table
+    dense, dense_scale = g.valuation.dense_scaled()
+    assert dense_scale == values.scale
     assert rule.table == [x * f for x in dense]
+
+
+def test_separable_game_never_builds_the_whole_table():
+    g = harmonic_instance(3, 6)
+    nes = pmvc_pure_ne(g)
+    report = equilibrium_report(g)
+    assert len(report.equilibria) == len(nes) == 63**3
+    "".join(equilibria_to_text(g, nes))
+    "".join(report_to_text(g, report))
+    report_to_obj(g, report)
+    s = StrategyProfile(g.vendor_masks)
+    pmvc_prices(g, s)
+    pmvc_payoffs(g, s)
+    assert g.valuation._dense is None
+
+
+def test_one_part_pricing_reads_the_dense_table_itself():
+    g = random_instance(4, 6, 2)  # coverage: one part
+    assert len(g.valuation.components()) == 1
+    rule = g.pricing()
+    table, scale = g.valuation.dense_scaled()
+    assert rule.scale == scale
+    assert rule.values.tables[0] is table
+    assert rule.table is table
+
+
+def _coverage_values(rng, size):
+    """A coverage table over ``size`` items: each covers a random set of
+    three weighted elements, and a set is worth the weight it covers."""
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
+    covers = [rng.randint(0, 7) for _ in range(size)]
+    values = []
+    for mask in range(1 << size):
+        covered = 0
+        for j in bits_of(mask):
+            covered |= covers[j]
+        values.append(sum((w for e, w in enumerate(weights) if covered >> e & 1), Fraction(0)))
+    return values
+
+
+def _spread(universe, parts, tables):
+    """The sum of per-part tables, table k over the local masks of
+    ``parts[k]``, as a ``PartedTable``."""
+    items = [list(bits_of(part)) for part in parts]
+    values = [
+        sum(t[sum(1 << j for j, i in enumerate(own) if mask >> i & 1)]
+            for t, own in zip(tables, items))
+        for mask in range(1 << universe.n)
+    ]
+    return PartedTable(universe, values, parts)
+
+
+@st.composite
+def shuffled_separable(draw, most=6, low=0):
+    """A separable valuation of each kind on up to ``most`` items, its
+    parts drawn over shuffled items as ``random_instance`` draws them, and
+    vendor sets.  Certified unless ``low``, the least curve increment or
+    item value drawn, is negative."""
+    n = draw(st.integers(2, most), label="items")
+    rng = random.Random(draw(st.integers(0, 10_000), label="seed"))
+    parts = _random_partition(rng, n, draw(st.integers(1, n), label="parts"))
+    u = Universe(tuple("abcdefghijk"[:n]))
+    kind = draw(st.sampled_from(["table", "additive-groups", "category-max"]))
+    if kind == "table":
+        v = _spread(u, parts, [_coverage_values(rng, p.bit_count()) for p in parts])
+    elif kind == "additive-groups":
+        incs = sorted((Fraction(rng.randint(low, 12), rng.randint(1, 5)) for _ in range(n)),
+                      reverse=True)
+        v = AdditiveGroupsValuation(u, parts, [sum(incs[:t], Fraction(0)) for t in range(n + 1)])
+    else:
+        values = [Fraction(rng.randint(low, 9), rng.randint(1, 6)) for _ in range(n)]
+        v = CategoryMaxValuation(u, parts, values)
+    return v, _random_partition(rng, n, draw(st.integers(1, n), label="vendors"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_separable(most=11, low=-3))  # past 8 items, a mask's local masks read two bytes
+def test_part_tables_sum_to_the_dense_table(drawn):
+    v, _ = drawn
+    values = v.part_tables()
+    assert values.parts == v.components()
+    table, scale = v.dense_scaled()
+    assert values.scale == scale
+    for mask in range(1 << v.universe.n):
+        parted = [t[values.local(k, mask)] for k, t in enumerate(values.tables)]
+        assert sum(parted) == values.value(mask) == table[mask]
+        assert Fraction(table[mask], scale) == v.value_mask(mask)
+        assert [Fraction(x, scale) for x in parted] == [
+            v.value_mask(mask & part) for part in values.parts
+        ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_separable())
+def test_separable_game_plays_as_its_one_part_twin(drawn):
+    g = GameInstance(*drawn)
+    twin = _one_part_twin(g)
+    eps = Fraction(1, 7)
+    for s in all_profiles(g):
+        assert pmvc_prices(g, s, eps) == pmvc_prices(twin, s, eps)
+        assert pmvc_payoffs(g, s) == pmvc_payoffs(twin, s)
+        assert pmvc_outcome(g, s, eps) == pmvc_outcome(twin, s, eps)
+    assert pmvc_pure_ne(g, undercut=eps) == pmvc_pure_ne(twin, undercut=eps)
+    assert g.valuation.part_tables().parts == g.valuation.components()
