@@ -131,11 +131,12 @@ class Valuation:
         table, scale = self.dense_scaled()
         return [table[m] for m in subset_sums([1 << i for i in items])], scale
 
-    def _sum_of_parts(self) -> tuple[list[int], int]:
-        """The dense table as the sum of the part tables: listed over the
-        packed masks of ``PartTables`` as their product, the part at the
-        highest offset varying slowest, then read back in mask order.  With
-        one part it is that part's table."""
+    def _fill_dense(self) -> tuple[list[int], int]:
+        """The dense table as the sum of the part tables, for kinds that
+        compute ``_part_table``: listed over the packed masks of
+        ``PartTables`` as their product, the part at the highest offset
+        varying slowest, then read back in mask order.  With one part it is
+        that part's table.  Kinds without parts override it."""
         parts = self.components()
         if len(parts) == 1:
             return self._part_table(tuple(bits_of(parts[0])))
@@ -230,9 +231,6 @@ class AdditiveGroupsValuation(Valuation):
         curve_int, scale = integers(self.curve)
         return [curve_int[m.bit_count()] for m in range(1 << len(items))], scale
 
-    def _fill_dense(self) -> tuple[list[int], int]:
-        return self._sum_of_parts()
-
     def structural_certificate(self) -> tuple[bool, bool]:
         # v is a sum of curve(|S & group|) over disjoint groups, so it is
         # monotone iff the curve increments (up to the largest group size) are
@@ -278,9 +276,6 @@ class CategoryMaxValuation(Valuation):
             table += [x] + [max(y, x) for y in table[1:]]
         return table, scale
 
-    def _fill_dense(self) -> tuple[list[int], int]:
-        return self._sum_of_parts()
-
     def structural_certificate(self) -> tuple[bool, bool] | None:
         # A nonnegative best-of per category is monotone and submodular.  With
         # a negative item value monotonicity fails but submodularity may or may
@@ -301,10 +296,6 @@ class _Part(Valuation):
         super().__init__(Universe(tuple(whole.universe.names[i] for i in self.items)))
         self.whole = whole
 
-    def value_mask(self, mask: int) -> Fraction:
-        self.universe._check_mask(mask)
-        return self.whole.value_mask(sum(1 << self.items[j] for j in bits_of(mask)))
-
     def _fill_dense(self) -> tuple[list[int], int]:
         return self.whole._part_table(self.items)
 
@@ -323,7 +314,8 @@ class PartTables:
     local mask is then ``pack(S) >> offsets[k]`` cut to the part's size.
     When each part is already a run of items, as in the block games, pack
     is the identity (``identity``); else it reads one 256-entry table per
-    byte of S.
+    byte of S.  ``fields`` lists each part's table, offset, largest local
+    mask and items, for loops over the parts.
     """
 
     def __init__(self, parts: tuple[int, ...], tables: tuple[list[int], ...], scale: int):
