@@ -35,6 +35,9 @@ The exact best response has one variable per item of the target and one row
 per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
 rows, and the 12-item cap allows 4,095.  It passes its bounds as integers
 over its price scale, which only rescales x, and divides the optimum once.
+It calls this solver only for a target whose singleton rows x_b <= bound
+sum to more than the revenue already found: every feasible x meets them, so
+that sum bounds the LP's value, and a target below it could not win.
 """
 
 from __future__ import annotations

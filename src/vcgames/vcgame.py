@@ -10,17 +10,23 @@ Best responses come in three tiers:
 * ``candidate-set`` -- cheap heuristic: offer some C subseteq A_i priced at
   marginal contributions relative to C together with what would sell without
   the vendor; revenue is whatever the demand oracle then actually pays.
-  Sound for refuting equilibria, never claimed optimal.
+  Sound for refuting equilibria, never claimed optimal.  Each offer costs one
+  demand scan, 3^|A_i| * 2^(live rival items) subsets over all offers, and a
+  query past ``CANDIDATE_MAX_SCAN`` is refused before the first scan.
 * ``target-set-exact`` -- complete: for a target bought set B the best prices
   solve a linear program (maximize the vendor's share of p(B) subject to the
   buyer weakly preferring B over every other subset), and scanning targets is
   collapsed by a decomposition: the constraint system depends on the target
   only through the vendor's own part B_i and a single scalar, the best
   achievable "outside" utility term, which can be maximized independently.
-  Solved with an exact rational simplex.  The optimum is the supremum of
-  achievable revenue; ties in the buyer's choice can keep it from being
-  realized exactly, in which case shaving any positive epsilon off the
-  positive prices realizes a revenue strictly within epsilon * |B_i| of it.
+  Solved with an exact rational simplex, but only for a target whose
+  singleton rows x_b <= reach[B_i] - reach[B_i - b] sum to more than the
+  best revenue found so far: every feasible x meets those rows, so that sum
+  bounds the LP, and a target it rules out could not have won.  The optimum
+  is the supremum of achievable revenue; ties in the buyer's choice can keep
+  it from being realized exactly, in which case shaving any positive epsilon
+  off the positive prices realizes a revenue strictly within epsilon * |B_i|
+  of it.
 * ``grid`` -- exhaustive search over the finite price grid of all marginal
   values plus 0 and the sentinel; realized revenue, used as a cross-check.
 
@@ -68,6 +74,7 @@ __all__ = [
 METHODS = ("candidate-set", "target-set-exact", "grid")
 EXACT_MAX_ITEMS = 12
 DEFAULT_GRID_CAP = 1 << 20
+CANDIDATE_MAX_SCAN = 3 ** 13
 
 
 class SoldSetMismatch(AssertionError):
@@ -221,6 +228,11 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
         if sub_reach[lm] > reach[lm]:
             continue  # no prices make the buyer prefer this target
         var_bits = tuple(bits_of(lm))
+        # every feasible x meets the singleton rows x_b <= reach[B_i] -
+        # reach[B_i - b], so their sum bounds the LP: at most best_rev, the
+        # LP cannot pass the strict test below and need not be solved
+        if sum(reach[lm] - reach[lm ^ (1 << b)] for b in var_bits) <= best_rev:
+            continue
         rows = []
         rhs = []
         for wl in submasks_of(lm):
@@ -246,6 +258,15 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
 def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
     v = g.valuation
     items = g.vendor_items(vendor)
+    # offer C is sold through one demand scan of 2^|C| * 2^live subsets, live
+    # the rival items the buyer can take, so the offers scan 3^|A_i| * 2^live
+    rivals = g.universe.full_mask ^ g.vendor_masks[vendor]
+    live = len(_bundles(v, p, rivals)[3]).bit_length() - 1
+    if (3 ** len(items) << live) > CANDIDATE_MAX_SCAN:
+        raise ValueError(
+            f"candidate-set would scan 3^{len(items)} * 2^{live} subsets "
+            f"(cap {CANDIDATE_MAX_SCAN})"
+        )
     sent = sentinel_price(v)
     absent = p.replace({item: sent for item in items})
     backdrop = demand(v, absent).chosen  # what sells without this vendor

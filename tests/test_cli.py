@@ -315,6 +315,23 @@ def test_bestresp_bad_vendor(capsys):
     assert "no vendor" in err
 
 
+def test_bestresp_candidate_refuses_past_its_scan_cap(capsys, monkeypatch):
+    # one vendor with 20 items has 2^20 offers, 3^20 subsets to scan in all:
+    # refused before the first demand call; 3^10 for harmonic:2,10 answers
+    import vcgames.vcgame as vcgame
+
+    calls = []
+    real_demand = vcgame.demand
+    monkeypatch.setattr(vcgame, "demand", lambda v, p: calls.append(p) or real_demand(v, p))
+    argv = ("bestresp", "--vendor", "0", "--method", "candidate")
+    code, out, err = run(capsys, *argv, "--gen", "harmonic:1,20")
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: candidate-set would scan 3^20 * 2^0 subsets (cap {3 ** 13})\n"
+    code, out, _ = run(capsys, *argv, "--gen", "harmonic:2,10")
+    assert code == 0
+    assert "revenue = 1\n" in out
+
+
 def test_verify_refuted(capsys):
     code, out, _ = run(
         capsys,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from vcgames import exactlp
 from vcgames.cli import main
 
 # a subdirectory, since every tests/data/*.json is read as an instance
@@ -22,6 +23,14 @@ DIGESTS = Path(__file__).parent / "data" / "digests" / "cli_digests.json"
 CE = ("--gen", "counterexample")
 RANDOM = ("--gen", "random:2,7,3")
 SHAVED = "a=2.601,c=2.201"
+# the exact tier's LPs: one vendor owning 12 items, where every target but
+# the first is ruled out by its singleton rows; and a target, {c,d,e}, whose
+# LP value 53/5 is below its singleton sum 72/5, so the simplex must run
+HARMONIC_EXACT = ("bestresp", "--gen", "harmonic:1,12", "--vendor", "0", "--method", "exact")
+RANDOM_EXACT = (
+    "bestresp", "--gen", "random:0,6,3", "--vendor", "0",
+    "--prices", "a=32,b=18,f=19", "--method", "exact",
+)
 
 COMMANDS = [
     ("table", *CE, "--format", "csv"),
@@ -63,6 +72,8 @@ COMMANDS = [
         for fmt in ("text", "json")
     ),
     ("table", "--gen", "harmonic:2,3", "--format", "csv", "--eps", "1/7"),
+    HARMONIC_EXACT,
+    RANDOM_EXACT,
 ]
 
 
@@ -93,6 +104,33 @@ def test_every_command_has_a_recorded_digest(recorded):
 @pytest.mark.parametrize("argv", COMMANDS, ids=_key)
 def test_cli_output_matches_recorded_digest(recorded, argv):
     assert _run(argv) == recorded[_key(argv)]
+
+
+def _lps_solved(monkeypatch, argv) -> list:
+    """Each LP the exact tier solves for ``argv``: (rows, rhs, value)."""
+    solved = []
+    real = exactlp.maximize
+
+    def counted(c, rows, rhs):
+        value, x = real(c, rows, rhs)
+        solved.append((rows, rhs, value))
+        return value, x
+
+    monkeypatch.setattr(exactlp, "maximize", counted)
+    _run(argv)
+    return solved
+
+
+def test_exact_tier_skips_lps_its_singleton_rows_rule_out(monkeypatch):
+    assert len(_lps_solved(monkeypatch, HARMONIC_EXACT)) <= 5
+
+
+def test_exact_tier_still_solves_a_target_its_singleton_rows_overbound(monkeypatch):
+    # the vendor owns c, d and e, so {c,d,e} is the one target of 3 columns;
+    # its singleton rows sum past its value, so only the simplex decides it
+    (cde,) = [lp for lp in _lps_solved(monkeypatch, RANDOM_EXACT) if len(lp[0][0]) == 3]
+    rows, rhs, value = cde
+    assert sum(b for row, b in zip(rows, rhs) if sum(row) == 1) > value
 
 
 if __name__ == "__main__":

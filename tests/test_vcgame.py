@@ -1,10 +1,11 @@
 """Continuous price game: best replies, verification, projection, dynamics."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from conftest import big_denominator_fractions
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcgames import (
@@ -400,20 +401,14 @@ def test_harmonic_discrete_dynamics_converge():
 # -- the exact tier at prices whose denominators the table lacks -----------
 
 
-def exact_reference(g, vendor, p):
-    """The exact tier over plain Fractions: every competitor set, no scale.
-
-    Returns ``(revenue, prices of the target items, target_mask)``.  reach
-    ties go to the first maximizer in submasks_of order, the largest
-    competitor set; no sorted cut, so each feasible target's LP is solved
-    and the first best one, in the tier's order, wins.
-    """
+def fraction_reach(g, vendor, p):
+    """reach and its maximizing competitor set per own part, over plain
+    Fractions and every competitor set; ties go to the first maximizer in
+    submasks_of order, the largest competitor set."""
     v = g.valuation
-    owned = g.vendor_masks[vendor]
-    others = g.universe.full_mask & ~owned
-    own = g.offer_tables[vendor]
+    others = g.universe.full_mask & ~g.vendor_masks[vendor]
     reach, best_out = [], []
-    for bg in own:
+    for bg in g.offer_tables[vendor]:
         best = None
         for sp in submasks_of(others):
             u = v.value_mask(bg | sp) - p.total(sp)
@@ -421,14 +416,32 @@ def exact_reference(g, vendor, p):
                 best, arg = u, sp
         reach.append(best)
         best_out.append(arg)
-    best = (Fraction(0), {}, own[0] | best_out[0])
-    for lm in sorted(range(1, len(own)), key=lambda lm: (-reach[lm], lm)):
+    return reach, best_out
+
+
+def feasible_target_lps(reach):
+    """``(lm, var_bits, rows, rhs)`` of every feasible target, in the tier's
+    ``(-reach, lm)`` order: one row per nonempty W subseteq lm."""
+    for lm in sorted(range(1, len(reach)), key=lambda lm: (-reach[lm], lm)):
         if any(reach[sub] > reach[lm] for sub in submasks_of(lm)):
             continue
         var_bits = list(bits_of(lm))
         walls = [wl for wl in submasks_of(lm) if wl]
         rows = [[wl >> b & 1 for b in var_bits] for wl in walls]
-        rhs = [reach[lm] - reach[lm ^ wl] for wl in walls]
+        yield lm, var_bits, rows, [reach[lm] - reach[lm ^ wl] for wl in walls]
+
+
+def exact_reference(g, vendor, p):
+    """The exact tier over plain Fractions: every competitor set, no scale.
+
+    Returns ``(revenue, prices of the target items, target_mask)``.  No
+    sorted cut and no singleton skip, so each feasible target's LP is solved
+    and the first best one, in the tier's order, wins.
+    """
+    own = g.offer_tables[vendor]
+    reach, best_out = fraction_reach(g, vendor, p)
+    best = (Fraction(0), {}, own[0] | best_out[0])
+    for lm, var_bits, rows, rhs in feasible_target_lps(reach):
         value, x = exactlp.maximize([1] * len(var_bits), rows, rhs)
         if value > best[0]:
             items = g.vendor_items(vendor)
@@ -484,3 +497,74 @@ def instance_and_big_prices(draw):
 @given(instance_and_big_prices())
 def test_exact_tier_matches_fraction_reference(case):
     check_exact_against_reference(*case)
+
+
+# -- the singleton bound that lets the exact tier skip an LP ---------------
+
+
+@st.composite
+def small_instance_and_prices(draw):
+    n = draw(st.integers(1, 7))
+    g = random_instance(
+        draw(st.integers(0, 5_000)),
+        n_items=n,
+        n_vendors=draw(st.integers(1, min(n, 3))),
+        generator=draw(st.sampled_from(["coverage", "additive-concave"])),
+    )
+    vendor = draw(st.integers(0, g.n_vendors - 1))
+    v = g.valuation
+    top = math.ceil(v.value_mask(g.universe.full_mask))
+    # prices at a share of an item's own value break some target's singleton
+    # vector in about 15% of seeded coverage games, uniform prices in about
+    # 5% of all games; _cde_case below always breaks it
+    prices = tuple(
+        draw(
+            st.just(sentinel_price(v))
+            | st.fractions(0, top, max_denominator=12)
+            | st.integers(0, 12).map(lambda k, i=i: v.value_mask(1 << i) * Fraction(k, 12))
+        )
+        for i in range(n)
+    )
+    return g, vendor, PriceVector(g.universe, prices)
+
+
+def _cde_case():
+    """Vendor 0 of random:0,6,3 against a=32, b=18, f=19: target {c,d,e}
+    has LP value 53/5 below its singleton sum 72/5."""
+    g = random_instance(0, 6, 3)
+    sent = sentinel_price(g.valuation)
+    prices = (Fraction(32), Fraction(18), sent, sent, sent, Fraction(19))
+    return g, 0, PriceVector(g.universe, prices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instance_and_prices())
+@example(_cde_case())
+def test_singleton_rows_bound_every_target_lp(case):
+    g, vendor, p = case
+    reach, _ = fraction_reach(g, vendor, p)
+    for lm, var_bits, rows, rhs in feasible_target_lps(reach):
+        singles = [reach[lm] - reach[lm ^ (1 << b)] for b in var_bits]
+        value, x = exactlp.maximize([1] * len(var_bits), rows, rhs)
+        assert value <= sum(singles)
+        meets_rows = all(
+            sum(a * q for a, q in zip(row, singles)) <= b for row, b in zip(rows, rhs)
+        )
+        # every feasible x is at most the singleton vector in each entry, so
+        # reaching its sum means being it
+        assert (value == sum(singles)) == meets_rows
+        if meets_rows:
+            assert x == singles
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instance_and_prices())
+@example(_cde_case())
+def test_exact_tier_matches_reference_without_the_skip(case):
+    g, vendor, p = case
+    br = vc_best_response(g, vendor, p, "target-set-exact")
+    revenue, prices, target = exact_reference(g, vendor, p)
+    sent = sentinel_price(g.valuation)
+    full = {i: prices.get(i, sent) for i in g.vendor_items(vendor)}
+    assert (br.revenue, br.prices, br.target_mask) == (revenue, full, target)
+    assert br.realized_revenue == vendor_revenue(g, p.replace(full), vendor)
