@@ -97,7 +97,7 @@ class EquilibriumReport:
         values = self.profiles.game.valuation.part_tables()
         welfares = [
             base + w
-            for _, _, base, rest in self.profiles.value_blocks(values.value)
+            for _, _, base, rest in self.profiles.value_blocks()
             for w in rest
         ]
         value = {w: Fraction(w, values.scale) for w in set(welfares)}

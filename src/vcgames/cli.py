@@ -35,7 +35,6 @@ from .pmvc import (
 )
 from .rationals import format_rational, parse_rational
 from .serialize import SchemaError
-from .valuation import check_monotone, check_submodular
 from .vcgame import br_dynamics, vc_best_response, vc_verify_ne
 
 _METHOD_NAMES = {
@@ -157,8 +156,7 @@ def _emit(args: argparse.Namespace, text_out: str, obj) -> None:
 def cmd_check(args) -> int:
     g = _load(args)
     v = g.valuation
-    mono = check_monotone(v)
-    sub = check_submodular(v)
+    mono, sub = v.exhaustive_checks()
     for label, rep in (("monotone", mono), ("submodular", sub)):
         if rep.ok:
             print(f"{label}: PASS")

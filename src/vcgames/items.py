@@ -74,6 +74,7 @@ class Universe:
         for name in self.names:
             if not name or name != name.strip() or any(ch in name for ch in ",|{}="):
                 raise ValueError(f"invalid item name: {name!r}")
+        object.__setattr__(self, "_bits", {name: 1 << i for i, name in enumerate(self.names)})
 
     @property
     def n(self) -> int:
@@ -84,15 +85,19 @@ class Universe:
         return (1 << self.n) - 1
 
     def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown item: {name!r}") from None
+        return self.mask_of((name,)).bit_length() - 1
 
     def mask_of(self, names) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
+        """The mask of the items ``names``; an unknown name is a KeyError,
+        and naming an item twice a ValueError."""
+        try:
+            bits = list(map(self._bits.__getitem__, names))
+        except KeyError as e:
+            raise KeyError(f"unknown item: {e.args[0]!r}") from None
+        mask = sum(bits)
+        if mask.bit_count() != len(bits):  # a bit added twice carries
+            twice = next(b for k, b in enumerate(bits) if b in bits[:k])
+            raise ValueError(f"names an item twice: {self.names[twice.bit_length() - 1]!r}")
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
@@ -109,7 +114,7 @@ class Universe:
             text = text[1:-1]
         if not text.strip():
             return 0
-        return self.mask_of(part.strip() for part in text.split(","))
+        return self.mask_of(map(str.strip, text.split(",")))
 
     def partition(self, masks, what: str, *, allow_empty: bool = False) -> tuple[int, ...]:
         """``masks`` as a tuple, checked to split the universe: each inside

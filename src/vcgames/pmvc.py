@@ -203,7 +203,9 @@ class ProfileSequence(Sequence[StrategyProfile]):
     additive parts of the valuation, so ``v(u) = v(u & ~tail) + v(u &
     tail)``, and two blocks whose prefixes agree on ``tail`` list the same
     offers.  ``parts`` are lists of unions over disjoint items, and the
-    profiles' unions are exactly the sums taking one union from each list.
+    profiles' unions are exactly the sums taking one union from each list;
+    ``heads`` are those of ``parts`` outside ``tail``, whose sums are the
+    prefixes' items outside ``tail``.
 
     ``unions[j]`` is the union of the j-th profile's offers, listed only
     when read; the profile itself (``GameInstance.profile_of``) is built
@@ -213,11 +215,12 @@ class ProfileSequence(Sequence[StrategyProfile]):
     """
 
     def __init__(self, game: GameInstance, blocks: list[tuple[int, list[int]]],
-                 parts: list[list[int]], tail: int):
+                 parts: list[list[int]], tail: int, heads: list[list[int]]):
         self.game = game
         self.blocks = blocks
         self.parts = parts
         self.tail = tail
+        self.heads = heads
         self._len = sum(len(offers) for _, offers in blocks)
 
     @classmethod
@@ -230,7 +233,7 @@ class ProfileSequence(Sequence[StrategyProfile]):
             (prefix, [u - prefix for u in run])
             for prefix, run in groupby(unions, lambda u: u & ~last)
         ]
-        return cls(game, blocks, [unions], game.universe.full_mask)
+        return cls(game, blocks, [unions], game.universe.full_mask, [])
 
     def _walk(self) -> Iterator[int]:
         return chain.from_iterable(
@@ -241,19 +244,22 @@ class ProfileSequence(Sequence[StrategyProfile]):
     def unions(self) -> list[int]:
         return list(self._walk())
 
-    def value_blocks(self, value) -> Iterator[tuple[int, list[int], int, list[int]]]:
+    def value_blocks(self) -> Iterator[tuple[int, list[int], int, list[int]]]:
         """Each block with the values of its unions split in two,
-        ``(prefix, offers, base, rest)`` with ``value(prefix + o) == base +
-        rest[j]`` for the j-th offer o, where ``value`` (v over some scale,
-        say) adds up over the valuation's parts and is 0 on the empty set.
+        ``(prefix, offers, base, rest)`` with ``v(prefix + o) == base +
+        rest[j]`` for the j-th offer o, over the scale of the valuation's
+        part tables (``Valuation.part_tables``), which add up over its parts.
 
-        Since ``tail`` is a union of parts, ``base`` is ``value(prefix &
-        ~tail)``, read once a block, and ``rest`` lists ``value(c + o)``
-        for the context c = prefix & tail, read once per context: blocks
-        with one context list the same offers.  The lists kept for reuse
-        hold at most about 65,536 values.
+        Since ``tail`` is a union of parts, ``base`` is ``v(prefix &
+        ~tail)``, summed over ``heads`` beside their unions
+        (``_head_values``), and ``rest`` lists ``v(c + o)`` for the context
+        c = prefix & tail, read once per context: blocks with one context
+        list the same offers.  The lists kept for reuse hold at most about
+        65,536 values.
         """
+        value = self.game.valuation.part_tables().value
         tail = self.tail
+        bases = _head_values(self.game.universe.full_mask & ~tail, self.heads, value)
         kept: dict[int, list[int]] = {}
         held = 0
         for prefix, offers in self.blocks:
@@ -265,7 +271,7 @@ class ProfileSequence(Sequence[StrategyProfile]):
                     held = 0
                 held += len(offers)
                 rest = kept[context] = [value(context + o) for o in offers]
-            yield prefix, offers, value(prefix & ~tail), rest
+            yield prefix, offers, bases[prefix & ~tail], rest
 
     def __len__(self) -> int:
         return self._len
@@ -578,9 +584,9 @@ def pmvc_pure_ne(
             return ProfileSequence.of_unions(g, [])
     last = g.vendor_masks[-1]
     tail = sum(part for part in parts if part & last)
+    heads = [s for part, s in zip(parts, per_part) if not part & last]
     marked_tail = _mark_product(tail, [s for part, s in zip(parts, per_part) if part & last])
-    marked_head = _mark_product(g.universe.full_mask & ~tail,
-                                [s for part, s in zip(parts, per_part) if not part & last])
+    marked_head = _mark_product(g.universe.full_mask & ~tail, heads)
     offers = g.offer_tables[-1]
     runs: dict[int, list[int]] = {}
     blocks = []
@@ -592,7 +598,7 @@ def pmvc_pure_ne(
                 run = runs[context] = [o for o in offers if marked_tail[context + o]]
             if run:
                 blocks.append((prefix, run))
-    return ProfileSequence(g, blocks, per_part, tail)
+    return ProfileSequence(g, blocks, per_part, tail, heads)
 
 
 def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],
@@ -613,6 +619,24 @@ def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],
                 if p != best:
                     stable[rest | offer] = 0
     return [unions[u] for u in range(full, -1, -1) if stable[u]]
+
+
+def _head_values(mask: int, per_part: list[list[int]], value) -> list[int | None]:
+    """Among the subsets of ``mask``, ``value`` (v over some scale, adding
+    up over the valuation's parts) of every union that takes one union from
+    each of ``per_part`` (only the empty set for no parts), and None
+    elsewhere: the sum of its unions' values, streamed from the product
+    beside the unions as in ``_mark_product``.  Equal values share one int."""
+    heads: list[int | None] = [None] * (mask + 1)
+    shared: dict[int, int] = {}
+    *rest, last = sorted(per_part, key=len) or [[0]]
+    values = [list(map(value, unions)) for unions in rest]
+    last_values = list(map(value, last))
+    for base, w in zip(map(sum, product(*rest)), map(sum, product(*values))):
+        for u, x in zip(last, last_values):
+            x += w
+            heads[base + u] = shared.setdefault(x, x)
+    return heads
 
 
 def _mark_product(mask: int, per_part: list[list[int]]) -> bytearray:

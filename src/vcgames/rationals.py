@@ -9,10 +9,13 @@ Hot paths work on integers over one common denominator, from ``integers``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 __all__ = ["exact", "parse_rational", "format_rational", "integers"]
+
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
 def integers(values, scale: int = 1) -> tuple[list[int], int]:
@@ -40,8 +43,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse a decimal string ("2.503", "-4", "0.25") or a ratio ("11/6").
 
     Exponent notation is refused: "1e400" would build a 401-digit integer
-    out of five characters.
+    out of five characters.  A plain ASCII decimal, the common case, is
+    read straight into its numerator and power-of-ten denominator.
     """
+    plain = _DECIMAL.fullmatch(text)
+    if plain:
+        whole, frac = plain.groups(default="")
+        return Fraction(int(whole + frac), 10 ** len(frac))
     try:
         if "e" in text.lower():
             raise ValueError("exponent notation")

@@ -104,12 +104,12 @@ def _masks_of(u: Universe, data: dict, key: str, where: str) -> tuple[int, ...]:
     """One mask per item-name list in ``data[key]``; no list names an item twice."""
     masks = []
     for names in _name_lists(data, key, where):
-        if len(set(names)) != len(names):
-            raise SchemaError(f"{where}: {key} entry {names!r} names an item twice")
         try:
             masks.append(u.mask_of(names))
         except KeyError as e:
             raise SchemaError(f"{where}: {key} entry {names!r}: unknown item {e}") from None
+        except ValueError as e:
+            raise SchemaError(f"{where}: {key} entry {names!r} {e}") from None
     return tuple(masks)
 
 
@@ -362,7 +362,7 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Ite
         blocks = ((prefix, block, 0, None) for prefix, block in nes.blocks)
     else:
         values = g.valuation.part_tables()
-        blocks = nes.value_blocks(values.value)
+        blocks = nes.value_blocks()
         value = cache(lambda w: _fmt(Fraction(w, values.scale)))
     built: dict[tuple[int, int], list] = {}
     held = 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt, sub
 from typing import Sequence
 
 from .items import Universe, bits_of, subset_sums
@@ -46,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an exhaustive check; ``witness`` pins the first violation found.
+    """Outcome of an exhaustive check; ``witness`` pins the smallest violation.
 
     For monotonicity the witness is ``(S_mask, item)`` with
     ``v(S + item) < v(S)``.  For submodularity it is ``(S_mask, T_mask, item)``
@@ -70,6 +71,7 @@ class Valuation:
         self._dense: tuple[list[int], int] | None = None
         self._spread: int | None = None
         self._parts: PartTables | None = None
+        self._checks: tuple[ValidationReport, ValidationReport] | None = None
 
     # -- value queries ---------------------------------------------------
 
@@ -164,12 +166,20 @@ class Valuation:
         has no structure to argue from (explicit tables)."""
         return None
 
+    def exhaustive_checks(self) -> tuple[ValidationReport, ValidationReport]:
+        """The reports of ``check_monotone`` and ``check_submodular``, from
+        one pass over the items (``_scan``); cached."""
+        if self._checks is None:
+            self._checks = _scan(self)
+        return self._checks
+
     def certify(self) -> tuple[bool, bool]:
         """Monotone/submodular verdicts: structural when available, else the
         exhaustive scan.  Agreement of the two routes is property-tested."""
         cert = self.structural_certificate()
         if cert is None:
-            cert = (check_monotone(self).ok, check_submodular(self).ok)
+            monotone, submodular = self.exhaustive_checks()
+            cert = (monotone.ok, submodular.ok)
         return cert
 
 
@@ -392,58 +402,82 @@ def common_scale(v: Valuation, extras) -> tuple[list[int], int, int, list[int]]:
     return table, scale // lv, scale, ints
 
 
-def check_monotone(v: Valuation) -> ValidationReport:
-    """Exhaustive scan: v(S + a) >= v(S) for every S and a outside S.
+def _halves(n: int, item: int) -> list[tuple[slice, slice]]:
+    """Slice pairs ``(lo, hi)`` that split a list indexed by the 2^n masks
+    on ``item``: ``lo`` takes masks without it, ascending, and ``hi`` the
+    same masks with it.  Strided slices for a low bit, contiguous runs for
+    a high one, so there are at most about 2^((n-1)/2) pairs."""
+    half, size = 1 << item, 1 << n
+    if 2 * half * half <= size:
+        return [(slice(j, size, 2 * half), slice(j + half, size, 2 * half)) for j in range(half)]
+    return [(slice(s, s + half), slice(s + half, s + 2 * half)) for s in range(0, size, 2 * half)]
 
-    Scans subsets ascending by mask and items ascending, so the reported
-    witness is deterministic.
+
+def _scan(v: Valuation) -> tuple[ValidationReport, ValidationReport]:
+    """The monotone and submodular reports of v, from one pass over the
+    items.
+
+    For each item a it lists the marginals ``m_a[S] = v(S + a) - v(S)``
+    over every mask S (0 where S holds a) from slices of the dense table.
+    v is monotone iff no m_a is negative, and submodular iff no
+    ``m_a[S] < m_a[S + b]`` for b > a and S without b; where S holds a both
+    sides are 0.  One item's list is held at a time.
     """
     n = v.universe.n
     table, _ = v.dense_scaled()
-    for mask in range(1 << n):
-        for a in range(n):
-            bit = 1 << a
-            if mask & bit:
-                continue
-            if table[mask | bit] < table[mask]:
-                names = v.universe
-                return ValidationReport(
-                    False,
-                    (mask, a),
-                    f"v({names.format_set(mask | bit)}) < v({names.format_set(mask)})",
-                )
-    return ValidationReport(True)
+    halves = [_halves(n, item) for item in range(n)]
+    falls = rises = None  # the smallest (S, a) and (S, a, b) so far
+    for a in range(n):
+        m = [0] * len(table)
+        for lo, hi in halves[a]:
+            m[lo] = list(map(sub, table[hi], table[lo]))
+        if min(m) < 0:
+            found = (next(S for S, d in enumerate(m) if d < 0), a)
+            falls = min(falls, found) if falls else found
+        for b in range(a + 1, n):
+            for lo, hi in halves[b]:
+                below, above = m[lo], m[hi]
+                if any(map(lt, below, above)):
+                    k = list(map(lt, below, above)).index(True)
+                    found = (lo.start + k * (lo.step or 1), a, b)
+                    rises = min(rises, found) if rises else found
+    u = v.universe
+    monotone = submodular = ValidationReport(True)
+    if falls:
+        S, a = falls
+        monotone = ValidationReport(
+            False, falls, f"v({u.format_set(S | 1 << a)}) < v({u.format_set(S)})"
+        )
+    if rises:
+        S, a, b = rises
+        submodular = ValidationReport(
+            False,
+            (S, S | 1 << b, a),
+            f"marginal of {u.names[a]} rises from {u.format_set(S)} to {u.format_set(S | 1 << b)}",
+        )
+    return monotone, submodular
+
+
+def check_monotone(v: Valuation) -> ValidationReport:
+    """Exhaustive check that v(S + a) >= v(S) for every S and a outside S.
+
+    The witness ``(S, a)`` is the smallest violation, by mask and then
+    item (``Valuation.exhaustive_checks``).
+    """
+    return v.exhaustive_checks()[0]
 
 
 def check_submodular(v: Valuation) -> ValidationReport:
-    """Exhaustive scan of the local condition m_a(S) >= m_a(S + b).
+    """Exhaustive check of the local condition m_a(S) >= m_a(S + b).
 
     The local condition over all S, a, b is equivalent to submodularity on
     every pair of sets, so a PASS here is a full certificate.  The condition
-    is symmetric in a and b, so only a < b is scanned, which finds the same
-    first violation as the scan of every ordered pair.
+    is symmetric in a and b, so only a < b is checked, which finds the same
+    smallest violation as a check of every ordered pair.  The witness
+    ``(S, S + b, a)`` is the lexicographic minimum of the violations
+    ``(S, a, b)`` (``Valuation.exhaustive_checks``).
     """
-    n = v.universe.n
-    table, _ = v.dense_scaled()
-    for mask in range(1 << n):
-        for a in range(n):
-            abit = 1 << a
-            if mask & abit:
-                continue
-            base = table[mask | abit] - table[mask]
-            for b in range(a + 1, n):
-                bbit = 1 << b
-                if mask & bbit:
-                    continue
-                if table[mask | abit | bbit] - table[mask | bbit] > base:
-                    names = v.universe
-                    return ValidationReport(
-                        False,
-                        (mask, mask | bbit, a),
-                        f"marginal of {names.names[a]} rises from "
-                        f"{names.format_set(mask)} to {names.format_set(mask | bbit)}",
-                    )
-    return ValidationReport(True)
+    return v.exhaustive_checks()[1]
 
 
 def expand_to_table(v: Valuation) -> TableValuation:

@@ -530,6 +530,32 @@ def test_input_the_model_would_ignore_is_refused(capsys, tmp_path, key, value, m
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        # read as {y}, "y,y" gave the one entry the table lacked, and PASS
+        (
+            {"type": "table", "items": ["x", "y"],
+             "entries": {"x": "1", "y,y": "1", "x,y": "2"}},
+            ["check"],
+        ),
+        (
+            {"type": "table", "items": ["x", "y"],
+             "entries": {"x": "1", "y": "1", "x,y": "2"}, "vendors": [["x", "x"], ["y"]]},
+            ["check"],
+        ),
+        (json.loads(Path(TWO_TV).read_text()), ["brd", "--start", "{x,x}|{y}"]),
+    ],
+    ids=["table-key", "vendor-list", "brd-start"],
+)
+def test_a_set_naming_an_item_twice_is_refused(capsys, tmp_path, obj, argv):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == "" and "names an item twice: " in err
+
+
 def test_repeated_json_key_refused(capsys, tmp_path):
     # read last-value-wins, the table would be v(x) = 5 > v(x,y) = 2
     path = tmp_path / "game.json"

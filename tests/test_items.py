@@ -54,10 +54,26 @@ def test_partition():
 
 def test_unknown_item_raises():
     u = Universe(("a", "b"))
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown item: 'z'"):
         u.index("z")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown item: 'z'"):
         u.mask_of(("a", "z"))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda u: u.mask_of(("b", "a", "b")),
+        lambda u: u.parse_set("{b,a,b}"),
+        lambda u: u.parse_set("b, a ,b"),
+    ],
+    ids=["mask_of", "parse_set", "parse_set-spaced"],
+)
+def test_a_set_naming_an_item_twice_is_refused(read):
+    # read as {a,b} it would answer a question that was not asked
+    u = Universe(("a", "b", "c"))
+    with pytest.raises(ValueError, match="names an item twice: 'b'"):
+        read(u)
 
 
 def test_format_and_parse_set():

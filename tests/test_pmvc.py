@@ -626,3 +626,33 @@ def test_separable_game_plays_as_its_one_part_twin(drawn):
         assert pmvc_outcome(g, s, eps) == pmvc_outcome(twin, s, eps)
     assert pmvc_pure_ne(g, undercut=eps) == pmvc_pure_ne(twin, undercut=eps)
     assert g.valuation.part_tables().parts == g.valuation.components()
+
+
+def _check_block_values(g):
+    values = g.valuation.part_tables()
+    nes = pmvc_pure_ne(g)
+    for seq in (nes, nes[1:]):
+        unions = []
+        for prefix, offers, base, rest in seq.value_blocks():
+            assert base == values.value(prefix & ~seq.tail)
+            assert [base + w for w in rest] == [values.value(prefix + o) for o in offers]
+            unions += [prefix + o for o in offers]
+        assert unions == seq.unions
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_separable(), st.booleans())
+def test_block_values_add_up_to_each_union_value(drawn, idle_last):
+    # an idle last vendor leaves no item in ``tail``: every base is read
+    # from the sums over the head parts
+    v, vendors = drawn
+    _check_block_values(GameInstance(v, (*vendors, 0) if idle_last else vendors))
+
+
+@pytest.mark.parametrize("vendors", [(0b011, 0b100), (0b011, 0b100, 0)], ids=["busy", "idle"])
+def test_block_values_of_an_uncertified_game(vendors):
+    # |S|^2 is monotone but not submodular: one part, the whole universe
+    v = TableValuation(Universe(("a", "b", "c")), [m.bit_count() ** 2 for m in range(8)])
+    g = GameInstance(v, vendors, allow_uncertified=True)
+    assert not g.certified and pmvc_pure_ne(g)
+    _check_block_values(g)

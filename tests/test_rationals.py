@@ -49,6 +49,37 @@ def test_parse_rejects_exponent_notation(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-0.50", "12.30", "4000", "2.503", "-4"])
+def test_plain_decimals_read_as_fraction_reads_them(text):
+    assert parse_rational(text) == Fraction(text)
+    assert type(parse_rational(text)) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (" 1.5 ", Fraction(3, 2)),
+        ("+1.5", Fraction(3, 2)),
+        ("1/3", Fraction(1, 3)),
+        ("1_000", Fraction(1000)),
+        (".5", Fraction(1, 2)),
+        ("1.", Fraction(1)),
+        ("12.30\n", Fraction(123, 10)),
+        ("\u0661\u0662", Fraction(12)),  # Arabic-Indic digits
+        ("\uff11.5", Fraction(3, 2)),  # a fullwidth digit
+        ("\u0663/\u0664", Fraction(3, 4)),
+    ],
+)
+def test_texts_off_the_plain_decimal_form_keep_their_reading(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("bad", ["1e3", "- 1", "1 /3", "1.5/2", "0x10", "\u22121", "1.5.", "--1"])
+def test_texts_off_the_plain_decimal_form_keep_their_refusal(bad):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(bad)
+
+
 def test_format_exact_decimal():
     assert format_rational(Fraction(2503, 1000)) == "2.503"
     assert format_rational(Fraction(21, 10)) == "2.1"

@@ -17,6 +17,8 @@ from vcgames import (
     counterexample_instance,
     expand_to_table,
 )
+from vcgames.items import bits_of
+from vcgames.valuation import ValidationReport, Valuation, _halves
 
 U2 = Universe(("a", "b"))
 U3 = Universe(("a", "b", "c"))
@@ -292,6 +294,144 @@ def test_submodular_scan_matches_the_ordered_pair_scan(values):
     witness, detail = _ordered_pair_submodular_scan(v)
     assert report.ok == (witness is None)
     assert (report.witness, report.detail) == (witness, detail)
+
+
+# -- the scalar scans, as the reference for the sliced checks ----------------
+
+
+def reference_check_monotone(v: Valuation) -> ValidationReport:
+    """Exhaustive scan: v(S + a) >= v(S) for every S and a outside S.
+
+    Scans subsets ascending by mask and items ascending, so the reported
+    witness is deterministic.
+    """
+    n = v.universe.n
+    table, _ = v.dense_scaled()
+    for mask in range(1 << n):
+        for a in range(n):
+            bit = 1 << a
+            if mask & bit:
+                continue
+            if table[mask | bit] < table[mask]:
+                names = v.universe
+                return ValidationReport(
+                    False,
+                    (mask, a),
+                    f"v({names.format_set(mask | bit)}) < v({names.format_set(mask)})",
+                )
+    return ValidationReport(True)
+
+
+def reference_check_submodular(v: Valuation) -> ValidationReport:
+    """Exhaustive scan of the local condition m_a(S) >= m_a(S + b).
+
+    The local condition over all S, a, b is equivalent to submodularity on
+    every pair of sets, so a PASS here is a full certificate.  The condition
+    is symmetric in a and b, so only a < b is scanned, which finds the same
+    first violation as the scan of every ordered pair.
+    """
+    n = v.universe.n
+    table, _ = v.dense_scaled()
+    for mask in range(1 << n):
+        for a in range(n):
+            abit = 1 << a
+            if mask & abit:
+                continue
+            base = table[mask | abit] - table[mask]
+            for b in range(a + 1, n):
+                bbit = 1 << b
+                if mask & bbit:
+                    continue
+                if table[mask | abit | bbit] - table[mask | bbit] > base:
+                    names = v.universe
+                    return ValidationReport(
+                        False,
+                        (mask, mask | bbit, a),
+                        f"marginal of {names.names[a]} rises from "
+                        f"{names.format_set(mask)} to {names.format_set(mask | bbit)}",
+                    )
+    return ValidationReport(True)
+
+
+def assert_checks_match_the_scans(v):
+    monotone, submodular = v.exhaustive_checks()
+    assert monotone == check_monotone(v) == reference_check_monotone(v)
+    assert submodular == check_submodular(v) == reference_check_submodular(v)
+    return monotone, submodular
+
+
+@st.composite
+def tables_up_to_seven_items(draw):
+    """A coverage function (monotone and submodular), less an optional
+    per-item cost (submodular, maybe not monotone), plus an optional
+    q|S|^2 (monotone, maybe not submodular), with an optional bump at one
+    set (often breaking either), or now and then any table."""
+    n = draw(st.integers(1, 7))
+    u = Universe(tuple("abcdefg"[:n]))
+    if draw(st.integers(0, 5)) == 0:
+        return TableValuation(u, [0] + draw(st.lists(st.integers(-3, 6), min_size=(1 << n) - 1,
+                                                     max_size=(1 << n) - 1)))
+    weights = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    covers = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+    costs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) if draw(st.booleans()) else [0] * n
+    q = draw(st.integers(0, 2))
+    values = []
+    for mask in range(1 << n):
+        covered = 0
+        for i in bits_of(mask):
+            covered |= covers[i]
+        values.append(sum(w for j, w in enumerate(weights) if covered >> j & 1)
+                      - sum(costs[i] for i in bits_of(mask)) + q * mask.bit_count() ** 2)
+    if draw(st.booleans()):
+        values[draw(st.integers(1, (1 << n) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return TableValuation(u, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_up_to_seven_items())
+def test_checks_match_the_scalar_scans(v):
+    assert_checks_match_the_scans(v)
+
+
+def _bump_on(n: int, items: tuple[int, ...]) -> TableValuation:
+    """An additive table plus 1 on every set holding all of ``items``: the
+    marginal of one of them rises once the others are held."""
+    whole = sum(1 << i for i in items)
+    return TableValuation(
+        Universe(tuple("abcdefg"[:n])),
+        [3 * m.bit_count() + (m & whole == whole) for m in range(1 << n)],
+    )
+
+
+@pytest.mark.parametrize(
+    "items, witness, detail, strided",
+    [
+        # S = {a}: b's marginal rises when c joins; bit 2 is split by strides
+        ((0, 1, 2), (0b1, 0b101, 1), "marginal of b rises from {a} to {a,c}", True),
+        # S = {e}: f's marginal rises when g joins; bit 6 is split in runs
+        ((4, 5, 6), (0b10000, 0b1010000, 5), "marginal of f rises from {e} to {e,g}", False),
+    ],
+    ids=["low-bit", "high-bit"],
+)
+def test_submodular_witness_at_a_low_and_a_high_bit(items, witness, detail, strided):
+    v = _bump_on(7, items)
+    assert (_halves(7, items[-1])[0][0].step is not None) == strided
+    monotone, submodular = assert_checks_match_the_scans(v)
+    assert monotone.ok
+    assert (submodular.ok, submodular.witness, submodular.detail) == (False, witness, detail)
+
+
+@pytest.mark.parametrize("item", range(7))
+def test_monotone_witness_at_every_bit(item):
+    # v drops by 1 when either of item and the next item round joins the
+    # other, and the smaller of the two sets is the witness
+    n, other = 7, (item + 1) % 7
+    v = TableValuation(
+        Universe(tuple("abcdefg")),
+        [3 * m.bit_count() - 4 * (m >> item & m >> other & 1) for m in range(1 << n)],
+    )
+    monotone, _ = assert_checks_match_the_scans(v)
+    assert monotone.witness == (1 << min(item, other), max(item, other))
 
 
 COUNTEREXAMPLE_TABLE = counterexample_instance().valuation
