@@ -203,9 +203,9 @@ class ProfileSequence(Sequence[StrategyProfile]):
     additive parts of the valuation, so ``v(u) = v(u & ~tail) + v(u &
     tail)``, and two blocks whose prefixes agree on ``tail`` list the same
     offers.  ``parts`` are lists of unions over disjoint items, and the
-    profiles' unions are exactly the sums taking one union from each list;
-    ``heads`` are those of ``parts`` outside ``tail``, whose sums are the
-    prefixes' items outside ``tail``.
+    profiles' unions are exactly the sums taking one union from each list.
+    ``bases[h]`` is v(h) over the part tables' scale for each sum h of the
+    lists outside ``tail``, and None for the other subsets of ``~tail``.
 
     ``unions[j]`` is the union of the j-th profile's offers, listed only
     when read; the profile itself (``GameInstance.profile_of``) is built
@@ -215,12 +215,12 @@ class ProfileSequence(Sequence[StrategyProfile]):
     """
 
     def __init__(self, game: GameInstance, blocks: list[tuple[int, list[int]]],
-                 parts: list[list[int]], tail: int, heads: list[list[int]]):
+                 parts: list[list[int]], tail: int, bases: list[int | None]):
         self.game = game
         self.blocks = blocks
         self.parts = parts
         self.tail = tail
-        self.heads = heads
+        self.bases = bases
         self._len = sum(len(offers) for _, offers in blocks)
 
     @classmethod
@@ -233,7 +233,7 @@ class ProfileSequence(Sequence[StrategyProfile]):
             (prefix, [u - prefix for u in run])
             for prefix, run in groupby(unions, lambda u: u & ~last)
         ]
-        return cls(game, blocks, [unions], game.universe.full_mask, [])
+        return cls(game, blocks, [unions], game.universe.full_mask, [0])
 
     def _walk(self) -> Iterator[int]:
         return chain.from_iterable(
@@ -251,15 +251,13 @@ class ProfileSequence(Sequence[StrategyProfile]):
         part tables (``Valuation.part_tables``), which add up over its parts.
 
         Since ``tail`` is a union of parts, ``base`` is ``v(prefix &
-        ~tail)``, summed over ``heads`` beside their unions
-        (``_head_values``), and ``rest`` lists ``v(c + o)`` for the context
-        c = prefix & tail, read once per context: blocks with one context
-        list the same offers.  The lists kept for reuse hold at most about
-        65,536 values.
+        ~tail)``, read from ``bases``, and ``rest`` lists ``v(c + o)`` for
+        the context c = prefix & tail, read once per context: blocks with
+        one context list the same offers.  The lists kept for reuse hold at
+        most about 65,536 values.
         """
         value = self.game.valuation.part_tables().value
-        tail = self.tail
-        bases = _head_values(self.game.universe.full_mask & ~tail, self.heads, value)
+        tail, bases = self.tail, self.bases
         kept: dict[int, list[int]] = {}
         held = 0
         for prefix, offers in self.blocks:
@@ -560,10 +558,11 @@ def pmvc_pure_ne(
     those where the vendor falls short of its best reply.
 
     The product is listed a block at a time.  The parts meeting the last
-    vendor's items make up ``tail``; a prefix p is kept when its items
-    outside ``tail`` take a stable union from every other part, and its
-    block is the last vendor's offers o for which ``(p & tail) + o`` takes
-    one from every part in ``tail``, worked out once per ``p & tail``.  A
+    vendor's items make up ``tail``: each union t of their product puts
+    the last vendor's offer ``t & last`` in the run of ``t & ~last``.  The
+    unions of the other parts' product get their values once, as the
+    sequence's ``bases`` (``_head_values``).  A prefix p is kept when ``p &
+    ~tail`` has a base, and its block is the run of ``p & tail``.  A
     profile is built only when the sequence is read.
     """
     _profile_count(g, cap)
@@ -585,20 +584,19 @@ def pmvc_pure_ne(
     last = g.vendor_masks[-1]
     tail = sum(part for part in parts if part & last)
     heads = [s for part, s in zip(parts, per_part) if not part & last]
-    marked_tail = _mark_product(tail, [s for part, s in zip(parts, per_part) if part & last])
-    marked_head = _mark_product(g.universe.full_mask & ~tail, heads)
-    offers = g.offer_tables[-1]
+    tails = [s for part, s in zip(parts, per_part) if part & last]
+    bases = _head_values(g.universe.full_mask & ~tail, heads, g.valuation.part_tables().value)
     runs: dict[int, list[int]] = {}
+    for union in map(sum, product(*tails)):
+        runs.setdefault(union & ~last, []).append(union & last)
+    for run in runs.values():
+        run.sort()
     blocks = []
     for prefix in _prefixes(g):
-        if marked_head[prefix & ~tail]:
-            context = prefix & tail
-            run = runs.get(context)
-            if run is None:
-                run = runs[context] = [o for o in offers if marked_tail[context + o]]
-            if run:
-                blocks.append((prefix, run))
-    return ProfileSequence(g, blocks, per_part, tail, heads)
+        run = runs.get(prefix & tail)
+        if run and bases[prefix & ~tail] is not None:
+            blocks.append((prefix, run))
+    return ProfileSequence(g, blocks, per_part, tail, bases)
 
 
 def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],
@@ -626,7 +624,8 @@ def _head_values(mask: int, per_part: list[list[int]], value) -> list[int | None
     up over the valuation's parts) of every union that takes one union from
     each of ``per_part`` (only the empty set for no parts), and None
     elsewhere: the sum of its unions' values, streamed from the product
-    beside the unions as in ``_mark_product``.  Equal values share one int."""
+    beside the unions.  Parts are disjoint, so a sum of unions is their
+    union.  Equal values share one int."""
     heads: list[int | None] = [None] * (mask + 1)
     shared: dict[int, int] = {}
     *rest, last = sorted(per_part, key=len) or [[0]]
@@ -638,15 +637,3 @@ def _head_values(mask: int, per_part: list[list[int]], value) -> list[int | None
             heads[base + u] = shared.setdefault(x, x)
     return heads
 
-
-def _mark_product(mask: int, per_part: list[list[int]]) -> bytearray:
-    """Mark, among the subsets of ``mask``, every union that takes one
-    stable union from each of ``per_part`` (only the empty set for no
-    parts), streamed from the product: parts are disjoint, so a sum is a
-    union."""
-    marked = bytearray(mask + 1)
-    *heads, last = sorted(per_part, key=len) or [[0]]
-    for base in map(sum, product(*heads)):
-        for u in last:
-            marked[base + u] = 1
-    return marked

@@ -179,16 +179,16 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
         entries = _need(data, "entries", dict, "table valuation")
         values = [Fraction(0)] * (1 << u.n)
         seen = [False] * (1 << u.n)
-        seen[0] = True
         for key, raw in entries.items():
             try:
                 mask = u.parse_set(str(key))
             except (KeyError, ValueError) as e:
                 raise SchemaError(f"table entry {key!r}: {e}") from None
-            if seen[mask] and mask != 0:
+            if seen[mask]:
                 raise SchemaError(f"table entry {key!r}: duplicate subset")
             seen[mask] = True
             values[mask] = _parse_value(raw, f"table entry {key!r}")
+        seen[0] = True  # the empty set may be left out
         missing = [m for m in range(1 << u.n) if not seen[m]]
         if missing:
             raise SchemaError(
@@ -240,12 +240,12 @@ def instance_to_obj(g: GameInstance) -> dict[str, Any]:
     return obj
 
 
-def instance_from_obj(data: dict[str, Any], allow_uncertified: bool = True) -> GameInstance:
+def instance_from_obj(data: dict[str, Any]) -> GameInstance:
     """Build an instance from its JSON object.
 
     Without a "vendors" field a single vendor owns everything (enough for
-    validation-only workflows).  Uncertified valuations load by default so
-    the checkers can report on them; analysis entry points still refuse them.
+    validation-only workflows).  Uncertified valuations load, so the
+    checkers can report on them; analysis entry points still refuse them.
     """
     if not isinstance(data, dict):
         raise SchemaError("instance must be a JSON object")
@@ -253,7 +253,7 @@ def instance_from_obj(data: dict[str, Any], allow_uncertified: bool = True) -> G
     v = valuation_from_obj(data, u)
     masks = _masks_of(u, data, "vendors", "instance") if "vendors" in data else (u.full_mask,)
     try:
-        return GameInstance(v, masks, allow_uncertified=allow_uncertified)
+        return GameInstance(v, masks, allow_uncertified=True)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 

@@ -146,9 +146,7 @@ class Valuation:
         table = [0]
         for k in sorted(range(len(values.parts)), key=values.offsets.__getitem__, reverse=True):
             table = [x + y for x in table for y in values.tables[k]]
-        if not values.identity:
-            table = list(map(table.__getitem__, subset_sums(values.bits)))
-        return table, values.scale
+        return list(map(table.__getitem__, subset_sums(values.bits))), values.scale
 
     def dense_spread(self) -> int:
         """``max(table) - min(table)`` of the dense table, over the table's
@@ -184,25 +182,24 @@ class Valuation:
 
 
 class TableValuation(Valuation):
-    """Explicit dense table; ``values[mask]`` for every subset mask."""
+    """Explicit value for every subset mask, held only as the dense integer
+    table, built from ``values`` on construction."""
 
     def __init__(self, universe: Universe, values):
         super().__init__(universe)
-        vals = tuple(map(exact, values))
+        vals = list(map(exact, values))
         if len(vals) != 1 << universe.n:
             raise ValueError(
                 f"need {1 << universe.n} entries for {universe.n} items, got {len(vals)}"
             )
         if vals[0] != 0:
             raise ValueError("v(empty set) must be 0")
-        self.values = vals
+        self._dense = integers(vals)
 
     def value_mask(self, mask: int) -> Fraction:
         self.universe._check_mask(mask)
-        return self.values[mask]
-
-    def _fill_dense(self) -> tuple[list[int], int]:
-        return integers(self.values)
+        table, scale = self._dense
+        return Fraction(table[mask], scale)
 
 
 def _harmonic_curve(m: int) -> tuple[Fraction, ...]:
@@ -322,10 +319,9 @@ class PartTables:
     item i to bit ``bits[i]``: part k's items to a run from bit
     ``offsets[k]``, the parts laid out by their lowest item.  Part k's
     local mask is then ``pack(S) >> offsets[k]`` cut to the part's size.
-    When each part is already a run of items, as in the block games, pack
-    is the identity (``identity``); else it reads one 256-entry table per
-    byte of S.  ``fields`` lists each part's table, offset, largest local
-    mask and items, for loops over the parts.
+    pack reads one 256-entry table per byte of S.  ``fields`` lists each
+    part's table, offset, largest local mask and items, for loops over the
+    parts.
     """
 
     def __init__(self, parts: tuple[int, ...], tables: tuple[list[int], ...], scale: int):
@@ -343,7 +339,6 @@ class PartTables:
                 at += 1
         self.offsets = tuple(offsets)
         self.bits = tuple(bits)
-        self.identity = all(b == 1 << i for i, b in enumerate(bits))
         self._bytes = [subset_sums(bits[i:i + 8]) for i in range(0, len(bits), 8)]
         self.fields = tuple(
             (table, offset, (1 << len(items)) - 1, items)
@@ -359,8 +354,6 @@ class PartTables:
         return PartTables(self.parts, tables, self.scale * f)
 
     def pack(self, mask: int) -> int:
-        if self.identity:
-            return mask
         out = 0
         for lut in self._bytes:
             out += lut[mask & 255]
@@ -373,8 +366,6 @@ class PartTables:
 
     def globals(self, k: int) -> Sequence[int]:
         """Part k's global masks, by local mask."""
-        if self.identity:
-            return range(0, 1 << len(self.items[k]) + self.offsets[k], 1 << self.offsets[k])
         return subset_sums([1 << i for i in self.items[k]])
 
     def value(self, mask: int) -> int:

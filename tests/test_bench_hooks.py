@@ -4,11 +4,14 @@
 and stops its set-up probes at a named function of ``vcgames.cli``.  A
 rename in the package would otherwise surface only in a traced benchmark
 run; here it fails the test suite.  So does a change to the arguments or
-the result of a call whose attributes a traced run reads.  The benchmark
-files are only imported.
+the result of a call whose attributes a traced run reads, and a span a
+workload expects that its traced run no longer fires.  The benchmark files
+are only imported and run.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +48,25 @@ def test_setup_probe_target_resolves(workload):
     cli = importlib.import_module("vcgames.cli")
     first_call = bench_run.WORKLOADS[workload].first_call
     assert callable(getattr(cli, first_call, None)), f"vcgames.cli.{first_call} is gone"
+
+
+@pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
+def test_traced_workload_fires_its_spans(workload, tmp_path):
+    # a traced benchmark run stops when a span the workload expects records
+    # no call; a call that moves to an untraced path fails here instead
+    wl = bench_run.WORKLOADS[workload]
+    path = tmp_path / "instance.json"
+    if workload in bench_run.gen.SHAPES:
+        path.write_text(bench_run.gen.Instance(workload, 0).to_json(), encoding="utf-8")
+    spans = tmp_path / "spans.json"
+    child = subprocess.run(
+        [sys.executable, str(Path(PERFBENCH) / "child.py"), "trace", str(spans), "--",
+         *wl.args(str(path))],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    fired = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert [name for name in wl.expect if name not in fired] == []
 
 
 def test_demand_runs_of_the_price_game_are_counted():

@@ -242,7 +242,12 @@ def spread_parts(part_tables, order):
     return PartsTable(Universe(tuple("abcdefgh"[:n])), totals, tuple(parts))
 
 
-COUNTEREXAMPLE_TABLE = counterexample_instance().valuation.values
+def values_of(v):
+    """Every subset's value, by mask."""
+    return [v.value_mask(m) for m in range(1 << v.universe.n)]
+
+
+COUNTEREXAMPLE_TABLE = values_of(counterexample_instance().valuation)
 
 
 @st.composite
@@ -262,7 +267,7 @@ def composite_games(draw):
                 n += 4
             else:
                 m = draw(st.integers(1, 3))
-                tables.append(random_instance(draw(st.integers(0, 999)), m, 1).valuation.values)
+                tables.append(values_of(random_instance(draw(st.integers(0, 999)), m, 1).valuation))
                 n += m
         order = draw(st.permutations(range(n)))
         v = spread_parts(tables, order)

@@ -114,8 +114,6 @@ def test_uncertified_loads_by_default():
     }
     g = instance_from_obj(obj)
     assert not g.certified
-    with pytest.raises(SchemaError):
-        instance_from_obj(obj, allow_uncertified=False)
 
 
 # -- schema rejection ------------------------------------------------------
@@ -135,6 +133,20 @@ def test_rejects_duplicate_subset():
     }
     with pytest.raises(SchemaError, match="duplicate"):
         valuation_from_obj(obj)
+
+
+def test_rejects_the_empty_set_named_twice():
+    # the empty set may be left out, but named twice it is refused like any
+    # other subset
+    obj = {
+        "type": "table",
+        "items": ["x"],
+        "entries": {"": "0", "{}": "0", "x": "1"},
+    }
+    with pytest.raises(SchemaError, match="duplicate"):
+        valuation_from_obj(obj)
+    del obj["entries"]["{}"]
+    assert valuation_from_obj(obj).value_of(["x"]) == 1
 
 
 def test_rejects_nonzero_empty_set():
