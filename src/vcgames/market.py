@@ -15,16 +15,30 @@ raises a bundle's value by at most the spread, so an item priced above it
 lowers the utility of every bundle that holds it and is in no maximizer;
 leaving such items out drops only sets that are never optimal.
 
+Nor does it branch on *held* items, those priced at most their floor, the
+smallest marginal ``min_S v(S + a) - v(S)``: for S without a,
+``u(S + a) - u(S) = m_a(S) - p_a >= 0``, so with every maximizer S, S plus
+the held items is one too.  The best utility, the largest maximizer and the
+union of the maximizers are then all reached on bundles that hold every held
+item.  So the scan lists the subsets X of the other live items, the *free*
+ones, each joined with every held item.  A held item priced below its floor
+is in every maximizer, since adding it raises utility; so the maximizers are
+the listed bundles at the best utility less some of their *tied* items,
+those priced exactly at their floor.  Only the tie count and ``demand_all``
+look at those.
+
 Items a vendor withholds are modeled with the sentinel price ``v(A*) + 1``,
 an exact rational that no rational buyer ever pays.  On a normalized
 monotone table the spread is ``v(A*)``, so withheld items are never live and
-a profile whose offers make up U costs 2^|U| subsets, not 2^n.
+a profile whose offers make up U lists at most 2^|U| subsets, not 2^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .items import Universe, bits_of, subset_sums
 from .rationals import exact, format_rational, integers
@@ -105,48 +119,75 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
 def _bundles(v: Valuation, p: PriceVector, within: int):
     """The buyer's scan over the items of ``within`` that can sell.
 
-    Returns ``(table, f, scale, masks, costs)``: the dense table and p over
-    one scale (``common_scale`` over all of p), and every subset of the live
-    items of ``within``, ascending by mask, with its price sum over the
-    scale.  ``f * table[m] - c`` is a bundle's utility over the scale.  Item
-    i is live iff its price is at most the table's spread; a dead item costs
-    more than it can add to any bundle, so it is in no maximizer.
+    Returns ``(table, f, scale, masks, costs, tied)``: the dense table and p
+    over one scale (``common_scale`` over all of p); every subset of the
+    free items of ``within`` joined with all of its held items, ascending by
+    mask, with its price sum over the scale; and ``(1 << i, price)`` over
+    the scale for each tied item i.  ``f * table[m] - c`` is a bundle's
+    utility over the scale.  Item i is live iff its price is at most the
+    table's spread, held iff at most its floor
+    (``Valuation.floor_marginals``) and tied iff exactly at it; live items
+    that are not held are free.  The maximizers are the listed bundles at
+    the best utility less some of their tied items (see the module
+    docstring).
     """
     table, f, scale, price_int = common_scale(v, p.prices)
     spread = f * v.dense_spread()
-    live = [i for i in bits_of(within) if price_int[i] <= spread]
-    masks = subset_sums([1 << i for i in live])
-    return table, f, scale, masks, subset_sums([price_int[i] for i in live])
+    floors = v.floor_marginals()
+    held = held_cost = 0
+    tied, free = [], []
+    for i in bits_of(within):
+        q, floor = price_int[i], f * floors[i]
+        if q <= floor:  # no floor passes the spread
+            held |= 1 << i
+            held_cost += q
+            if q == floor:
+                tied.append(i)
+        elif q <= spread:
+            free.append(i)
+    masks = subset_sums([1 << i for i in free])
+    costs = subset_sums([price_int[i] for i in free])
+    if held:
+        masks = [m | held for m in masks]
+        costs = [c + held_cost for c in costs]
+    return table, f, scale, masks, costs, [(1 << i, price_int[i]) for i in tied]
+
+
+def _maximizers(table, f, best, hits, tied) -> list[tuple[int, int]]:
+    """Every maximizer with its price sum over the scale, from ``hits``,
+    the listed bundles at the best utility: each hit less every set W of its
+    tied items that keeps the best.  Putting a held item back never lowers
+    utility, so the sets W that keep it are closed under subsets, and they
+    grow one tied item at a time from those found so far."""
+    for bit, q in tied:
+        hits += [(m ^ bit, c - q) for m, c in hits if f * table[m ^ bit] - c + q == best]
+    return hits
 
 
 def demand(v: Valuation, p: PriceVector) -> DemandResult:
     """The buyer's purchase under maximal tie-breaking.
 
-    Exact over all 2^n subsets, while enumerating only the 2^|live| subsets
-    of the live items (see the module docstring): every maximizer is among
-    them, so the chosen set, its utility and the tie diagnostics are those of
-    the full scan.  ``optima_count`` counts all maximizers.
-    ``union_is_optimal`` records whether the union of maximizers was itself a
-    maximizer; when it is not, the chosen set is the maximizer with the
-    largest bitmask (a maximal one, since the bitmask order extends strict
-    inclusion).
+    Exact over all 2^n subsets, while enumerating only the 2^|free| listed
+    bundles of ``_bundles`` and, for each that reaches the best utility (a
+    hit), the sets of tied items it can drop (see the module docstring): every
+    maximizer is among them, so the chosen set, its utility and the tie
+    diagnostics are those of the full scan.  ``optima_count`` counts all
+    maximizers.  ``union_is_optimal`` records whether the union of
+    maximizers was itself a maximizer; when it is not, the chosen set is the
+    maximizer with the largest bitmask (a maximal one, since the bitmask
+    order extends strict inclusion).
     """
     p.check_universe(v.universe)
-    table, f, scale, masks, costs = _bundles(v, p, v.universe.full_mask)
+    table, f, scale, masks, costs, tied = _bundles(v, p, v.universe.full_mask)
     utils = [f * table[m] - c for m, c in zip(masks, costs)]
-    # the union of the maximizers if it maximizes too, else the last one;
-    # masks ascend, so that is the largest maximizer
-    best = utils[0]
-    union = count = last = 0
-    for j, u in enumerate(utils):
-        if u > best:
-            best, union, count, last = u, j, 1, j
-        elif u == best:
-            union |= j
-            count += 1
-            last = j
+    best = max(utils)
+    hits = [j for j, u in enumerate(utils) if u == best]
+    # every maximizer lies inside a hit, so the union of the maximizers is
+    # that of the hits; masks ascend, so the last hit is the largest
+    union = reduce(or_, hits)
     union_ok = utils[union] == best
-    chosen = union if union_ok else last
+    chosen = union if union_ok else hits[-1]
+    count = len(_maximizers(table, f, best, [(masks[j], costs[j]) for j in hits], tied))
     return DemandResult(masks[chosen], Fraction(best, scale), count, union_ok)
 
 
@@ -157,7 +198,8 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
             f"demand_all enumerates maximizers explicitly; capped at {DEMAND_ALL_MAX_ITEMS} items"
         )
     p.check_universe(v.universe)
-    table, f, _, masks, costs = _bundles(v, p, v.universe.full_mask)
+    table, f, _, masks, costs, tied = _bundles(v, p, v.universe.full_mask)
     utils = [f * table[m] - c for m, c in zip(masks, costs)]
     best = max(utils)
-    return [mask for mask, u in zip(masks, utils) if u == best]
+    hits = [(m, c) for m, c, u in zip(masks, costs, utils) if u == best]
+    return sorted(m for m, _ in _maximizers(table, f, best, hits, tied))

@@ -70,6 +70,7 @@ class Valuation:
         self.universe = universe
         self._dense: tuple[list[int], int] | None = None
         self._spread: int | None = None
+        self._floors: tuple[int, ...] | None = None
         self._parts: PartTables | None = None
         self._checks: tuple[ValidationReport, ValidationReport] | None = None
 
@@ -156,6 +157,26 @@ class Valuation:
             table, _ = self.dense_scaled()
             self._spread = max(table) - min(table)
         return self._spread
+
+    def floor_marginals(self) -> tuple[int, ...]:
+        """Each item's smallest marginal ``min_S v(S + a) - v(S)`` over S
+        without a, over the dense table's scale.  Where the structure proves
+        v submodular, marginals only fall as S grows, so it is the marginal
+        at ``A* - a``; otherwise the minimum of the item's marginal list,
+        from slices as in ``_scan``.  Computed once, on first use."""
+        if self._floors is None:
+            table, _ = self.dense_scaled()
+            n = self.universe.n
+            cert = self.structural_certificate()
+            if cert is not None and cert[1]:
+                full = len(table) - 1
+                self._floors = tuple(table[full] - table[full ^ 1 << a] for a in range(n))
+            else:
+                self._floors = tuple(
+                    min(min(map(sub, table[hi], table[lo])) for lo, hi in _halves(n, a))
+                    for a in range(n)
+                )
+        return self._floors
 
     # -- certification ---------------------------------------------------
 

@@ -11,8 +11,9 @@ Best responses come in three tiers:
   marginal contributions relative to C together with what would sell without
   the vendor; revenue is whatever the demand oracle then actually pays.
   Sound for refuting equilibria, never claimed optimal.  Each offer costs one
-  demand scan, 3^|A_i| * 2^(live rival items) subsets over all offers, and a
-  query past ``CANDIDATE_MAX_SCAN`` is refused before the first scan.
+  demand scan, at most 3^|A_i| * 2^(live rival items) subsets over all
+  offers, and a query whose bound passes ``CANDIDATE_MAX_SCAN`` is refused
+  before the first scan.
 * ``target-set-exact`` -- complete: for a target bought set B the best prices
   solve a linear program (maximize the vendor's share of p(B) subject to the
   buyer weakly preferring B over every other subset), and scanning targets is
@@ -185,9 +186,11 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
     ni = len(items)
     _check_cap(g, "target-set-exact enumerates 2^n targets")
     glob = g.offer_tables[vendor]
-    # the competitor sets S' that can be in a maximizer, in submasks_of
-    # order (descending), as global masks and price sums
-    table, f, scale, out_masks, out_costs = _bundles(v, p, g.universe.full_mask ^ owned)
+    # the competitor sets S' that can be in a maximizer, each joined with
+    # the held rival items (which keeps the best utility and the largest
+    # maximizer, see the market module), in submasks_of order (descending),
+    # as global masks and price sums
+    table, f, scale, out_masks, out_costs, _ = _bundles(v, p, g.universe.full_mask ^ owned)
     out_masks.reverse()
     out_costs.reverse()
 
@@ -259,9 +262,10 @@ def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
     v = g.valuation
     items = g.vendor_items(vendor)
     # offer C is sold through one demand scan of 2^|C| * 2^live subsets, live
-    # the rival items the buyer can take, so the offers scan 3^|A_i| * 2^live
+    # the rival items the buyer can take, so the offers scan 3^|A_i| * 2^live;
+    # the bundle scan lists fewer, but its last bundle holds every live item
     rivals = g.universe.full_mask ^ g.vendor_masks[vendor]
-    live = len(_bundles(v, p, rivals)[3]).bit_length() - 1
+    live = _bundles(v, p, rivals)[3][-1].bit_count()
     if (3 ** len(items) << live) > CANDIDATE_MAX_SCAN:
         raise ValueError(
             f"candidate-set would scan 3^{len(items)} * 2^{live} subsets "

@@ -23,6 +23,29 @@ def big_denominator_fractions(top: int):
     )
 
 
+def coverage_values(weights, covers) -> list[int]:
+    """The value of every subset mask of ``len(covers)`` items: the total
+    weight of the ground elements they cover, item i covering the bits of
+    ``covers[i]``.  Monotone and submodular."""
+    values = []
+    for mask in range(1 << len(covers)):
+        covered = 0
+        for i, cover in enumerate(covers):
+            if mask >> i & 1:
+                covered |= cover
+        values.append(sum(w for j, w in enumerate(weights) if covered >> j & 1))
+    return values
+
+
+def brute_floors(v) -> list[Fraction]:
+    """Each item's smallest marginal ``v(S + a) - v(S)`` over every S
+    without it, from ``marginal_mask`` alone."""
+    n = v.universe.n
+    return [
+        min(v.marginal_mask(a, s) for s in range(1 << n) if not s >> a & 1) for a in range(n)
+    ]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not RESULTS:
         return

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import big_denominator_fractions
+from conftest import big_denominator_fractions, brute_floors, coverage_values
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +220,53 @@ def test_demand_chosen_is_maximal(vals, prices):
     res = demand(v, p)
     for m in demand_all(v, p):
         assert not (m > res.chosen and m & res.chosen == res.chosen and m != res.chosen)
+
+
+# -- prices at the items' floors, where the held-item rule applies --------
+
+# a weighted coverage of four ground elements (certified), or any integer
+# table (mostly uncertified, with negative floors)
+tables3 = st.builds(
+    lambda weights, covers: TableValuation(U3, coverage_values(weights, covers)),
+    st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    st.lists(st.integers(0, 15), min_size=3, max_size=3),
+) | st.lists(st.integers(-3, 6), min_size=7, max_size=7).map(
+    lambda vals: TableValuation(U3, [0] + vals)
+)
+# one unit below an item's floor, at it, or one unit above; a quarter off
+# it puts the price off the table's integer scale
+FLOOR_OFFSETS = st.sampled_from([F(-1), F(-1, 4), F(0), F(1, 4), F(1)])
+
+
+@st.composite
+def floor_priced_tables3(draw):
+    v = draw(tables3)
+    prices = tuple(max(F(0), floor + draw(FLOOR_OFFSETS)) for floor in brute_floors(v))
+    return v, PriceVector(U3, prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_priced_tables3())
+# additive a=1, b=2, c=1: a at its floor ties in and out, b below its floor
+# is in every maximizer, and c above its floor in none
+@example((TableValuation(U3, [0, 1, 2, 3, 1, 2, 3, 4]), PriceVector(U3, (1, 1, 2))))
+# every item held at its floor and every set a maximizer: 8 ties
+@example((TableValuation(U3, [0, 1, 1, 2, 1, 2, 2, 3]), PriceVector(U3, (1, 1, 1))))
+# a and b substitute (floor 0 each) and c adds 1: all held, six sets tie
+@example((TableValuation(U3, [0, 2, 2, 2, 1, 3, 3, 3]), PriceVector(U3, (0, 0, 1))))
+def test_demand_at_the_floors_matches_naive_oracle(case):
+    v, p = case
+    res = demand(v, p)
+    chosen, best, count, union_ok = naive_demand(v, p)
+    assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (
+        chosen,
+        best,
+        count,
+        union_ok,
+    )
+    assert demand_all(v, p) == sorted(
+        m for m in range(8) if v.value_mask(m) - p.total(m) == best
+    )
 
 
 # -- prices whose denominators the table lacks ----------------------------

@@ -1,10 +1,11 @@
 """Continuous price game: best replies, verification, projection, dynamics."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import big_denominator_fractions
+from conftest import big_denominator_fractions, brute_floors, coverage_values
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -568,3 +569,60 @@ def test_exact_tier_matches_reference_without_the_skip(case):
     full = {i: prices.get(i, sent) for i in g.vendor_items(vendor)}
     assert (br.revenue, br.prices, br.target_mask) == (revenue, full, target)
     assert br.realized_revenue == vendor_revenue(g, p.replace(full), vendor)
+
+
+# -- rival items priced at their floors -----------------------------------
+
+
+@st.composite
+def floor_priced_games(draw):
+    """A coverage game on 3 or 4 items, two vendors, each rival item priced
+    one unit below its floor, at it or one unit above, or a quarter off it;
+    at or below its floor the buyer's scan holds it."""
+    n = draw(st.integers(3, 4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    covers = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    v = TableValuation(Universe(tuple("abcd"[:n])), coverage_values(weights, covers))
+    cut = draw(st.integers(1, n - 1))
+    g = GameInstance(v, ((1 << cut) - 1, (1 << n) - (1 << cut)))
+    vendor = draw(st.integers(0, 1))
+    offsets = st.sampled_from([Fraction(-1), Fraction(-1, 4), 0, Fraction(1, 4), Fraction(1)])
+    prices = tuple(max(Fraction(0), floor + draw(offsets)) for floor in brute_floors(v))
+    return g, vendor, PriceVector(g.universe, prices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(floor_priced_games())
+def test_exact_tier_at_the_floors_matches_reference(case):
+    # the reference lists every competitor set, held items or not
+    g, vendor, p = case
+    br = vc_best_response(g, vendor, p, "target-set-exact")
+    revenue, prices, target = exact_reference(g, vendor, p)
+    sent = sentinel_price(g.valuation)
+    full = {i: prices.get(i, sent) for i in g.vendor_items(vendor)}
+    assert (br.revenue, br.prices, br.target_mask) == (revenue, full, target)
+
+
+def test_candidate_cap_counts_held_rival_items(monkeypatch):
+    # harmonic:2,8: a rival item's floor is H_8 - H_7 = 1/8; at 0 or at 1/8
+    # it is held, at 1/4 it is free, and the cap counts both: 3^8 * 2^8 is
+    # past 3^13, 3^8 * 2^7 (one rival withheld) is not
+    import vcgames.vcgame as vcgame
+
+    g = harmonic_instance(2, 8)
+    sent = sentinel_price(g.valuation)
+    rivals = [Fraction(0)] * 4 + [Fraction(1, 8)] * 2 + [Fraction(1, 4)] * 2
+    p = PriceVector(g.universe, tuple([sent] * 8 + rivals))
+    cap = re.escape(f"candidate-set would scan 3^8 * 2^8 subsets (cap {3 ** 13})")
+    with pytest.raises(ValueError, match=f"^{cap}$"):
+        vc_best_response(g, 0, p, "candidate-set")
+
+    class Scanned(Exception):
+        pass
+
+    def refuse(v, p):
+        raise Scanned
+
+    monkeypatch.setattr(vcgame, "demand", refuse)
+    with pytest.raises(Scanned):
+        vc_best_response(g, 0, p.replace({8: sent}), "candidate-set")
