@@ -12,13 +12,15 @@ which variable each row and each column stands for.  A pivot swaps the
 entering and the leaving variable and rewrites the pivot column in place; no
 slack identity columns are stored.
 
-Every entry is an integer.  Each row of A is scaled by the lcm of its
-denominators, c by the lcm of its own, and then the rhs column by the lcm of
-what denominators remain in it.  A positive row scale only rescales that
-row's slack, a positive scale of c only rescales every reduced cost, and a
-common rhs scale only rescales x; none of them changes the sign of a reduced
-cost or the order of two ratios, so Bland's rule makes the same pivots as on
-the unscaled LP.  The integer tableau is d times the rational one, where d
+Every entry is an integer.  An LP whose entries are all ints is taken as
+it is.  Otherwise each row of A is scaled by the lcm of its denominators, c
+by the lcm of its own, and then the rhs column by the lcm of what
+denominators remain in it; on an all-int LP every one of those scales is 1,
+so both set-ups build the same tableau.  A positive row scale only rescales
+that row's slack, a positive scale of c only rescales every reduced cost,
+and a common rhs scale only rescales x; none of them changes the sign of a
+reduced cost or the order of two ratios, so Bland's rule makes the same
+pivots as on the unscaled LP.  The integer tableau is d times the rational one, where d
 is the determinant of the current basis (1 for the slack basis); a pivot on
 the entry p at (r, s) sets, for every other row i and column j != s,
 
@@ -29,15 +31,17 @@ d = p.  The division is exact: each new entry is d' times an entry of the
 rational tableau of the new basis, whose determinant d' is d times the
 rational pivot, and by Cramer's rule that product is a minor of the integer
 matrix [A | I | b] (Bareiss).  The ratio test compares b_i / t[i][s] by
-cross-multiplication, so nothing is ever divided except by d.
+cross-multiplication, so nothing is ever divided except by d.  The optimum
+c.x is summed over the integer rhs column and c, and divided once.
 
 The exact best response has one variable per item of the target and one row
 per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
-rows, and the 12-item cap allows 4,095.  It passes its bounds as integers
-over its price scale, which only rescales x, and divides the optimum once.
-It calls this solver only for a target whose singleton rows x_b <= bound
-sum to more than the revenue already found: every feasible x meets them, so
-that sum bounds the LP's value, and a target below it could not win.
+rows, and the 12-item cap allows 4,095.  It passes 0/1 rows and its bounds
+as integers over its price scale, which only rescales x, so its LPs take
+the all-int set-up, and it divides the optimum once.  It calls this solver
+only for a target whose singleton rows x_b <= bound sum to more than the
+revenue already found: every feasible x meets them, so that sum bounds the
+LP's value, and a target below it could not win.
 """
 
 from __future__ import annotations
@@ -75,16 +79,22 @@ def maximize(
         raise ValueError("rhs must be nonnegative (slack basis must be feasible)")
 
     # m constraint rows of [A | b] and the objective row [c | 0], all integer
-    tab = []
-    scaled_rhs = []
-    for row, b in zip(rows, rhs):
-        ints, scale = integers(row)
-        tab.append(ints)
-        scaled_rhs.append(b * scale)
-    rhs_ints, rhs_scale = integers(scaled_rhs)
-    for ints, b in zip(tab, rhs_ints):
-        ints.append(b)
-    tab.append(integers(c)[0] + [0])
+    if kinds <= {int}:  # every scale is 1: the LP is its own tableau
+        tab = [[*row, b] for row, b in zip(rows, rhs)]
+        rhs_scale = c_scale = 1
+        c_ints = list(c)
+    else:
+        tab = []
+        scaled_rhs = []
+        for row, b in zip(rows, rhs):
+            ints, scale = integers(row)
+            tab.append(ints)
+            scaled_rhs.append(b * scale)
+        rhs_ints, rhs_scale = integers(scaled_rhs)
+        for ints, b in zip(tab, rhs_ints):
+            ints.append(b)
+        c_ints, c_scale = integers(c)
+    tab.append(c_ints + [0])
     basis = list(range(n, n + m))  # the variable of each row: slacks first
     nonbasic = list(range(n))  # the variable of each column
     d = 1
@@ -126,11 +136,11 @@ def maximize(
         d = ra
         basis[r], nonbasic[s] = nonbasic[s], basis[r]
 
-    zero = Fraction(0)
-    x = [zero] * n
+    x = [Fraction(0)] * n
     den = d * rhs_scale
+    total = 0  # c.x times den * c_scale
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(tab[i][n], den)
-    value = sum((ci * xi for ci, xi in zip(c, x)), zero)
-    return value, x
+            total += c_ints[var] * tab[i][n]
+    return Fraction(total, den * c_scale), x

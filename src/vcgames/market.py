@@ -25,7 +25,9 @@ ones, each joined with every held item.  A held item priced below its floor
 is in every maximizer, since adding it raises utility; so the maximizers are
 the listed bundles at the best utility less some of their *tied* items,
 those priced exactly at their floor.  Only the tie count and ``demand_all``
-look at those.
+look at those, and on the value table's own integers: a tied item's price is
+its floor, so a maximizer less that item keeps the best utility iff the item
+adds exactly its floor to v there, and no price enters the test.
 
 Items a vendor withholds are modeled with the sentinel price ``v(A*) + 1``,
 an exact rational that no rational buyer ever pays.  On a normalized
@@ -70,6 +72,12 @@ class PriceVector:
         object.__setattr__(self, "prices", prices)
         if any(p.numerator < 0 for p in prices):  # a Fraction's denominator is positive
             raise ValueError("prices must be nonnegative")
+
+    def __hash__(self) -> int:
+        # on the terms, as ``serialize._rational_texts`` keys them: a
+        # Fraction is reduced, so equal vectors have equal terms, and a
+        # Fraction's own hash runs a modular pow on its denominator
+        return hash((self.universe, *((p.numerator, p.denominator) for p in self.prices)))
 
     def check_universe(self, universe: Universe) -> None:
         """Refuse prices over any universe but ``universe``."""
@@ -122,10 +130,10 @@ def _bundles(v: Valuation, p: PriceVector, within: int):
     Returns ``(table, f, scale, masks, costs, tied)``: the dense table and p
     over one scale (``common_scale`` over all of p); every subset of the
     free items of ``within`` joined with all of its held items, ascending by
-    mask, with its price sum over the scale; and ``(1 << i, price)`` over
-    the scale for each tied item i.  ``f * table[m] - c`` is a bundle's
-    utility over the scale.  Item i is live iff its price is at most the
-    table's spread, held iff at most its floor
+    mask, with its price sum over the scale; and ``(1 << i, floor)`` for
+    each tied item i, its floor on the table's own scale.  ``f * table[m] -
+    c`` is a bundle's utility over the scale.  Item i is live iff its price
+    is at most the table's spread, held iff at most its floor
     (``Valuation.floor_marginals``) and tied iff exactly at it; live items
     that are not held are free.  The maximizers are the listed bundles at
     the best utility less some of their tied items (see the module
@@ -142,7 +150,7 @@ def _bundles(v: Valuation, p: PriceVector, within: int):
             held |= 1 << i
             held_cost += q
             if q == floor:
-                tied.append(i)
+                tied.append((1 << i, floors[i]))
         elif q <= spread:
             free.append(i)
     masks = subset_sums([1 << i for i in free])
@@ -150,17 +158,20 @@ def _bundles(v: Valuation, p: PriceVector, within: int):
     if held:
         masks = [m | held for m in masks]
         costs = [c + held_cost for c in costs]
-    return table, f, scale, masks, costs, [(1 << i, price_int[i]) for i in tied]
+    return table, f, scale, masks, costs, tied
 
 
-def _maximizers(table, f, best, hits, tied) -> list[tuple[int, int]]:
-    """Every maximizer with its price sum over the scale, from ``hits``,
-    the listed bundles at the best utility: each hit less every set W of its
-    tied items that keeps the best.  Putting a held item back never lowers
-    utility, so the sets W that keep it are closed under subsets, and they
-    grow one tied item at a time from those found so far."""
-    for bit, q in tied:
-        hits += [(m ^ bit, c - q) for m, c in hits if f * table[m ^ bit] - c + q == best]
+def _maximizers(table, hits, tied) -> list[int]:
+    """Every maximizer, from ``hits``, the masks of the listed bundles at
+    the best utility: each hit less every set W of its tied items that
+    keeps the best.  Putting a held item back never lowers utility, so the
+    sets W that keep it are closed under subsets, and they grow one tied
+    item at a time from those found so far.  A maximizer m less a tied item
+    keeps the best iff the item adds exactly its price to v, that is its
+    floor: ``table[m] - table[m ^ bit] == floor``, on the table's own small
+    integers rather than over the price scale."""
+    for bit, floor in tied:
+        hits += [m ^ bit for m in hits if table[m] - table[m ^ bit] == floor]
     return hits
 
 
@@ -187,7 +198,7 @@ def demand(v: Valuation, p: PriceVector) -> DemandResult:
     union = reduce(or_, hits)
     union_ok = utils[union] == best
     chosen = union if union_ok else hits[-1]
-    count = len(_maximizers(table, f, best, [(masks[j], costs[j]) for j in hits], tied))
+    count = len(_maximizers(table, [masks[j] for j in hits], tied))
     return DemandResult(masks[chosen], Fraction(best, scale), count, union_ok)
 
 
@@ -201,5 +212,5 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
     table, f, _, masks, costs, tied = _bundles(v, p, v.universe.full_mask)
     utils = [f * table[m] - c for m, c in zip(masks, costs)]
     best = max(utils)
-    hits = [(m, c) for m, c, u in zip(masks, costs, utils) if u == best]
-    return sorted(m for m, _ in _maximizers(table, f, best, hits, tied))
+    hits = [m for m, u in zip(masks, utils) if u == best]
+    return sorted(_maximizers(table, hits, tied))

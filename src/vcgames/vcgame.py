@@ -54,6 +54,7 @@ from .pmvc import (
     pmvc_payoffs,
     pmvc_prices,
 )
+from .rationals import integers
 from .valuation import common_scale
 
 __all__ = [
@@ -158,9 +159,14 @@ def _require_certified(g: GameInstance) -> None:
 
 
 def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
-    """What the buyer takes at p, and what each vendor earns from it."""
+    """What the buyer takes at p, and what each vendor earns from it, all
+    over one scale of p (one lcm, not one per vendor)."""
     chosen = demand(g.valuation, p).chosen
-    return chosen, tuple(p.total(chosen & owned) for owned in g.vendor_masks)
+    ints, scale = integers(p.prices)
+    return chosen, tuple(
+        Fraction(sum(ints[i] for i in bits_of(chosen & owned)), scale)
+        for owned in g.vendor_masks
+    )
 
 
 def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:

@@ -11,12 +11,20 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from vcgames import exactlp
 from vcgames.cli import main
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import gen as bench_gen
+finally:
+    sys.path.remove(PERFBENCH)
 
 # a subdirectory, since every tests/data/*.json is read as an instance
 DIGESTS = Path(__file__).parent / "data" / "digests" / "cli_digests.json"
@@ -131,6 +139,30 @@ def test_exact_tier_still_solves_a_target_its_singleton_rows_overbound(monkeypat
     (cde,) = [lp for lp in _lps_solved(monkeypatch, RANDOM_EXACT) if len(lp[0][0]) == 3]
     rows, rhs, value = cde
     assert sum(b for row, b in zip(rows, rhs) if sum(row) == 1) > value
+
+
+# 300 moves of the benchmark's continuous dynamics on its seed-0 instance:
+# eps shaves give prices of up to 163 digits, far past the short rationals
+# of the ``random:*,7,3`` runs above; the key is not a command, since the
+# file's path differs from run to run
+BRD_LONG = "brd brd-continuous@0 --mode continuous --format json --max-steps 300"
+BRD_LONG_DIGEST = {
+    "stdout": "cbb991f114cc9a71f332fa14c37d6735bbf8a822996a564c3c8a08a1b815ab3c",
+    "stderr": _sha(""),
+    "code": 0,
+}
+
+
+def _run_long_dynamics(tmp_dir: Path) -> dict:
+    path = tmp_dir / "brd-continuous.json"
+    path.write_text(bench_gen.Instance("brd-continuous", 0).to_json(), encoding="utf-8")
+    argv = BRD_LONG.split()
+    argv[1] = str(path)
+    return _run(argv)
+
+
+def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
+    assert _run_long_dynamics(tmp_path) == BRD_LONG_DIGEST
 
 
 if __name__ == "__main__":

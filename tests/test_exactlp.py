@@ -275,3 +275,35 @@ def test_rhs_scale_scales_value_and_vertex(lp, data, s):
             maximize(c, rows, [s * b for b in rhs])
         return
     assert maximize(c, rows, [s * b for b in rhs]) == (s * val, [s * xi for xi in x])
+
+
+def _int_lps(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(entries, min_size=n, max_size=n),
+            st.integers(1, 6).flatmap(
+                lambda m: st.tuples(
+                    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m),
+                    st.lists(st.integers(0, 9) | st.integers(0, 2**900), min_size=m, max_size=m),
+                )
+            ),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lps(st.integers(0, 1)) | _int_lps(st.integers(-4, 4)))
+def test_int_lp_matches_the_same_lp_as_fractions(lp):
+    # an all-int LP skips the per-row scaling, which would build the same
+    # tableau; the exact best response's 0/1 rows and integer bounds (up to
+    # 2^900 over its price scale) take that route
+    c, (rows, rhs) = lp
+    as_fractions = ([F(a) for a in c], [[F(a) for a in row] for row in rows], [F(b) for b in rhs])
+    try:
+        val, x = maximize(c, rows, rhs)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            maximize(*as_fractions)
+        return
+    assert maximize(*as_fractions) == (val, x)
+    assert type(val) is Fraction and all(type(xi) is Fraction for xi in x)

@@ -57,6 +57,26 @@ def test_price_vector_converts_what_is_not_a_fraction():
         p.replace({1: "-0.1"})
 
 
+def test_price_vector_hash_follows_equality():
+    # hashed on the reduced terms, so every spelling of a price hashes alike
+    big = Fraction(3**500, 2**900)
+    spellings = [
+        PriceVector(U, (one, big, 0, "2.5"))
+        for one in (1, "1", "2/2", Fraction(1), Fraction(2, 2))
+    ]
+    unreduced = Fraction(2 * 3**500, 2**901)
+    spellings.append(PriceVector(Universe(U.names), (1, unreduced, 0, Fraction(5, 2))))
+    first = spellings[0]
+    for p in spellings:
+        assert p == first and hash(p) == hash(first)
+    keyed = {(p, 0): j for j, p in enumerate(spellings)}
+    assert keyed == {(first, 0): len(spellings) - 1}
+    assert all(keyed[(p, 0)] == len(spellings) - 1 for p in spellings)
+    other = PriceVector(Universe(("w", "x", "y", "z")), first.prices)
+    assert other != first and (other, 0) not in keyed
+    assert first.replace({1: big + Fraction(1, 2**900)}) != first
+
+
 def test_price_vector_total_and_replace():
     p = priced(a="2.601", c="2.201")
     assert p.total(U.mask_of(("a", "c"))) == Fraction("4.802")
