@@ -20,9 +20,10 @@ so both set-ups build the same tableau.  A positive row scale only rescales
 that row's slack, a positive scale of c only rescales every reduced cost,
 and a common rhs scale only rescales x; none of them changes the sign of a
 reduced cost or the order of two ratios, so Bland's rule makes the same
-pivots as on the unscaled LP.  The integer tableau is d times the rational one, where d
-is the determinant of the current basis (1 for the slack basis); a pivot on
-the entry p at (r, s) sets, for every other row i and column j != s,
+pivots as on the unscaled LP.  The integer tableau is d times the rational
+one, where d is the determinant of the current basis (1 for the slack
+basis); a pivot on the entry p at (r, s) sets, for every other row i and
+column j != s,
 
     t[i][j] = (t[i][j] * p - t[i][s] * t[r][j]) // d
 
