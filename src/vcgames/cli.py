@@ -24,7 +24,6 @@ from .instances import (
     random_cdsp_spec,
     random_instance,
 )
-from .market import sentinel_price
 from .pmvc import (
     DEFAULT_PROFILE_CAP,
     EnumerationCapExceeded,
@@ -115,7 +114,7 @@ def _load(args: argparse.Namespace) -> GameInstance:
 
 
 def _parse_prices(g: GameInstance, text: str | None):
-    sent = sentinel_price(g.valuation)
+    sent = g.sentinel
     if not text:
         return serialize.prices_from_obj(g.universe, {}, sent)
     pairs = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import bits_of, MAX_ITEMS, Universe
-from .market import PriceVector, sentinel_price
+from .market import PriceVector
 from .pmvc import GameInstance
 from .rationals import exact, parse_rational
 from .valuation import (
@@ -164,7 +164,7 @@ def cdsp_equilibrium(g: GameInstance) -> PriceVector:
     v = g.valuation
     if not isinstance(v, CategoryMaxValuation):
         raise ValueError("closed-form equilibrium needs a category-max valuation")
-    sent = sentinel_price(v)
+    sent = g.sentinel
     prices = [sent] * g.universe.n
     for cat in v.category_masks:
         # each vendor's best item in this category

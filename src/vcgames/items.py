@@ -40,14 +40,15 @@ def submasks_of(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def subset_sums(weights) -> list[int]:
-    """``sums[mask]`` is the total of ``weights[i]`` over the bits i of mask.
+def subset_sums(weights, start: int = 0) -> list[int]:
+    """``sums[mask]`` is ``start`` plus the total of ``weights[i]`` over the
+    bits i of mask.
 
     Built by doubling: the sums that include weight j are the sums over the
     lower bits plus ``weights[j]``.  With single-bit weights ``1 << item`` the
     result maps a local mask to the global mask of those items.
     """
-    sums = [0]
+    sums = [start]
     for w in weights:
         sums += [s + w for s in sums]
     return sums

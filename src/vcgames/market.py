@@ -15,19 +15,28 @@ raises a bundle's value by at most the spread, so an item priced above it
 lowers the utility of every bundle that holds it and is in no maximizer;
 leaving such items out drops only sets that are never optimal.
 
-Nor does it branch on *held* items, those priced at most their floor, the
-smallest marginal ``min_S v(S + a) - v(S)``: for S without a,
-``u(S + a) - u(S) = m_a(S) - p_a >= 0``, so with every maximizer S, S plus
-the held items is one too.  The best utility, the largest maximizer and the
-union of the maximizers are then all reached on bundles that hold every held
-item.  So the scan lists the subsets X of the other live items, the *free*
-ones, each joined with every held item.  A held item priced below its floor
-is in every maximizer, since adding it raises utility; so the maximizers are
-the listed bundles at the best utility less some of their *tied* items,
-those priced exactly at their floor.  Only the tie count and ``demand_all``
-look at those, and on the value table's own integers: a tied item's price is
-its floor, so a maximizer less that item keeps the best utility iff the item
-adds exactly its floor to v there, and no price enters the test.
+Nor does it branch on *held* items, those priced at most their hold
+threshold t_a: then ``u(S + a) - u(S) = m_a(S) - p_a >= 0`` for every bundle
+S without a that the scan forms, so with every maximizer S, S plus the held
+items is one too.  When ``certify`` proves v submodular, t_a is the marginal
+``v(top) - v(top - a)`` at the live *top*, the live items scanned plus every
+item outside the scan (which the exact best response's targets add): every
+bundle formed lies in ``top - a``, where marginals are at least t_a.
+Otherwise it is the floor, the smallest marginal ``min_S v(S + a) - v(S)``
+(``Valuation.floor_marginals``), at most the marginal at the top for a
+submodular v.  The best utility, the largest maximizer and the union of the
+maximizers are then all reached on bundles that hold every held item.  So
+the scan lists the subsets X of the other live items, the *free* ones, each
+joined with every held item.  A held item priced below its threshold is in
+every maximizer, since adding it raises utility; so the maximizers are the
+listed bundles at the best utility less some of their *tied* items, those
+priced exactly at their threshold.  At the offer game's marginal prices
+every offered item is tied and one bundle is listed.  Only the tie count
+(``DemandResult.optima_count``, counted on request) and ``demand_all`` look
+at the tied items, and on the value table's own integers: a tied item's
+price is its threshold, so a maximizer less that item keeps the best
+utility iff the item adds exactly its threshold to v there, and no price
+enters the test.
 
 Items a vendor withholds are modeled with the sentinel price ``v(A*) + 1``,
 an exact rational that no rational buyer ever pays.  On a normalized
@@ -37,14 +46,14 @@ a profile whose offers make up U lists at most 2^|U| subsets, not 2^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from .items import Universe, bits_of, subset_sums
 from .rationals import exact, format_rational, integers
-from .valuation import Valuation, common_scale
+from .valuation import Valuation
 
 __all__ = [
     "PriceVector",
@@ -58,7 +67,7 @@ __all__ = [
 DEMAND_ALL_MAX_ITEMS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceVector:
     """One nonnegative exact price per item of a universe."""
 
@@ -105,14 +114,22 @@ class PriceVector:
         return ", ".join(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemandResult:
-    """What the buyer picks: the chosen set, its utility, and tie diagnostics."""
+    """What the buyer picks: the chosen set, its utility, and tie
+    diagnostics.  ``optima_count``, the number of maximizers, is counted on
+    request from the valuation and prices the result keeps, which take no
+    part in equality."""
 
     chosen: int
     utility: Fraction
-    optima_count: int
     union_is_optimal: bool
+    valuation: Valuation = field(compare=False, repr=False)
+    prices: PriceVector = field(compare=False, repr=False)
+
+    @property
+    def optima_count(self) -> int:
+        return len(_maximizers(self.valuation, self.prices))
 
 
 def sentinel_price(v: Valuation) -> Fraction:
@@ -124,73 +141,95 @@ def buyer_utility(v: Valuation, p: PriceVector, mask: int) -> Fraction:
     return v.value_mask(mask) - p.total(mask)
 
 
-def _bundles(v: Valuation, p: PriceVector, within: int):
+def _bundles(v: Valuation, p: PriceVector, within: int, scaled=None):
     """The buyer's scan over the items of ``within`` that can sell.
 
     Returns ``(table, f, scale, masks, costs, tied)``: the dense table and p
-    over one scale (``common_scale`` over all of p); every subset of the
-    free items of ``within`` joined with all of its held items, ascending by
-    mask, with its price sum over the scale; and ``(1 << i, floor)`` for
-    each tied item i, its floor on the table's own scale.  ``f * table[m] -
-    c`` is a bundle's utility over the scale.  Item i is live iff its price
-    is at most the table's spread, held iff at most its floor
-    (``Valuation.floor_marginals``) and tied iff exactly at it; live items
-    that are not held are free.  The maximizers are the listed bundles at
-    the best utility less some of their tied items (see the module
-    docstring).
+    over one scale (``scaled``, p's integers ``(ints, scale)`` with the scale
+    a multiple of the table's, when the caller has them; else ``integers``
+    over all of p); every subset of the free items of ``within`` joined with
+    all of its held items, ascending by mask, with its price sum over the
+    scale; and ``(1 << i, threshold)`` for each tied item i, its hold
+    threshold on the table's own scale.  ``f * table[m] - c`` is a bundle's
+    utility over the scale.  Item i is live iff its price is at most the
+    table's spread, held iff at most its threshold and tied iff exactly at
+    it; live items that are not held are free.  The threshold is the
+    marginal at the live top when ``certify`` proves v submodular, else the
+    floor (``Valuation.floor_marginals``).  The maximizers are the listed
+    bundles at the best utility less some of their tied items (see the
+    module docstring).
     """
-    table, f, scale, price_int = common_scale(v, p.prices)
+    table, lv = v.dense_scaled()
+    price_int, scale = scaled if scaled is not None else integers(p.prices, lv)
+    f, rest = divmod(scale, lv)
+    if rest:
+        raise ValueError("price scale is not a multiple of the value table's")
     spread = f * v.dense_spread()
-    floors = v.floor_marginals()
+    live = [i for i, q in enumerate(price_int) if q <= spread and within >> i & 1]
+    if v.certify()[1]:
+        # the callers' bundles all lie in top: the live items of within,
+        # and every item outside it, which the exact tier's targets add
+        top = reduce(or_, [1 << i for i in live], v.universe.full_mask ^ within)
+        at_top = table[top]
+        thresholds = {i: at_top - table[top ^ 1 << i] for i in live}
+    else:
+        thresholds = v.floor_marginals()
     held = held_cost = 0
     tied, free = [], []
-    for i in bits_of(within):
-        q, floor = price_int[i], f * floors[i]
-        if q <= floor:  # no floor passes the spread
+    for i in live:
+        q, threshold = price_int[i], thresholds[i]
+        if q <= f * threshold:
             held |= 1 << i
             held_cost += q
-            if q == floor:
-                tied.append((1 << i, floors[i]))
-        elif q <= spread:
+            if q == f * threshold:
+                tied.append((1 << i, threshold))
+        else:
             free.append(i)
-    masks = subset_sums([1 << i for i in free])
-    costs = subset_sums([price_int[i] for i in free])
-    if held:
-        masks = [m | held for m in masks]
-        costs = [c + held_cost for c in costs]
+    masks = subset_sums([1 << i for i in free], held)
+    costs = subset_sums([price_int[i] for i in free], held_cost)
     return table, f, scale, masks, costs, tied
 
 
-def _maximizers(table, hits, tied) -> list[int]:
-    """Every maximizer, from ``hits``, the masks of the listed bundles at
-    the best utility: each hit less every set W of its tied items that
-    keeps the best.  Putting a held item back never lowers utility, so the
-    sets W that keep it are closed under subsets, and they grow one tied
-    item at a time from those found so far.  A maximizer m less a tied item
-    keeps the best iff the item adds exactly its price to v, that is its
-    floor: ``table[m] - table[m ^ bit] == floor``, on the table's own small
+def _utilities(v: Valuation, p: PriceVector, scaled=None):
+    """``(table, scale, masks, utils, tied)``: the listed bundles of the
+    scan over the whole universe and their utilities over the scale."""
+    p.check_universe(v.universe)
+    table, f, scale, masks, costs, tied = _bundles(v, p, v.universe.full_mask, scaled)
+    return table, scale, masks, [f * table[m] - c for m, c in zip(masks, costs)], tied
+
+
+def _maximizers(v: Valuation, p: PriceVector) -> list[int]:
+    """Every maximizer, from the hits, the listed bundles at the best
+    utility: each hit less every set W of its tied items that keeps the
+    best.  Putting a held item back never lowers utility, so the sets W
+    that keep it are closed under subsets, and they grow one tied item at a
+    time from those found so far.  A maximizer m less a tied item keeps the
+    best iff the item adds exactly its price to v, that is its threshold:
+    ``table[m] - table[m ^ bit] == threshold``, on the table's own small
     integers rather than over the price scale."""
-    for bit, floor in tied:
-        hits += [m ^ bit for m in hits if table[m] - table[m ^ bit] == floor]
+    table, _, masks, utils, tied = _utilities(v, p)
+    best = max(utils)
+    hits = [m for m, u in zip(masks, utils) if u == best]
+    for bit, threshold in tied:
+        hits += [m ^ bit for m in hits if table[m] - table[m ^ bit] == threshold]
     return hits
 
 
-def demand(v: Valuation, p: PriceVector) -> DemandResult:
+def demand(v: Valuation, p: PriceVector, *, scaled=None) -> DemandResult:
     """The buyer's purchase under maximal tie-breaking.
 
     Exact over all 2^n subsets, while enumerating only the 2^|free| listed
-    bundles of ``_bundles`` and, for each that reaches the best utility (a
-    hit), the sets of tied items it can drop (see the module docstring): every
-    maximizer is among them, so the chosen set, its utility and the tie
-    diagnostics are those of the full scan.  ``optima_count`` counts all
-    maximizers.  ``union_is_optimal`` records whether the union of
-    maximizers was itself a maximizer; when it is not, the chosen set is the
-    maximizer with the largest bitmask (a maximal one, since the bitmask
-    order extends strict inclusion).
+    bundles of ``_bundles``: every maximizer lies inside one that reaches the
+    best utility (a hit), so the chosen set, its utility and
+    ``union_is_optimal`` are those of the full scan.  ``union_is_optimal``
+    records whether the union of maximizers was itself a maximizer; when it
+    is not, the chosen set is the maximizer with the largest bitmask (a
+    maximal one, since the bitmask order extends strict inclusion).  At the
+    offer game's prices every offered item is tied, so one bundle is listed.
+    ``scaled``, p's prices as integers ``(ints, scale)`` over a multiple of
+    the value table's scale, spares a caller that has them their lcm pass.
     """
-    p.check_universe(v.universe)
-    table, f, scale, masks, costs, tied = _bundles(v, p, v.universe.full_mask)
-    utils = [f * table[m] - c for m, c in zip(masks, costs)]
+    _, scale, masks, utils, _ = _utilities(v, p, scaled)
     best = max(utils)
     hits = [j for j, u in enumerate(utils) if u == best]
     # every maximizer lies inside a hit, so the union of the maximizers is
@@ -198,8 +237,7 @@ def demand(v: Valuation, p: PriceVector) -> DemandResult:
     union = reduce(or_, hits)
     union_ok = utils[union] == best
     chosen = union if union_ok else hits[-1]
-    count = len(_maximizers(table, [masks[j] for j in hits], tied))
-    return DemandResult(masks[chosen], Fraction(best, scale), count, union_ok)
+    return DemandResult(masks[chosen], Fraction(best, scale), union_ok, v, p)
 
 
 def demand_all(v: Valuation, p: PriceVector) -> list[int]:
@@ -208,9 +246,4 @@ def demand_all(v: Valuation, p: PriceVector) -> list[int]:
         raise ValueError(
             f"demand_all enumerates maximizers explicitly; capped at {DEMAND_ALL_MAX_ITEMS} items"
         )
-    p.check_universe(v.universe)
-    table, f, _, masks, costs, tied = _bundles(v, p, v.universe.full_mask)
-    utils = [f * table[m] - c for m, c in zip(masks, costs)]
-    best = max(utils)
-    hits = [m for m, u in zip(masks, utils) if u == best]
-    return sorted(_maximizers(table, hits, tied))
+    return sorted(_maximizers(v, p))

@@ -60,7 +60,7 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when a profile enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyProfile:
     """One offer mask per vendor; offers[i] subseteq A_i."""
 
@@ -122,6 +122,11 @@ class GameInstance:
 
     def vendor_items(self, i: int) -> tuple[int, ...]:
         return tuple(bits_of(self.vendor_masks[i]))
+
+    @cached_property
+    def sentinel(self) -> Fraction:
+        """The withheld-item price ``sentinel_price``, built once per game."""
+        return sentinel_price(self.valuation)
 
     @cached_property
     def offer_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -294,7 +299,7 @@ class ProfileSequence(Sequence[StrategyProfile]):
         return f"ProfileSequence({list(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """Mechanism prices, the buyer's purchase, and everyone's payoff."""
 
@@ -331,7 +336,7 @@ class MarginalPricing:
         self.universe = g.universe
         values = v.part_tables()
         (self.eps, self.sentinel), self.scale = integers(
-            [undercut or Fraction(0), sentinel_price(v)], values.scale
+            [undercut or Fraction(0), g.sentinel], values.scale
         )
         self.values = values.scaled(self.scale // values.scale)
         self._fractions: dict[int, Fraction] = {}
@@ -398,12 +403,15 @@ def pmvc_prices(g: GameInstance, s: StrategyProfile, undercut: Fraction | None =
 
 def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None = None) -> Outcome:
     """Price the profile, run the buyer, split revenue by ownership.
-    Payoffs and welfare are summed as integers over the pricing's scale."""
+    The buyer's scan takes the pricing's integers as they are, and payoffs
+    and welfare are summed as integers over the pricing's scale.  Every
+    offered item is priced at most its marginal in the offer, so the scan
+    holds them all and lists one bundle."""
     g.check_profile(s)
     rule = g.pricing(undercut)
     prices = rule.prices(s.union_mask)
     p = rule.price_vector(prices)
-    d = demand(g.valuation, p)
+    d = demand(g.valuation, p, scaled=(prices, rule.scale))
     chosen = d.chosen
     payoffs = tuple(
         rule.fraction(sum(prices[i] for i in bits_of(chosen & offer))) for offer in s.offers
@@ -511,7 +519,8 @@ def payoff_table(
     cap: int = DEFAULT_PROFILE_CAP,
     undercut: Fraction | None = None,
 ) -> list[Outcome]:
-    """Full normal form of the discrete game, one demand run per profile."""
+    """Full normal form of the discrete game, one demand run, of one listed
+    bundle, per profile."""
     _profile_count(g, cap)
     return [pmvc_outcome(g, s, undercut) for s in all_profiles(g)]
 

@@ -73,6 +73,7 @@ class Valuation:
         self._floors: tuple[int, ...] | None = None
         self._parts: PartTables | None = None
         self._checks: tuple[ValidationReport, ValidationReport] | None = None
+        self._cert: tuple[bool, bool] | None = None
 
     # -- value queries ---------------------------------------------------
 
@@ -194,12 +195,15 @@ class Valuation:
 
     def certify(self) -> tuple[bool, bool]:
         """Monotone/submodular verdicts: structural when available, else the
-        exhaustive scan.  Agreement of the two routes is property-tested."""
-        cert = self.structural_certificate()
-        if cert is None:
-            monotone, submodular = self.exhaustive_checks()
-            cert = (monotone.ok, submodular.ok)
-        return cert
+        exhaustive scan.  Agreement of the two routes is property-tested.
+        Computed once, on first use."""
+        if self._cert is None:
+            cert = self.structural_certificate()
+            if cert is None:
+                monotone, submodular = self.exhaustive_checks()
+                cert = (monotone.ok, submodular.ok)
+            self._cert = cert
+        return self._cert
 
 
 class TableValuation(Valuation):

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import exactlp
 from .items import bits_of, submasks_of, subset_sums
-from .market import PriceVector, _bundles, demand, sentinel_price
+from .market import PriceVector, _bundles, demand
 from .pmvc import (
     GameInstance,
     StrategyProfile,
@@ -160,9 +160,10 @@ def _require_certified(g: GameInstance) -> None:
 
 def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
     """What the buyer takes at p, and what each vendor earns from it, all
-    over one scale of p (one lcm, not one per vendor)."""
-    chosen = demand(g.valuation, p).chosen
-    ints, scale = integers(p.prices)
+    over one scale of p, the buyer's scan's too (one lcm pass per sale)."""
+    v = g.valuation
+    ints, scale = integers(p.prices, v.dense_scaled()[1])
+    chosen = demand(v, p, scaled=(ints, scale)).chosen
     return chosen, tuple(
         Fraction(sum(ints[i] for i in bits_of(chosen & owned)), scale)
         for owned in g.vendor_masks
@@ -256,7 +257,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
             best_x = dict(zip(var_bits, x))
 
     # items off the best target are withheld at the sentinel
-    sent = sentinel_price(v)
+    sent = g.sentinel
     prices = {item: best_x[b] / scale if b in best_x else sent for b, item in enumerate(items)}
     return prices, best_rev / scale, glob[best_target] | best_out[best_target]
 
@@ -277,7 +278,7 @@ def _candidate_best_response(g: GameInstance, vendor: int, p: PriceVector):
             f"candidate-set would scan 3^{len(items)} * 2^{live} subsets "
             f"(cap {CANDIDATE_MAX_SCAN})"
         )
-    sent = sentinel_price(v)
+    sent = g.sentinel
     absent = p.replace({item: sent for item in items})
     backdrop = demand(v, absent).chosen  # what sells without this vendor
     best = None

@@ -322,7 +322,9 @@ def test_bestresp_candidate_refuses_past_its_scan_cap(capsys, monkeypatch):
 
     calls = []
     real_demand = vcgame.demand
-    monkeypatch.setattr(vcgame, "demand", lambda v, p: calls.append(p) or real_demand(v, p))
+    monkeypatch.setattr(
+        vcgame, "demand", lambda v, p, **kw: calls.append(p) or real_demand(v, p, **kw)
+    )
     argv = ("bestresp", "--vendor", "0", "--method", "candidate")
     code, out, err = run(capsys, *argv, "--gen", "harmonic:1,20")
     assert (code, out, calls) == (2, "", [])

@@ -152,17 +152,39 @@ BRD_LONG_DIGEST = {
     "code": 0,
 }
 
+# the benchmark's seed-0 payoff table: 13 items, 8,192 profiles, each a full
+# demand run; with --eps 1/7 the pricing's scale is 7 times the table's
+TABLE_DEMAND = {
+    "table table-demand@0 --format csv": (
+        "c4b0fede045ede2cfb08d522133d3d05fdbcb22770ed49bd13bb808c46e8f521"
+    ),
+    "table table-demand@0 --format json": (
+        "a08f5a2e7911b61c724e86c81b421b8d3954e4df397e9f7f0444c86332e951a6"
+    ),
+    "table table-demand@0 --format csv --eps 1/7": (
+        "bef16720c0a42fa41bd133e9e622ecd05d8f45a55396f292c32e3ac0b4e19716"
+    ),
+}
 
-def _run_long_dynamics(tmp_dir: Path) -> dict:
-    path = tmp_dir / "brd-continuous.json"
-    path.write_text(bench_gen.Instance("brd-continuous", 0).to_json(), encoding="utf-8")
-    argv = BRD_LONG.split()
+
+def _run_bench(tmp_dir: Path, key: str) -> dict:
+    """Run ``key`` with its second word, ``WORKLOAD@SEED``, replaced by the
+    path of that benchmark instance, written to ``tmp_dir``."""
+    argv = key.split()
+    workload, seed = argv[1].split("@")
+    path = tmp_dir / f"{workload}.json"
+    path.write_text(bench_gen.Instance(workload, int(seed)).to_json(), encoding="utf-8")
     argv[1] = str(path)
     return _run(argv)
 
 
 def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
-    assert _run_long_dynamics(tmp_path) == BRD_LONG_DIGEST
+    assert _run_bench(tmp_path, BRD_LONG) == BRD_LONG_DIGEST
+
+
+@pytest.mark.parametrize("key", TABLE_DEMAND)
+def test_benchmark_payoff_table_matches_recorded_digest(tmp_path, key):
+    assert _run_bench(tmp_path, key) == {"stdout": TABLE_DEMAND[key], "stderr": _sha(""), "code": 0}
 
 
 if __name__ == "__main__":

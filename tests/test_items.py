@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vcgames.items import MAX_ITEMS, Universe, bits_of, submasks_of
+from vcgames.items import MAX_ITEMS, Universe, bits_of, submasks_of, subset_sums
 
 
 def test_universe_basics():
@@ -113,3 +113,11 @@ def test_submasks_are_exactly_subsets(mask):
 @given(st.integers(0, (1 << 16) - 1))
 def test_bits_of_rebuilds_mask(mask):
     assert sum(1 << b for b in bits_of(mask)) == mask
+
+
+@given(st.lists(st.integers(-5, 5), max_size=6), st.integers(-9, 9))
+def test_subset_sums_add_the_start_to_each_subset(weights, start):
+    sums = subset_sums(weights, start)
+    assert sums == [
+        start + sum(weights[i] for i in bits_of(mask)) for mask in range(1 << len(weights))
+    ]

@@ -15,9 +15,11 @@ from vcgames import (
     counterexample_instance,
     demand,
     demand_all,
+    expand_to_table,
     sentinel_price,
 )
 from vcgames.items import bits_of
+from vcgames.rationals import integers
 from vcgames.valuation import AdditiveGroupsValuation, common_scale
 
 G = counterexample_instance()
@@ -287,6 +289,94 @@ def test_demand_at_the_floors_matches_naive_oracle(case):
     assert demand_all(v, p) == sorted(
         m for m in range(8) if v.value_mask(m) - p.total(m) == best
     )
+
+
+# -- prices at the live top's marginals, the certified hold threshold -----
+
+TOP_OFFSETS = st.sampled_from([F(-1), F(0), F(1)])
+
+
+@st.composite
+def top_priced_tables(draw):
+    """A weighted coverage table on 3 or 4 items (certified), with the items
+    off a drawn top withheld at the sentinel and each item of the top priced
+    a unit below, at or a unit above its marginal there, ``v(top) - v(top -
+    i)``; at or below it the buyer's scan holds the item."""
+    n = draw(st.integers(3, 4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    covers = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    v = TableValuation(Universe(tuple("abcd"[:n])), coverage_values(weights, covers))
+    top = draw(st.integers(0, (1 << n) - 1))
+    sent = sentinel_price(v)
+    prices = tuple(
+        max(F(0), v.marginal_mask(i, top ^ 1 << i) + draw(TOP_OFFSETS)) if top >> i & 1 else sent
+        for i in range(n)
+    )
+    return v, PriceVector(v.universe, prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_priced_tables())
+# additive a=1, b=2, c=1 at their marginals: every item tied, 8 maximizers
+@example((TableValuation(U3, [0, 1, 2, 3, 1, 2, 3, 4]), PriceVector(U3, (1, 2, 1))))
+# a and b substitute (top marginal 0 each, floor 0) and c adds 1: six tie
+@example((TableValuation(U3, [0, 2, 2, 2, 1, 3, 3, 3]), PriceVector(U3, (0, 0, 1))))
+# c, withheld, makes a worthless: a at its top marginal 1 ties, above its
+# floor 0; b, a unit below its top marginal, is in both maximizers
+@example((TableValuation(U3, [0, 2, 2, 3, 2, 2, 3, 3]), PriceVector(U3, (1, 0, 4))))
+def test_demand_at_the_live_top_matches_naive_oracle(case):
+    v, p = case
+    assert v.certify() == (True, True)
+    res = demand(v, p)
+    chosen, best, count, union_ok = naive_demand(v, p)
+    assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (
+        chosen,
+        best,
+        count,
+        union_ok,
+    )
+    maximizers = demand_all(v, p)
+    assert maximizers == sorted(
+        m for m in range(1 << v.universe.n) if v.value_mask(m) - p.total(m) == best
+    )
+    assert res.optima_count == len(maximizers)
+
+
+def test_uncertified_demand_holds_items_only_at_their_floors():
+    # a and b complement: each is worth 1 alone and 3 together, so each has
+    # marginal 2 at the top {a,b} but floor 1; priced at 2 each, the buyer
+    # takes nothing.  Holding them at the top's marginal would list {a,b}
+    # alone (utility -1) and miss the empty set
+    u = Universe(("a", "b"))
+    v = TableValuation(u, [0, 1, 1, 3])
+    p = PriceVector(u, (2, 2))
+    assert v.certify() == (True, False)
+    assert v.value_mask(0b11) - v.value_mask(0b10) == 2 == p.prices[0]
+    res = demand(v, p)
+    assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (0, 0, 1, True)
+    assert naive_demand(v, p) == (0, 0, 1, True)
+    assert demand_all(v, p) == [0]
+
+
+def test_demand_takes_the_caller_s_integer_prices():
+    p = priced(a="2.601", c="2.201")
+    ints, scale = integers(p.prices, V.dense_scaled()[1])
+    res = demand(V, p, scaled=([7 * q for q in ints], 7 * scale))
+    assert (res, res.optima_count) == (demand(V, p), 3)
+    with pytest.raises(ValueError, match="not a multiple of the value table's"):
+        demand(V, p, scaled=(ints, scale + 1))
+
+
+def test_demand_result_equality_ignores_the_valuation_and_prices_it_keeps():
+    # a withheld item's price moves nothing the buyer does
+    p, q = priced(a="2.601", c="2.201"), priced(a="2.601", c="2.201").replace({1: SENT + 1})
+    res, other = demand(V, p), demand(V, q)
+    assert (res.prices, other.prices) == (p, q) and p != q
+    assert res.valuation is V
+    assert res == other and hash(res) == hash(other)
+    assert res == demand(expand_to_table(V), p)
+    assert repr(res) == "DemandResult(chosen=5, utility=Fraction(301, 500), union_is_optimal=True)"
+    assert res.optima_count == other.optima_count == len(demand_all(V, p)) == 3
 
 
 # -- prices whose denominators the table lacks ----------------------------

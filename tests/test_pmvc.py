@@ -19,6 +19,7 @@ from vcgames import (
     all_profiles,
     cdsp_instance,
     counterexample_instance,
+    demand,
     equilibrium_report,
     expand_to_table,
     harmonic_instance,
@@ -222,6 +223,21 @@ def test_undercut_outcome_is_strict():
     assert out.sold == U.full_mask
     assert out.demand.optima_count == 1
     assert out.vendor_payoffs == (Fraction("2.098"), Fraction("2.098"))
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 7)])
+@pytest.mark.parametrize(
+    "g", [G, harmonic_instance(2, 3), random_instance(3, 6, 3)], ids=["ce", "harmonic", "random"]
+)
+def test_outcome_demand_matches_demand_at_the_profile_prices(g, eps):
+    # pmvc_outcome hands the pricing's integers to the buyer's scan; with
+    # eps = 1/7 their scale is not the value table's
+    for s in all_profiles(g):
+        out = pmvc_outcome(g, s, eps)
+        alone = demand(g.valuation, pmvc_prices(g, s, eps))
+        assert out.demand == alone
+        assert out.demand.optima_count == alone.optima_count
+        assert out.demand.prices == out.prices
 
 
 # -- profile enumeration ---------------------------------------------------

@@ -603,6 +603,58 @@ def test_exact_tier_at_the_floors_matches_reference(case):
     assert (br.revenue, br.prices, br.target_mask) == (revenue, full, target)
 
 
+# -- rival items priced at the live top's marginals ------------------------
+
+
+@st.composite
+def top_priced_games(draw):
+    """A coverage game on 3 or 4 items, two vendors; the rival items off a
+    drawn set withheld at the sentinel, and every other item priced a unit
+    below, at or a unit above its marginal at the top, the items not
+    withheld.  The top holds all of the vendor's items, which its targets
+    add to every competitor set; at or below that marginal the buyer's scan
+    holds a rival item."""
+    n = draw(st.integers(3, 4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    covers = draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    v = TableValuation(Universe(tuple("abcd"[:n])), coverage_values(weights, covers))
+    cut = draw(st.integers(1, n - 1))
+    g = GameInstance(v, ((1 << cut) - 1, (1 << n) - (1 << cut)))
+    vendor = draw(st.integers(0, 1))
+    top = g.vendor_masks[vendor] | draw(st.integers(0, (1 << n) - 1))
+    offsets = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+    sent = sentinel_price(v)
+    prices = tuple(
+        max(Fraction(0), v.marginal_mask(i, top ^ 1 << i) + draw(offsets))
+        if top >> i & 1 else sent
+        for i in range(n)
+    )
+    return g, vendor, PriceVector(g.universe, prices)
+
+
+def _own_items_lower_the_top_case():
+    """Vendor 0 owns a; b and c are worth 2 each, a covers half of each.  At
+    the top {a,b,c}, b adds 1, but among the rivals alone it adds 2: priced
+    at 2 it must not be held, or the reach of {a} misses {a,c}."""
+    v = TableValuation(Universe(("a", "b", "c")), [0, 2, 2, 3, 2, 3, 4, 4])
+    g = GameInstance(v, (0b001, 0b110))
+    return g, 0, PriceVector(g.universe, (1, 2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(top_priced_games())
+@example(_own_items_lower_the_top_case())
+def test_exact_tier_at_the_live_top_matches_reference(case):
+    # the reference lists every competitor set, held items or not
+    g, vendor, p = case
+    br = vc_best_response(g, vendor, p, "target-set-exact")
+    revenue, prices, target = exact_reference(g, vendor, p)
+    sent = sentinel_price(g.valuation)
+    full = {i: prices.get(i, sent) for i in g.vendor_items(vendor)}
+    assert (br.revenue, br.prices, br.target_mask) == (revenue, full, target)
+    assert br.realized_revenue == vendor_revenue(g, p.replace(full), vendor)
+
+
 def test_candidate_cap_counts_held_rival_items(monkeypatch):
     # harmonic:2,8: a rival item's floor is H_8 - H_7 = 1/8; at 0 or at 1/8
     # it is held, at 1/4 it is free, and the cap counts both: 3^8 * 2^8 is
