@@ -57,11 +57,12 @@ def _parse_gen(spec: str, seed_override: int | None) -> GameInstance:
         raise CliError(_SEED_REFUSAL)
     args = [a for a in argtext.split(",") if a] if argtext else []
 
-    def integers(n_min: int, n_max: int) -> list[int]:
+    def integers(n_min: int, n_max: int, ints: int | None = None) -> list[int]:
+        """The first ``ints`` arguments (all by default) as ints."""
         if not n_min <= len(args) <= n_max:
             raise CliError(f"generator {name!r} takes {n_min}..{n_max} arguments")
         try:
-            return [int(a) for a in args]
+            return [int(a) for a in args[:ints]]
         except ValueError as e:
             raise CliError(f"generator {name!r}: {e}") from None
 
@@ -79,10 +80,8 @@ def _parse_gen(spec: str, seed_override: int | None) -> GameInstance:
             k, m = int(args[0]), int(args[1])
             return pos_instance(k, m, parse_rational(args[2]))
         if name == "random":
-            generator = "coverage"
-            if len(args) == 4:
-                generator = args.pop()
-            seed, n, k = integers(3, 3)
+            seed, n, k = integers(3, 4, ints=3)
+            generator = args[3] if len(args) == 4 else "coverage"
             if seed_override is not None:
                 seed = seed_override
             return random_instance(seed, n, k, generator)
@@ -212,7 +211,7 @@ def cmd_brd(args) -> int:
         try:
             start: StrategyProfile | None = g.parse_profile(args.start)
         except (KeyError, ValueError) as e:
-            raise CliError(f"bad --start: {e}") from None
+            raise CliError(f"bad --start: {e.args[0]}") from None
     else:
         start = StrategyProfile(tuple(g.vendor_masks))
     trace = br_dynamics(g, start, mode=args.mode, max_steps=args.max_steps)

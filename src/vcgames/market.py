@@ -15,28 +15,28 @@ raises a bundle's value by at most the spread, so an item priced above it
 lowers the utility of every bundle that holds it and is in no maximizer;
 leaving such items out drops only sets that are never optimal.
 
-Nor does it branch on *held* items, those priced at most their hold
-threshold t_a: then ``u(S + a) - u(S) = m_a(S) - p_a >= 0`` for every bundle
-S without a that the scan forms, so with every maximizer S, S plus the held
-items is one too.  When ``certify`` proves v submodular, t_a is the marginal
-``v(top) - v(top - a)`` at the live *top*, the live items scanned plus every
-item outside the scan (which the exact best response's targets add): every
-bundle formed lies in ``top - a``, where marginals are at least t_a.
-Otherwise it is the floor, the smallest marginal ``min_S v(S + a) - v(S)``
-(``Valuation.floor_marginals``), at most the marginal at the top for a
-submodular v.  The best utility, the largest maximizer and the union of the
-maximizers are then all reached on bundles that hold every held item.  So
-the scan lists the subsets X of the other live items, the *free* ones, each
-joined with every held item.  A held item priced below its threshold is in
-every maximizer, since adding it raises utility; so the maximizers are the
-listed bundles at the best utility less some of their *tied* items, those
-priced exactly at their threshold.  At the offer game's marginal prices
-every offered item is tied and one bundle is listed.  Only the tie count
-(``DemandResult.optima_count``, counted on request) and ``demand_all`` look
-at the tied items, and on the value table's own integers: a tied item's
-price is its threshold, so a maximizer less that item keeps the best
-utility iff the item adds exactly its threshold to v there, and no price
-enters the test.
+Nor, when ``certify`` proves v submodular, does it branch on *held* items,
+those priced at most their marginal t_a = ``v(top) - v(top - a)`` at the
+live *top*, the live items scanned plus every item outside the scan (which
+the exact best response's targets add).  Every bundle S without a that the
+scan forms lies in ``top - a``, where submodularity puts every marginal at
+least t_a, so ``u(S + a) - u(S) = m_a(S) - p_a >= 0``: with every maximizer
+S, S plus the held items is one too.  The best utility, the largest
+maximizer and the union of the maximizers are then all reached on bundles
+that hold every held item.  So the scan lists the subsets X of the other
+live items, the *free* ones, each joined with every held item.  A held item
+priced below t_a is in every maximizer, since adding it raises utility; so
+the maximizers are the listed bundles at the best utility less some of
+their *tied* items, those priced exactly at t_a.  At the offer game's
+marginal prices every offered item is tied and one bundle is listed.  Only
+the tie count (``DemandResult.optima_count``, counted on request) and
+``demand_all`` look at the tied items, and on the value table's own
+integers: a tied item's price is t_a, so a maximizer less that item keeps
+the best utility iff the item adds exactly t_a to v there, and no price
+enters the test.  Without submodularity a marginal below the top can be
+smaller than t_a, and holding an item there could lose a maximizer; so on a
+table ``certify`` does not prove submodular no item is held, and the scan
+lists every subset of the live items.
 
 Items a vendor withholds are modeled with the sentinel price ``v(A*) + 1``,
 an exact rational that no rational buyer ever pays.  On a normalized
@@ -149,15 +149,14 @@ def _bundles(v: Valuation, p: PriceVector, within: int, scaled=None):
     a multiple of the table's, when the caller has them; else ``integers``
     over all of p); every subset of the free items of ``within`` joined with
     all of its held items, ascending by mask, with its price sum over the
-    scale; and ``(1 << i, threshold)`` for each tied item i, its hold
-    threshold on the table's own scale.  ``f * table[m] - c`` is a bundle's
-    utility over the scale.  Item i is live iff its price is at most the
-    table's spread, held iff at most its threshold and tied iff exactly at
-    it; live items that are not held are free.  The threshold is the
-    marginal at the live top when ``certify`` proves v submodular, else the
-    floor (``Valuation.floor_marginals``).  The maximizers are the listed
-    bundles at the best utility less some of their tied items (see the
-    module docstring).
+    scale; and ``(1 << i, marginal)`` for each tied item i, its marginal at
+    the live top on the table's own scale.  ``f * table[m] - c`` is a
+    bundle's utility over the scale.  Item i is live iff its price is at
+    most the table's spread; when ``certify`` proves v submodular it is held
+    iff its price is at most its marginal at the live top and tied iff
+    exactly at it, and otherwise no item is held.  Live items that are not
+    held are free.  The maximizers are the listed bundles at the best
+    utility less some of their tied items (see the module docstring).
     """
     table, lv = v.dense_scaled()
     price_int, scale = scaled if scaled is not None else integers(p.prices, lv)
@@ -166,25 +165,23 @@ def _bundles(v: Valuation, p: PriceVector, within: int, scaled=None):
         raise ValueError("price scale is not a multiple of the value table's")
     spread = f * v.dense_spread()
     live = [i for i, q in enumerate(price_int) if q <= spread and within >> i & 1]
+    held = held_cost = 0
+    tied, free = [], live  # every live item is free unless v is certified
     if v.certify()[1]:
         # the callers' bundles all lie in top: the live items of within,
         # and every item outside it, which the exact tier's targets add
         top = reduce(or_, [1 << i for i in live], v.universe.full_mask ^ within)
         at_top = table[top]
-        thresholds = {i: at_top - table[top ^ 1 << i] for i in live}
-    else:
-        thresholds = v.floor_marginals()
-    held = held_cost = 0
-    tied, free = [], []
-    for i in live:
-        q, threshold = price_int[i], thresholds[i]
-        if q <= f * threshold:
-            held |= 1 << i
-            held_cost += q
-            if q == f * threshold:
-                tied.append((1 << i, threshold))
-        else:
-            free.append(i)
+        free = []
+        for i in live:
+            q, marginal = price_int[i], at_top - table[top ^ 1 << i]
+            if q <= f * marginal:
+                held |= 1 << i
+                held_cost += q
+                if q == f * marginal:
+                    tied.append((1 << i, marginal))
+            else:
+                free.append(i)
     masks = subset_sums([1 << i for i in free], held)
     costs = subset_sums([price_int[i] for i in free], held_cost)
     return table, f, scale, masks, costs, tied
@@ -204,14 +201,14 @@ def _maximizers(v: Valuation, p: PriceVector) -> list[int]:
     best.  Putting a held item back never lowers utility, so the sets W
     that keep it are closed under subsets, and they grow one tied item at a
     time from those found so far.  A maximizer m less a tied item keeps the
-    best iff the item adds exactly its price to v, that is its threshold:
-    ``table[m] - table[m ^ bit] == threshold``, on the table's own small
+    best iff the item adds exactly its price to v, its marginal at the top:
+    ``table[m] - table[m ^ bit] == marginal``, on the table's own small
     integers rather than over the price scale."""
     table, _, masks, utils, tied = _utilities(v, p)
     best = max(utils)
     hits = [m for m, u in zip(masks, utils) if u == best]
-    for bit, threshold in tied:
-        hits += [m ^ bit for m in hits if table[m] - table[m ^ bit] == threshold]
+    for bit, marginal in tied:
+        hits += [m ^ bit for m in hits if table[m] - table[m ^ bit] == marginal]
     return hits
 
 

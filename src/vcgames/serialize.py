@@ -107,7 +107,7 @@ def _masks_of(u: Universe, data: dict, key: str, where: str) -> tuple[int, ...]:
         try:
             masks.append(u.mask_of(names))
         except KeyError as e:
-            raise SchemaError(f"{where}: {key} entry {names!r}: unknown item {e}") from None
+            raise SchemaError(f"{where}: {key} entry {names!r}: {e.args[0]}") from None
         except ValueError as e:
             raise SchemaError(f"{where}: {key} entry {names!r} {e}") from None
     return tuple(masks)
@@ -183,7 +183,7 @@ def valuation_from_obj(data: dict[str, Any], universe: Universe | None = None) -
             try:
                 mask = u.parse_set(str(key))
             except (KeyError, ValueError) as e:
-                raise SchemaError(f"table entry {key!r}: {e}") from None
+                raise SchemaError(f"table entry {key!r}: {e.args[0]}") from None
             if seen[mask]:
                 raise SchemaError(f"table entry {key!r}: duplicate subset")
             seen[mask] = True

@@ -38,7 +38,6 @@ __all__ = [
     "AdditiveGroupsValuation",
     "CategoryMaxValuation",
     "ValidationReport",
-    "common_scale",
     "check_monotone",
     "check_submodular",
     "expand_to_table",
@@ -70,7 +69,6 @@ class Valuation:
         self.universe = universe
         self._dense: tuple[list[int], int] | None = None
         self._spread: int | None = None
-        self._floors: tuple[int, ...] | None = None
         self._parts: PartTables | None = None
         self._checks: tuple[ValidationReport, ValidationReport] | None = None
         self._cert: tuple[bool, bool] | None = None
@@ -158,26 +156,6 @@ class Valuation:
             table, _ = self.dense_scaled()
             self._spread = max(table) - min(table)
         return self._spread
-
-    def floor_marginals(self) -> tuple[int, ...]:
-        """Each item's smallest marginal ``min_S v(S + a) - v(S)`` over S
-        without a, over the dense table's scale.  Where the structure proves
-        v submodular, marginals only fall as S grows, so it is the marginal
-        at ``A* - a``; otherwise the minimum of the item's marginal list,
-        from slices as in ``_scan``.  Computed once, on first use."""
-        if self._floors is None:
-            table, _ = self.dense_scaled()
-            n = self.universe.n
-            cert = self.structural_certificate()
-            if cert is not None and cert[1]:
-                full = len(table) - 1
-                self._floors = tuple(table[full] - table[full ^ 1 << a] for a in range(n))
-            else:
-                self._floors = tuple(
-                    min(min(map(sub, table[hi], table[lo])) for lo, hi in _halves(n, a))
-                    for a in range(n)
-                )
-        return self._floors
 
     # -- certification ---------------------------------------------------
 
@@ -403,19 +381,6 @@ class PartTables:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def common_scale(v: Valuation, extras) -> tuple[list[int], int, int, list[int]]:
-    """The dense table of v and the rationals ``extras`` over one denominator.
-
-    Returns ``(table, f, L, ints)`` with ``table[mask] * f / L == v(mask)``
-    and ``ints[j] / L == extras[j]``; L is the least common denominator.
-    ``table`` is the cached table itself, over its own denominator L // f;
-    it is not copied here.
-    """
-    table, lv = v.dense_scaled()
-    ints, scale = integers(extras, lv)
-    return table, scale // lv, scale, ints
 
 
 def _halves(n: int, item: int) -> list[tuple[slice, slice]]:

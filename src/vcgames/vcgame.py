@@ -55,7 +55,6 @@ from .pmvc import (
     pmvc_prices,
 )
 from .rationals import integers
-from .valuation import common_scale
 
 __all__ = [
     "METHODS",
@@ -302,8 +301,9 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     items = g.vendor_items(vendor)
     ni = len(items)
     _check_cap(g, "grid search builds the full marginal grid")
-    table, f, scale, price_int = common_scale(g.valuation, p.prices)
-    table = [x * f for x in table]
+    table, lv = g.valuation.dense_scaled()
+    price_int, scale = integers(p.prices, lv)
+    table = [x * (scale // lv) for x in table]
     # subset sums of the competitors' prices, own items counting 0
     pmsum = subset_sums([0 if owned >> i & 1 else q for i, q in enumerate(price_int)])
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1

@@ -182,11 +182,10 @@ def test_brd_negative_max_steps(capsys):
 
 
 def test_brd_bad_start(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "brd", "--gen", "counterexample", "--start", "{a}|{q}"
     )
-    assert code == 2
-    assert "bad --start" in err
+    assert (code, out, err) == (2, "", "error: bad --start: unknown item: 'q'\n")
 
 
 # -- cdsp ------------------------------------------------------------------
@@ -530,6 +529,49 @@ def test_input_the_model_would_ignore_is_refused(capsys, tmp_path, key, value, m
     code, out, err = run(capsys, "ne", str(path))
     assert code == 2
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "obj, err_line",
+    [
+        (
+            {**json.loads(Path(TWO_TV).read_text()), "vendors": [["x"], ["q"]]},
+            "error: instance: vendors entry ['q']: unknown item: 'q'",
+        ),
+        (
+            {**json.loads(Path(TWO_TV).read_text()), "categories": [["x", "q"]]},
+            "error: category_max: categories entry ['x', 'q']: unknown item: 'q'",
+        ),
+        (
+            {
+                "type": "additive_groups",
+                "curve": {"kind": "harmonic"},
+                "groups": [["a"], ["b", "q"]],
+                "vendors": [["a"], ["b"]],
+            },
+            "error: additive_groups: groups entry ['b', 'q']: unknown item: 'q'",
+        ),
+        (
+            {**json.loads((DATA / "supermodular.json").read_text()),
+             "entries": {"x": "1", "y": "1", "x,y": "3", "x,q": "2"}},
+            "error: table entry 'x,q': unknown item: 'q'",
+        ),
+    ],
+    ids=["vendors", "categories", "groups", "table-entry"],
+)
+def test_unknown_item_in_a_file_is_named_in_plain_text(capsys, tmp_path, obj, err_line):
+    # the message of the KeyError, not its repr inside quotes
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "ne", str(path))
+    assert (code, out, err) == (2, "", err_line + "\n")
+
+
+@pytest.mark.parametrize("spec", ["random:1,2", "random:1,2,3,4,5"])
+def test_random_generator_states_its_argument_count(capsys, spec):
+    # a fourth argument, the generator kind, is accepted
+    code, out, err = run(capsys, "gen", spec)
+    assert (code, out, err) == (2, "", "error: generator 'random' takes 3..4 arguments\n")
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,9 @@ from vcgames import (
     sentinel_price,
 )
 from vcgames.items import bits_of
+from vcgames.market import _bundles
 from vcgames.rationals import integers
-from vcgames.valuation import AdditiveGroupsValuation, common_scale
+from vcgames.valuation import AdditiveGroupsValuation
 
 G = counterexample_instance()
 U = G.universe
@@ -244,7 +245,7 @@ def test_demand_chosen_is_maximal(vals, prices):
         assert not (m > res.chosen and m & res.chosen == res.chosen and m != res.chosen)
 
 
-# -- prices at the items' floors, where the held-item rule applies --------
+# -- prices at the items' floors, their smallest marginals ---------------
 
 # a weighted coverage of four ground elements (certified), or any integer
 # table (mostly uncertified, with negative floors)
@@ -342,11 +343,11 @@ def test_demand_at_the_live_top_matches_naive_oracle(case):
     assert res.optima_count == len(maximizers)
 
 
-def test_uncertified_demand_holds_items_only_at_their_floors():
+def test_uncertified_demand_is_not_held_at_the_top_marginals():
     # a and b complement: each is worth 1 alone and 3 together, so each has
-    # marginal 2 at the top {a,b} but floor 1; priced at 2 each, the buyer
-    # takes nothing.  Holding them at the top's marginal would list {a,b}
-    # alone (utility -1) and miss the empty set
+    # marginal 2 at the top {a,b} but 1 at the empty set; priced at 2 each,
+    # the buyer takes nothing.  Holding them at the top's marginal would list
+    # {a,b} alone (utility -1) and miss the empty set
     u = Universe(("a", "b"))
     v = TableValuation(u, [0, 1, 1, 3])
     p = PriceVector(u, (2, 2))
@@ -356,6 +357,21 @@ def test_uncertified_demand_holds_items_only_at_their_floors():
     assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (0, 0, 1, True)
     assert naive_demand(v, p) == (0, 0, 1, True)
     assert demand_all(v, p) == [0]
+
+
+def test_uncertified_scan_holds_no_item():
+    # the same complements at their smallest marginal, 1 each: the buyer
+    # takes {a,b} (utility 1, the other subsets 0).  Without a certificate
+    # no item is held, so the scan lists all four subsets and no tied item
+    u = Universe(("a", "b"))
+    v = TableValuation(u, [0, 1, 1, 3])
+    p = PriceVector(u, (1, 1))
+    assert v.certify() == (True, False)
+    _, _, _, masks, costs, tied = _bundles(v, p, u.full_mask)
+    assert (masks, costs, tied) == ([0, 1, 2, 3], [0, 1, 1, 2], [])
+    res = demand(v, p)
+    assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (3, 1, 1, True)
+    assert naive_demand(v, p) == (3, 1, 1, True)
 
 
 def test_demand_takes_the_caller_s_integer_prices():
@@ -399,8 +415,8 @@ TINY = F(1, 2**100 * 3**90)
 def test_demand_off_the_table_scale_matches_naive_oracle(vals, prices):
     v = TableValuation(U3, [Fraction(0)] + vals)
     p = PriceVector(U3, tuple(prices))
-    table, f, _, _ = common_scale(v, p.prices)
-    assert f > 1 and table is v.dense_scaled()[0]  # read in place, not copied
+    lv = v.dense_scaled()[1]
+    assert integers(p.prices, lv)[1] > lv  # off the table's scale
     res = demand(v, p)
     chosen, best, count, union_ok = naive_demand(v, p)
     assert (res.chosen, res.utility, res.optima_count, res.union_is_optimal) == (

@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import brute_floors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from vcgames import (
     check_submodular,
     counterexample_instance,
     expand_to_table,
-    harmonic_instance,
 )
 from vcgames.items import bits_of
 from vcgames.valuation import ValidationReport, Valuation, _halves
@@ -434,59 +432,6 @@ def test_monotone_witness_at_every_bit(item):
     )
     monotone, _ = assert_checks_match_the_scans(v)
     assert monotone.witness == (1 << min(item, other), max(item, other))
-
-
-# -- floor marginals -------------------------------------------------------
-
-
-def floors(v):
-    """``floor_marginals`` as Fractions, off the dense table's scale."""
-    _, scale = v.dense_scaled()
-    return [Fraction(x, scale) for x in v.floor_marginals()]
-
-
-@settings(max_examples=200, deadline=None)
-@given(tables_up_to_seven_items())
-def test_floor_marginals_match_brute_force(v):
-    assert floors(v) == brute_floors(v)
-    assert v.floor_marginals() is v.floor_marginals()  # computed once
-
-
-STRUCTURED = {
-    "harmonic": harmonic_instance(2, 3).valuation,
-    "groups": AdditiveGroupsValuation(
-        Universe(tuple("abcde")), (0b00101, 0b11010), [0, 5, Fraction(17, 2), 11, 12]
-    ),
-    "category-max": CategoryMaxValuation(
-        Universe(tuple("abcde")), (0b10011, 0b01100), [3, Fraction(1, 2), 2, 2, 0]
-    ),
-}
-
-
-@pytest.mark.parametrize("v", STRUCTURED.values(), ids=STRUCTURED)
-def test_structural_floors_agree_with_the_slice_minimum(v):
-    # certified submodular, so the floor is the marginal at A* - a; the
-    # expanded table has no structure and takes the slice minimum
-    assert v.structural_certificate()[1]
-    assert floors(v) == floors(expand_to_table(v)) == brute_floors(v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_curves(), st.sampled_from([(0b0111, 0b1000), (0b0011, 0b1100)]))
-def test_groups_floors_agree_with_the_slice_minimum(curve, groups):
-    # concave curves take the structural route, the others the slices
-    v = AdditiveGroupsValuation(Universe(("a", "b", "c", "d")), groups, curve)
-    assert floors(v) == floors(expand_to_table(v)) == brute_floors(v)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.fractions(Fraction(-3), Fraction(6), max_denominator=4), min_size=3, max_size=3),
-    st.sampled_from([(0b011, 0b100), (0b001, 0b110), (0b111,)]),
-)
-def test_category_max_floors_agree_with_the_slice_minimum(vals, cats):
-    v = CategoryMaxValuation(U3, cats, vals)
-    assert floors(v) == floors(expand_to_table(v)) == brute_floors(v)
 
 
 COUNTEREXAMPLE_TABLE = counterexample_instance().valuation

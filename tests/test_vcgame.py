@@ -29,8 +29,8 @@ from vcgames import (
 )
 from vcgames import exactlp
 from vcgames.items import bits_of, submasks_of
+from vcgames.rationals import integers
 from vcgames.serialize import verification_to_obj
-from vcgames.valuation import common_scale
 
 G = counterexample_instance()
 U = G.universe
@@ -451,7 +451,8 @@ def exact_reference(g, vendor, p):
 
 
 def check_exact_against_reference(g, vendor, p):
-    assert common_scale(g.valuation, p.prices)[1] > 1  # f > 1: off the table's scale
+    lv = g.valuation.dense_scaled()[1]
+    assert integers(p.prices, lv)[1] > lv  # off the table's scale
     br = vc_best_response(g, vendor, p, "target-set-exact")
     revenue, prices, target = exact_reference(g, vendor, p)
     assert br.revenue == revenue
