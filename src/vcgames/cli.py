@@ -33,7 +33,6 @@ from .pmvc import (
     pmvc_pure_ne,
 )
 from .rationals import format_rational, parse_rational
-from .serialize import SchemaError
 from .vcgame import br_dynamics, vc_best_response, vc_verify_ne
 
 _METHOD_NAMES = {
@@ -125,10 +124,7 @@ def _parse_prices(g: GameInstance, text: str | None):
         if name in pairs:
             raise CliError(f"price for item {name!r} given twice")
         pairs[name] = raw.strip()
-    try:
-        return serialize.prices_from_obj(g.universe, pairs, sent)
-    except SchemaError as e:
-        raise CliError(str(e)) from None
+    return serialize.prices_from_obj(g.universe, pairs, sent)
 
 
 def _print_json(obj) -> None:
@@ -225,10 +221,7 @@ def cmd_brd(args) -> int:
 
 def cmd_cdsp(args) -> int:
     g = _load(args)
-    try:
-        p = cdsp_equilibrium(g)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    p = cdsp_equilibrium(g)
     prices = serialize.prices_to_obj(p)
     obj = {"prices": prices}
     lines = [f"{name} = {q}" for name, q in prices.items()]

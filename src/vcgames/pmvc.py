@@ -316,40 +316,28 @@ class MarginalPricing:
     """The mechanism's prices of one game at one undercut, as integers over
     one scale.
 
-    ``values`` holds v as one table per additive part of the valuation
-    (``Valuation.part_tables``), ``values.value(U) / scale`` being v(U);
-    ``eps / scale`` is the undercut (0 when there is none) and
-    ``sentinel / scale`` the withheld price v(A*) + 1.  The scale is the
-    lcm of the tables' and those two's denominators; ``values`` is the
-    valuation's cached part tables themselves when they are already over
-    it, else one copy of them times f.  An item's marginal is one inside its
-    part, so prices and welfare read only the part tables.  ``table``, the
-    dense table over the scale, is built only for a best reply, which scans
-    every offer of a vendor.  ``fraction`` turns an integer over the scale
-    into a Fraction once, so equal prices and payoffs share one object.
+    ``values`` is the valuation's cached part tables themselves
+    (``Valuation.part_tables``), one table per additive part over their own
+    scale lv, ``values.value(U) / lv`` being v(U).  Prices and payoffs are
+    integers over ``scale``, the lcm of lv and the denominators of the
+    undercut and the sentinel: ``eps / scale`` is the undercut (0 when there
+    is none), ``sentinel / scale`` the withheld price v(A*) + 1, and a value
+    read from a table is multiplied by ``f = scale // lv`` as it leaves it.
+    An item's marginal is one inside its part, so prices and welfare read
+    only the part tables.  ``fraction`` turns an integer over the scale into
+    a Fraction once, so equal prices and payoffs share one object.
     """
 
     def __init__(self, g: GameInstance, undercut: Fraction | None):
         if undercut is not None and undercut <= 0:
             raise ValueError("undercut epsilon must be positive")
-        self.valuation = v = g.valuation
         self.universe = g.universe
-        values = v.part_tables()
+        self.values = values = g.valuation.part_tables()
         (self.eps, self.sentinel), self.scale = integers(
             [undercut or Fraction(0), g.sentinel], values.scale
         )
-        self.values = values.scaled(self.scale // values.scale)
+        self.f = self.scale // values.scale
         self._fractions: dict[int, Fraction] = {}
-
-    @cached_property
-    def table(self) -> list[int]:
-        """v(U) over the scale for every U: the one part's table, or the
-        cached dense table itself or one copy of it times f."""
-        if len(self.values.tables) == 1:
-            return self.values.tables[0]
-        table, scale = self.valuation.dense_scaled()
-        f = self.scale // scale
-        return table if f == 1 else [x * f for x in table]
 
     def fraction(self, x: int) -> Fraction:
         q = self._fractions.get(x)
@@ -360,17 +348,17 @@ class MarginalPricing:
     def prices(self, union: int) -> list[int]:
         """Each item's price over the scale when ``union`` is offered: an
         offered item's marginal v(U) - v(U - item), read from its part's
-        table, less the undercut and clamped at 0, and the sentinel for a
-        withheld item.  Without an undercut a negative marginal is
-        refused."""
-        eps = self.eps
+        table and times f, less the undercut and clamped at 0, and the
+        sentinel for a withheld item.  Without an undercut a negative
+        marginal is refused."""
+        eps, f = self.eps, self.f
         packed = self.values.pack(union)
         out = [self.sentinel] * self.universe.n
         for table, offset, low, items in self.values.fields:
             local = packed >> offset & low
             v_local = table[local]
             for j in bits_of(local):
-                m = v_local - table[local ^ (1 << j)]
+                m = f * (v_local - table[local ^ (1 << j)])
                 if eps:  # positive exactly when there is an undercut
                     m = max(m - eps, 0)
                 elif m < 0:
@@ -416,7 +404,7 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
     payoffs = tuple(
         rule.fraction(sum(prices[i] for i in bits_of(chosen & offer))) for offer in s.offers
     )
-    welfare = rule.fraction(rule.values.value(chosen))
+    welfare = rule.fraction(rule.f * rule.values.value(chosen))
     return Outcome(s, p, chosen, payoffs, d.utility, welfare, d)
 
 
@@ -428,9 +416,10 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
-    marginal: ``table`` is v over that scale on the masks the rule is asked
-    about (a part's local masks, or all of the universe's), and one block
-    reads its 2^|mine| entries once and takes every marginal from them.
+    marginal: ``table`` is v over the valuation's own scale on the masks the
+    rule is asked about (a part's local masks, or all of the universe's),
+    and one block reads its 2^|mine| entries once, times the rule's f, and
+    takes every marginal from them.
     Others run ``pmvc_outcome`` once per union, on the profile
     ``g.profile_of(union)``, and need global masks and ``mine`` to be all
     of A_i.
@@ -449,11 +438,12 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
             return out
 
         return pays
-    eps = g.pricing(undercut).eps
+    rule = g.pricing(undercut)
+    eps, f = rule.eps, rule.f
     drops_of = g.offer_drops
 
     def pays(rest: int, vendor: int, mine: int) -> list[int]:
-        values = [table[rest | offer] for offer in offers_in(mine)]
+        values = [f * table[rest | offer] for offer in offers_in(mine)]
         out = []
         for v_union, drop in zip(values, drops_of(mine.bit_count())):
             v_union -= eps
@@ -540,7 +530,7 @@ def pmvc_best_response(
     offers = others.offers if isinstance(others, StrategyProfile) else others
     rest = StrategyProfile(tuple(0 if j == vendor else o for j, o in enumerate(offers)))
     g.check_profile(rest)
-    pays = _payoff_rule(g, undercut, g.pricing(undercut).table)
+    pays = _payoff_rule(g, undercut, g.valuation.dense_scaled()[0])
     block = pays(rest.union_mask, vendor, g.vendor_masks[vendor])
     best = max(block)
     return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
@@ -559,7 +549,7 @@ def pmvc_pure_ne(
     parts of ``Valuation.components()``, every price and every vendor's
     payoff split by part, so a profile is an equilibrium exactly when each
     part's sub-profile is one of that part's game.  Each part is solved on
-    its own, over its local masks and its table in ``g.pricing(undercut)``
+    its own, over its local masks and its table in ``Valuation.part_tables``
     (an uncertified game is one part: the buyer's largest-bitmask fallback
     does not split), and the equilibria are the product of the parts'.  In
     a part, one pass per vendor owning items there groups the part's
@@ -575,12 +565,12 @@ def pmvc_pure_ne(
     profile is built only when the sequence is read.
     """
     _profile_count(g, cap)
+    values = g.valuation.part_tables()
     if g.certified:
-        values = g.pricing(undercut).values
         parts = values.parts
         games = [
-            (table, [values.local(k, owned) for owned in g.vendor_masks], values.globals(k))
-            for k, table in enumerate(values.tables)
+            (table, [values.local(k, owned) for owned in g.vendor_masks], g.offers_in(part))
+            for k, (part, table) in enumerate(zip(parts, values.tables))
         ]
     else:
         parts = (g.universe.full_mask,)
@@ -594,7 +584,7 @@ def pmvc_pure_ne(
     tail = sum(part for part in parts if part & last)
     heads = [s for part, s in zip(parts, per_part) if not part & last]
     tails = [s for part, s in zip(parts, per_part) if part & last]
-    bases = _head_values(g.universe.full_mask & ~tail, heads, g.valuation.part_tables().value)
+    bases = _head_values(g.universe.full_mask & ~tail, heads, values.value)
     runs: dict[int, list[int]] = {}
     for union in map(sum, product(*tails)):
         runs.setdefault(union & ~last, []).append(union & last)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt, sub
-from typing import Sequence
 
 from .items import Universe, bits_of, subset_sums
 from .rationals import exact, integers
@@ -348,14 +347,6 @@ class PartTables:
             for table, offset, items in zip(tables, offsets, self.items)
         )
 
-    def scaled(self, f: int) -> "PartTables":
-        """The same tables times f, over the scale times f: this very
-        object when f is 1."""
-        if f == 1:
-            return self
-        tables = tuple([x * f for x in table] for table in self.tables)
-        return PartTables(self.parts, tables, self.scale * f)
-
     def pack(self, mask: int) -> int:
         out = 0
         for lut in self._bytes:
@@ -366,10 +357,6 @@ class PartTables:
     def local(self, k: int, mask: int) -> int:
         """Part k's local mask of the global ``mask``."""
         return self.pack(mask) >> self.offsets[k] & (1 << len(self.items[k])) - 1
-
-    def globals(self, k: int) -> Sequence[int]:
-        """Part k's global masks, by local mask."""
-        return subset_sums([1 << i for i in self.items[k]])
 
     def value(self, mask: int) -> int:
         """v(mask) over the scale, summed over the parts."""

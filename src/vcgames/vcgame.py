@@ -215,14 +215,7 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
         reach[lm] = best
         best_out[lm] = out_masks[cands.index(best)]
 
-    # subset-max of reach: a target is infeasible (no nonnegative prices make
-    # the buyer prefer it) iff some sub-target reaches strictly further
-    sub_reach = list(reach)
-    for j in range(ni):
-        bit = 1 << j
-        for lm in range(1 << ni):
-            if lm & bit and sub_reach[lm ^ bit] > sub_reach[lm]:
-                sub_reach[lm] = sub_reach[lm ^ bit]
+    # v is monotone, so reach never falls as the target grows: every target is feasible
 
     # LP bounds, values and vertices stay integers over scale until the end
     best_rev = Fraction(0)
@@ -234,8 +227,6 @@ def _exact_best_response(g: GameInstance, vendor: int, p: PriceVector):
         upper = reach[lm] - reach[0]  # the W = B_i constraint row
         if upper <= best_rev:
             break  # sorted descending by this bound; nothing better remains
-        if sub_reach[lm] > reach[lm]:
-            continue  # no prices make the buyer prefer this target
         var_bits = tuple(bits_of(lm))
         # every feasible x meets the singleton rows x_b <= reach[B_i] -
         # reach[B_i - b], so their sum bounds the LP: at most best_rev, the
@@ -333,12 +324,10 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
         top = 0
         for r in submasks_of(others):
             b = table[o | r] - pmsum[o | r]
-            if best is None or b > best:
+            if best is None or b > best:  # submasks_of descends: r is the largest
                 best, union, top = b, r, r
             elif b == best:
                 union |= r
-                if r > top:
-                    top = r
         base_best[o] = best
         rest_union[o] = union
         rest_max[o] = top
@@ -372,10 +361,9 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
             best_rev_int = rev
             best_combo = combo
             best_target = chosen & owned
-    prices = {
-        item: Fraction(q, scale) for item, q in zip(items, best_combo or ())
-    }
-    return prices, Fraction(best_rev_int if best_rev_int >= 0 else 0, scale), best_target
+    # some combo is all zeros, so best_rev_int >= 0 and best_combo is set
+    prices = {item: Fraction(q, scale) for item, q in zip(items, best_combo)}
+    return prices, Fraction(best_rev_int, scale), best_target
 
 
 # each tier returns (prices of the vendor's items, revenue, target mask)

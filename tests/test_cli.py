@@ -214,9 +214,9 @@ def test_cdsp_verify_json(capsys):
 
 
 def test_cdsp_needs_category_instance(capsys):
-    code, _, err = run(capsys, "cdsp", "--gen", "counterexample")
-    assert code == 2
-    assert "category-max" in err
+    code, out, err = run(capsys, "cdsp", "--gen", "counterexample")
+    assert (code, out) == (2, "")
+    assert err == "error: closed-form equilibrium needs a category-max valuation\n"
 
 
 # -- gen -------------------------------------------------------------------
@@ -314,6 +314,29 @@ def test_bestresp_bad_vendor(capsys):
     assert "no vendor" in err
 
 
+def test_bestresp_price_for_unknown_item(capsys):
+    code, out, err = run(
+        capsys, "bestresp", "--gen", "counterexample", "--vendor", "0", "--prices", "q=1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: price for unknown item 'q'\n"
+
+
+@pytest.mark.parametrize(
+    "method, scan",
+    [
+        ("exact", "target-set-exact enumerates 2^n targets"),
+        ("grid", "grid search builds the full marginal grid"),
+    ],
+)
+def test_bestresp_refuses_past_twelve_items(capsys, method, scan):
+    code, out, err = run(
+        capsys, "bestresp", "--gen", "harmonic:1,13", "--vendor", "0", "--method", method
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {scan}; capped at 12 items\n"
+
+
 def test_bestresp_candidate_refuses_past_its_scan_cap(capsys, monkeypatch):
     # one vendor with 20 items has 2^20 offers, 3^20 subsets to scan in all:
     # refused before the first demand call; 3^10 for harmonic:2,10 answers
@@ -402,6 +425,15 @@ def test_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_table_without_items_or_vendors(capsys, tmp_path):
+    # the items are the entry names, sorted, and one vendor owns them all
+    path = tmp_path / "table.json"
+    path.write_text('{"type": "table", "entries": {"b": "1", "a": "2", "a,b": "3"}}')
+    assert load_instance(str(path)).universe.names == ("a", "b")
+    code, out, err = run(capsys, "ne", str(path))
+    assert (code, out, err) == (0, "1 pure Nash equilibria\n  {a,b}\n", "")
 
 
 # -- refused options and inputs --------------------------------------------

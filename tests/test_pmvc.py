@@ -33,6 +33,7 @@ from vcgames import (
     random_cdsp_spec,
     random_instance,
 )
+from vcgames import pmvc
 from vcgames.instances import _random_partition
 from vcgames.items import bits_of, submasks_of
 from vcgames.pmvc import _payoff_rule
@@ -515,29 +516,36 @@ def test_a_part_without_equilibria_leaves_none(eps):
     assert pmvc_pure_ne(g, undercut=eps) == [] == pmvc_pure_ne(_one_part_twin(g), undercut=eps)
 
 
-def test_payoff_rules_share_one_scaled_table():
+def test_payoff_rules_read_the_valuations_own_tables(monkeypatch):
     g = harmonic_instance(3, 5)
     eps = Fraction(1, 7)
     rule = g.pricing(eps)
     values = g.valuation.part_tables()
-    f = rule.scale // values.scale
-    assert f > 1  # the tables' denominator lacks 7
+    assert rule.values is values  # no scaled copy
+    assert rule.f == rule.scale // values.scale > 1  # the tables' denominator lacks 7
     assert pmvc_pure_ne(g, undercut=eps)
     assert g.pricing(eps) is rule
-    assert rule.values.tables == tuple([x * f for x in t] for t in values.tables)
     assert g.valuation._dense is None  # the NE pass read the part tables only
-    # a best reply scans all of a vendor's offers over the dense table,
-    # scaled once per game and undercut
-    others = StrategyProfile((0,) * 3)
-    first, second = (
-        inspect.getclosurevars(_payoff_rule(g, eps, rule.table)).nonlocals["table"]
-        for _ in range(2)
+    # prices and welfare take f as a value leaves its table
+    s = StrategyProfile(g.vendor_masks)
+    union, v = s.union_mask, g.valuation.value_mask
+    assert pmvc_prices(g, s, eps).prices == tuple(
+        max(v(union) - v(union ^ (1 << item)) - eps, Fraction(0)) for item in range(g.universe.n)
     )
-    pmvc_best_response(g, 0, others, eps)
-    assert first is second is rule.table
+    assert pmvc_outcome(g, s, eps).welfare == v(union)
+    # a best reply scans all of a vendor's offers over the dense table itself
+    tables = []
+
+    def spy(game, undercut, table):
+        tables.append(table)
+        return _payoff_rule(game, undercut, table)
+
+    monkeypatch.setattr(pmvc, "_payoff_rule", spy)
+    pmvc_best_response(g, 0, StrategyProfile((0,) * 3), eps)
     dense, dense_scale = g.valuation.dense_scaled()
     assert dense_scale == values.scale
-    assert rule.table == [x * f for x in dense]
+    assert len(tables) == 1 and tables[0] is dense
+    assert inspect.getclosurevars(_payoff_rule(g, eps, dense)).nonlocals["f"] == rule.f
 
 
 def test_separable_game_never_builds_the_whole_table():
@@ -560,8 +568,9 @@ def test_one_part_pricing_reads_the_dense_table_itself():
     rule = g.pricing()
     table, scale = g.valuation.dense_scaled()
     assert rule.scale == scale
+    assert rule.f == 1
+    assert rule.values is g.valuation.part_tables()
     assert rule.values.tables[0] is table
-    assert rule.table is table
 
 
 def _coverage_values(rng, size):

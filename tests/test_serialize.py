@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 from vcgames import (
     AdditiveGroupsValuation,
     CategoryMaxValuation,
+    GameInstance,
     PriceVector,
-    TableValuation,
     Universe,
+    all_profiles,
     counterexample_instance,
     equilibrium_report,
     harmonic_instance,
     payoff_table,
+    pmvc_pure_ne,
     pos_instance,
     random_instance,
 )
+from vcgames.rationals import format_rational
 from vcgames.serialize import (
     SchemaError,
     dump_instance,
+    equilibria_to_text,
     instance_from_obj,
-    instance_to_obj,
     payoff_table_csv,
     payoff_table_obj,
     prices_from_obj,
@@ -262,6 +265,28 @@ def test_report_text_with_equilibria():
     assert "optimal welfare = 2.98" in text
     assert "PoA = 1.49, bound H_2+1 = 2.5, satisfied" in text
     assert "PoS = 1.49" in text
+
+
+def test_listings_past_the_bound_on_kept_lists():
+    # one 17-item part worth nothing: all 2^17 profiles are equilibria, in
+    # 512 blocks of 256 whose contexts never repeat, so the lists kept for
+    # reuse (of values and of texts) pass their bound and are cleared
+    u = Universe(tuple(f"x{i}" for i in range(17)))
+    v = AdditiveGroupsValuation(u, [u.full_mask], [0] * 18)
+    low = (1 << 9) - 1
+    g = GameInstance(v, [low, u.full_mask ^ low])
+    nes = pmvc_pure_ne(g)
+    assert len(nes.blocks) == 512
+    profiles = list(nes)
+    assert profiles == list(all_profiles(g))
+    head = ["131072 pure Nash equilibria"]
+    lines = ["  " + s.format(u) for s in profiles]
+    assert "".join(equilibria_to_text(g, nes)) == "\n".join(head + lines)
+    welfare = [format_rational(v.value_mask(s.union_mask)) for s in profiles]
+    tail = ["optimal welfare = 0", "PoA = 1, bound H_9+1 = 9649/2520, satisfied", "PoS = 1"]
+    assert "".join(report_to_text(g, equilibrium_report(g))) == "\n".join(
+        head + [f"{line}  welfare {w}" for line, w in zip(lines, welfare)] + tail
+    )
 
 
 def test_report_obj_shape():

@@ -421,11 +421,12 @@ def fraction_reach(g, vendor, p):
 
 
 def feasible_target_lps(reach):
-    """``(lm, var_bits, rows, rhs)`` of every feasible target, in the tier's
-    ``(-reach, lm)`` order: one row per nonempty W subseteq lm."""
+    """``(lm, var_bits, rows, rhs)`` of every target, in the tier's
+    ``(-reach, lm)`` order: one row per nonempty W subseteq lm.  v is
+    monotone, so no sub-target reaches further than its target: every
+    target is feasible, which the tier relies on."""
     for lm in sorted(range(1, len(reach)), key=lambda lm: (-reach[lm], lm)):
-        if any(reach[sub] > reach[lm] for sub in submasks_of(lm)):
-            continue
+        assert all(reach[sub] <= reach[lm] for sub in submasks_of(lm))
         var_bits = list(bits_of(lm))
         walls = [wl for wl in submasks_of(lm) if wl]
         rows = [[wl >> b & 1 for b in var_bits] for wl in walls]
@@ -436,7 +437,7 @@ def exact_reference(g, vendor, p):
     """The exact tier over plain Fractions: every competitor set, no scale.
 
     Returns ``(revenue, prices of the target items, target_mask)``.  No
-    sorted cut and no singleton skip, so each feasible target's LP is solved
+    sorted cut and no singleton skip, so each target's LP is solved
     and the first best one, in the tier's order, wins.
     """
     own = g.offer_tables[vendor]
