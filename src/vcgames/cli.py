@@ -127,10 +127,6 @@ def _parse_prices(g: GameInstance, text: str | None):
     return serialize.prices_from_obj(g.universe, pairs, sent)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _write_text(pieces) -> None:
     """Write a listing as its pieces are rendered, then a final newline."""
     sys.stdout.writelines(pieces)
@@ -139,7 +135,7 @@ def _write_text(pieces) -> None:
 
 def _emit(args: argparse.Namespace, text_out: str, obj) -> None:
     if args.format == "json":
-        _print_json(obj)
+        print(json.dumps(obj, indent=2))
     else:
         print(text_out)
 
@@ -174,7 +170,8 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         sys.stdout.write(serialize.payoff_table_csv(g, table))
     elif args.format == "json":
-        _print_json(serialize.payoff_table_obj(g, table))
+        # joined first: pricing may refuse a profile part-way through
+        print("".join(serialize.payoff_table_json(g, table)))
     else:
         print(serialize.payoff_table_text(g, table))
     return 0
@@ -185,7 +182,7 @@ def cmd_ne(args) -> int:
     eps = parse_rational(args.eps) if args.eps else None
     nes = pmvc_pure_ne(g, cap=args.cap, undercut=eps)
     if args.format == "json":
-        _print_json(serialize.equilibria_to_obj(g, nes))
+        _write_text(serialize.equilibria_to_json(g, nes))
     else:
         _write_text(serialize.equilibria_to_text(g, nes))
     return 0
@@ -195,7 +192,7 @@ def cmd_poa(args) -> int:
     g = _load(args)
     report = equilibrium_report(g, cap=args.cap)
     if args.format == "json":
-        _print_json(serialize.report_to_obj(g, report))
+        _write_text(serialize.report_to_json(g, report))
     else:
         _write_text(serialize.report_to_text(g, report))
     return 0

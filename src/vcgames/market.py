@@ -77,8 +77,11 @@ class PriceVector:
     def __post_init__(self) -> None:
         if len(self.prices) != self.universe.n:
             raise ValueError("need one price per item")
-        prices = tuple(p if type(p) is Fraction else exact(p) for p in self.prices)
-        object.__setattr__(self, "prices", prices)
+        prices = self.prices
+        # a tuple of Fractions, as the offer game's pricing passes, is kept
+        if type(prices) is not tuple or not {Fraction}.issuperset(map(type, prices)):
+            prices = tuple(p if type(p) is Fraction else exact(p) for p in prices)
+            object.__setattr__(self, "prices", prices)
         if any(p.numerator < 0 for p in prices):  # a Fraction's denominator is positive
             raise ValueError("prices must be nonnegative")
 

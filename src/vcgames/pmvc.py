@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby, product, starmap
+from itertools import chain, groupby, product, repeat, starmap
 from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
@@ -312,6 +312,18 @@ class Outcome:
     demand: DemandResult
 
 
+class _Fractions(dict):
+    """Integers over ``scale`` to their Fractions, each built on its first
+    lookup (``__missing__``), so a lookup of a known integer runs in C."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        q = self[x] = Fraction(x, self.scale)
+        return q
+
+
 class MarginalPricing:
     """The mechanism's prices of one game at one undercut, as integers over
     one scale.
@@ -325,7 +337,8 @@ class MarginalPricing:
     read from a table is multiplied by ``f = scale // lv`` as it leaves it.
     An item's marginal is one inside its part, so prices and welfare read
     only the part tables.  ``fraction`` turns an integer over the scale into
-    a Fraction once, so equal prices and payoffs share one object.
+    a Fraction once (``_Fractions``), so equal prices and payoffs share one
+    object.
     """
 
     def __init__(self, g: GameInstance, undercut: Fraction | None):
@@ -337,13 +350,7 @@ class MarginalPricing:
             [undercut or Fraction(0), g.sentinel], values.scale
         )
         self.f = self.scale // values.scale
-        self._fractions: dict[int, Fraction] = {}
-
-    def fraction(self, x: int) -> Fraction:
-        q = self._fractions.get(x)
-        if q is None:
-            q = self._fractions[x] = Fraction(x, self.scale)
-        return q
+        self.fraction = _Fractions(self.scale).__getitem__
 
     def prices(self, union: int) -> list[int]:
         """Each item's price over the scale when ``union`` is offered: an
@@ -508,11 +515,14 @@ def payoff_table(
     g: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     undercut: Fraction | None = None,
-) -> list[Outcome]:
-    """Full normal form of the discrete game, one demand run, of one listed
-    bundle, per profile."""
+) -> Iterator[Outcome]:
+    """The normal form of the discrete game as an iterator of outcomes in
+    ``all_profiles`` order, one demand run, of one listed bundle, per
+    profile, each run as it is read: the 2^n outcomes are never held.
+    The profile cap is checked when it is called, and ``pmvc_outcome`` is
+    the one bound in this module then."""
     _profile_count(g, cap)
-    return [pmvc_outcome(g, s, undercut) for s in all_profiles(g)]
+    return map(pmvc_outcome, repeat(g), all_profiles(g), repeat(undercut))
 
 
 def pmvc_best_response(

@@ -12,6 +12,7 @@ import io
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Any, Iterator
 
 from .analysis import EquilibriumReport
@@ -41,10 +42,13 @@ __all__ = [
     "payoff_table_csv",
     "payoff_table_obj",
     "payoff_table_text",
+    "payoff_table_json",
     "equilibria_to_obj",
     "equilibria_to_text",
+    "equilibria_to_json",
     "report_to_obj",
     "report_to_text",
+    "report_to_json",
     "trace_to_jsonl",
     "verification_to_obj",
     "best_response_to_obj",
@@ -245,7 +249,10 @@ def instance_from_obj(data: dict[str, Any]) -> GameInstance:
 
     Without a "vendors" field a single vendor owns everything (enough for
     validation-only workflows).  Uncertified valuations load, so the
-    checkers can report on them; analysis entry points still refuse them.
+    checkers can report on them.  The price-game entry points of
+    ``vcgame`` (``bestresp``, ``verify`` and ``brd``) refuse them through
+    ``_require_certified``; the offer game (``table``, ``ne``, ``poa``)
+    answers on them by the demand route.
     """
     if not isinstance(data, dict):
         raise SchemaError("instance must be a JSON object")
@@ -300,18 +307,48 @@ def prices_from_obj(u: Universe, data: dict[str, Any], default: Fraction) -> Pri
     return PriceVector(u, tuple(prices))
 
 
+# -- JSON listings ---------------------------------------------------------
+
+
+def _json_text(text: str) -> str:
+    """``text`` as ``json.dumps`` writes it between its quotes.  JSON
+    escapes one character at a time, so the escape of a concatenation is
+    the concatenation of the escapes."""
+    return json.dumps(text)[1:-1]
+
+
+def _json_listing(obj: dict[str, Any], key: str, elements: Iterator[str]) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` with the list ``elements`` in place of
+    the empty list ``obj[key]``, as pieces that join to exactly that text:
+    the text of ``obj`` split at ``"key": []``, then ``elements`` as they
+    are read.  ``key`` is a top-level key, and ``elements`` yields runs of
+    the list's entries as ``json.dumps`` indents them two levels deep,
+    each led by ",\\n    "; the first run's comma is dropped.  A string
+    in the text has its quotes escaped, so only the key matches."""
+    before, marker, after = json.dumps(obj, indent=2).partition(f'"{key}": []')
+    first = next(elements, None)
+    if first is None:
+        yield before + marker + after
+        return
+    yield before + f'"{key}": ['
+    yield first[1:]
+    yield from elements
+    yield "\n  ]" + after
+
+
 # -- payoff tables ---------------------------------------------------------
 
 
-def _table_rows(g: GameInstance, outcomes) -> list[tuple[str, list[str]]]:
-    """Each outcome's profile text and payoff texts.  Each vendor offer and
-    each distinct payoff is formatted once."""
-    offer = cache(g.universe.format_set)
+def _table_rows(g: GameInstance, outcomes, encode=str) -> Iterator[tuple[str, list[str]]]:
+    """Each outcome's profile text and payoff texts, as the outcomes are
+    read.  Each vendor offer and each distinct payoff is formatted once.
+    An offer's text is ``encode`` of it; a rational's text, digits and
+    "-./", needs no escape."""
+    u = g.universe
+    offer = cache(lambda mask: encode(u.format_set(mask)))
     fmt = _rational_texts()
-    return [
-        ("|".join(map(offer, o.profile.offers)), list(map(fmt, o.vendor_payoffs)))
-        for o in outcomes
-    ]
+    for o in outcomes:
+        yield "|".join(map(offer, o.profile.offers)), list(map(fmt, o.vendor_payoffs))
 
 
 def payoff_table_text(g: GameInstance, outcomes) -> str:
@@ -337,14 +374,28 @@ def payoff_table_obj(g: GameInstance, outcomes) -> dict[str, Any]:
     }
 
 
+def payoff_table_json(g: GameInstance, outcomes) -> Iterator[str]:
+    """``json.dumps(payoff_table_obj(g, outcomes), indent=2)`` as pieces, a
+    row at a time as the outcomes are read."""
+    rows = (
+        f',\n    {{\n      "profile": "{key}",\n      "payoffs": [\n        "'
+        + '",\n        "'.join(payoffs)
+        + '"\n      ]\n    }'
+        for key, payoffs in _table_rows(g, outcomes, _json_text)
+    )
+    return _json_listing({"vendors": g.n_vendors, "rows": []}, "rows", rows)
+
+
 # -- reports ---------------------------------------------------------------
 
 
-def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Iterator:
+def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None,
+                        encode=str) -> Iterator:
     """Each block of ``nes`` as its prefix's text (every vendor's offer but
     the last, each followed by "|") and a list with one entry per
     equilibrium in it: the last vendor's offer's text, or with ``line``,
-    ``line(offer text, welfare text)``.
+    ``line(offer text, welfare text)``.  An offer's text is ``encode`` of
+    it.
 
     Each vendor's offer and each distinct welfare is formatted once, and a
     block's list is built once per context c = p & tail of its prefix p
@@ -356,7 +407,7 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Ite
     """
     u = g.universe
     head_masks = g.vendor_masks[:-1]
-    offers = {offer: u.format_set(offer) for own in g.offer_tables for offer in own}
+    offers = {offer: encode(u.format_set(offer)) for own in g.offer_tables for offer in own}
     tail = nes.tail
     if line is None:
         blocks = ((prefix, block, 0, None) for prefix, block in nes.blocks)
@@ -382,30 +433,27 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None) -> Ite
         yield "".join(offers[prefix & owned] + "|" for owned in head_masks), texts
 
 
-def _listing(g: GameInstance, nes: ProfileSequence, head: str, tail: list[str],
-             line=None) -> Iterator[str]:
-    """``head``, a line per equilibrium ("  " and the profile, then what
-    ``line`` adds) and the ``tail`` lines, joined by newlines a piece at a
-    time: ``head``, pieces of up to 4,096 equilibrium lines, then each tail
-    line, each led by its newline.  A piece packs consecutive blocks, each
-    joined with one ``str.join``, and a block longer than a piece is split.
-    Neither the whole text nor all the lines are held."""
-    yield head
+def _equilibrium_lines(g: GameInstance, nes: ProfileSequence, lead: str, line=None,
+                       encode=str, close: str = "") -> Iterator[str]:
+    """One line per equilibrium, ``lead``, the profile's text, what
+    ``line`` adds (``_equilibrium_blocks``) and ``close``, in pieces of up to
+    4,096 lines.  A piece packs consecutive blocks, each joined with one
+    ``str.join``, and a block longer than a piece is split.  Neither the
+    whole text nor all the lines are held."""
     piece: list[str] = []
     size = 0
-    for prefix, texts in _equilibrium_blocks(g, nes, line):
-        lead = "\n  " + prefix
+    for prefix, texts in _equilibrium_blocks(g, nes, line, encode):
+        head = lead + prefix
+        glue = close + head
         for i in range(0, len(texts), 4096):
             run = texts[i:i + 4096]
             if size + len(run) > 4096:
                 yield "".join(piece)
                 piece, size = [], 0
-            piece.append(lead + lead.join(run))
+            piece.append(head + glue.join(run) + close)
             size += len(run)
     if piece:
         yield "".join(piece)
-    for text in tail:
-        yield "\n" + text
 
 
 def equilibria_to_obj(g: GameInstance, nes: ProfileSequence) -> dict[str, Any]:
@@ -419,18 +467,23 @@ def equilibria_to_obj(g: GameInstance, nes: ProfileSequence) -> dict[str, Any]:
 
 def equilibria_to_text(g: GameInstance, nes: ProfileSequence) -> Iterator[str]:
     """The ``ne`` text listing as an iterator of pieces, rendered as they are
-    read: the count line, then the equilibria a piece at a time.
-    ``"".join`` of the pieces gives the text, without a final newline."""
-    return _listing(g, nes, f"{len(nes)} pure Nash equilibria", [])
+    read: the count line, then the equilibria a piece at a time, each line
+    led by its newline.  ``"".join`` of the pieces gives the text, without
+    a final newline."""
+    return chain([f"{len(nes)} pure Nash equilibria"], _equilibrium_lines(g, nes, "\n  "))
 
 
-def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
+def equilibria_to_json(g: GameInstance, nes: ProfileSequence) -> Iterator[str]:
+    """``json.dumps(equilibria_to_obj(g, nes), indent=2)`` as pieces,
+    rendered as they are read."""
+    lines = _equilibrium_lines(g, nes, ',\n    "', encode=_json_text, close='"')
+    return _json_listing({"count": len(nes), "equilibria": []}, "equilibria", lines)
+
+
+def _report_fields(report: EquilibriumReport) -> dict[str, Any]:
+    """The ``poa`` report's JSON object with an empty list of equilibria."""
     return {
-        "equilibria": [
-            {"profile": prefix + offer, "welfare": w}
-            for prefix, pairs in _equilibrium_blocks(g, report.profiles, lambda o, w: (o, w))
-            for offer, w in pairs
-        ],
+        "equilibria": [],
         "optimal_welfare": _fmt(report.optimal_welfare),
         "poa": None if report.poa is None else _fmt(report.poa),
         "pos": None if report.pos is None else _fmt(report.pos),
@@ -439,11 +492,32 @@ def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
     }
 
 
+def report_to_obj(g: GameInstance, report: EquilibriumReport) -> dict[str, Any]:
+    obj = _report_fields(report)
+    obj["equilibria"] = [
+        {"profile": prefix + offer, "welfare": w}
+        for prefix, pairs in _equilibrium_blocks(g, report.profiles, lambda o, w: (o, w))
+        for offer, w in pairs
+    ]
+    return obj
+
+
+def report_to_json(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
+    """``json.dumps(report_to_obj(g, report), indent=2)`` as pieces,
+    rendered as they are read."""
+    lines = _equilibrium_lines(
+        g, report.profiles, ',\n    {\n      "profile": "',
+        '{}",\n      "welfare": "{}"\n    }}'.format, _json_text,
+    )
+    return _json_listing(_report_fields(report), "equilibria", lines)
+
+
 def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
     """The ``poa`` text listing as an iterator of pieces, rendered as they
     are read: the count line, the equilibria with their welfare a piece at
-    a time, then the optimum and the PoA/PoS lines.  ``"".join`` of the
-    pieces gives the text, without a final newline."""
+    a time, then the optimum and the PoA/PoS lines, each led by its
+    newline.  ``"".join`` of the pieces gives the text, without a final
+    newline."""
     m = g.max_vendor_size
     tail = [f"optimal welfare = {_fmt(report.optimal_welfare)}"]
     if report.poa is None:
@@ -457,7 +531,8 @@ def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
         )
         tail.append(f"PoS = {_fmt(report.pos)}")
     head = f"{len(report.profiles)} pure Nash equilibria"
-    return _listing(g, report.profiles, head, tail, "{}  welfare {}".format)
+    lines = _equilibrium_lines(g, report.profiles, "\n  ", "{}  welfare {}".format)
+    return chain([head], lines, ["\n" + text for text in tail])
 
 
 def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:

@@ -92,7 +92,7 @@ def test_payoff_table_prices_each_profile_through_the_counted_calls(monkeypatch)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pmvc, name, counted)
-    table = pmvc.payoff_table(G)
+    table = list(pmvc.payoff_table(G))
     assert calls == {"pmvc_outcome": len(table), "demand": len(table)}
     assert len(table) == 1 << G.universe.n
 

@@ -100,6 +100,60 @@ def test_ne_uncertified_file(capsys):
     assert out.split("\n") == ["2 pure Nash equilibria", "  {x}", "  {y}", ""]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("ne", "--format", "json"),
+            ["{", '  "count": 2,', '  "equilibria": [', '    "{x}",', '    "{y}"', "  ]", "}", ""],
+        ),
+        (
+            ("poa",),
+            [
+                "2 pure Nash equilibria",
+                "  {x}  welfare 1",
+                "  {y}  welfare 1",
+                "optimal welfare = 3",
+                "PoA = 3, bound H_2+1 = 2.5, VIOLATED",
+                "PoS = 3",
+                "",
+            ],
+        ),
+        (
+            ("poa", "--format", "json"),
+            [
+                "{",
+                '  "equilibria": [',
+                "    {",
+                '      "profile": "{x}",',
+                '      "welfare": "1"',
+                "    },",
+                "    {",
+                '      "profile": "{y}",',
+                '      "welfare": "1"',
+                "    }",
+                "  ],",
+                '  "optimal_welfare": "3",',
+                '  "poa": "3",',
+                '  "pos": "3",',
+                '  "welfare_ratio_bound": "2.5",',
+                '  "bound_satisfied": false',
+                "}",
+                "",
+            ],
+        ),
+    ],
+    ids=["ne-json", "poa-text", "poa-json"],
+)
+def test_offer_game_answers_on_an_uncertified_file(capsys, argv, expected):
+    # the offer-game commands take the demand route on an uncertified
+    # valuation, so they answer; only the price-game commands refuse it
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(DATA / "supermodular.json"), *rest)
+    assert (code, err) == (0, "")
+    assert out.split("\n") == expected
+
+
 def test_ne_json(capsys):
     code, out, _ = run(capsys, "ne", "--gen", "harmonic:2,2", "--format", "json")
     assert code == 0

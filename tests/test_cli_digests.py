@@ -27,7 +27,8 @@ finally:
     sys.path.remove(PERFBENCH)
 
 # a subdirectory, since every tests/data/*.json is read as an instance
-DIGESTS = Path(__file__).parent / "data" / "digests" / "cli_digests.json"
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "digests" / "cli_digests.json"
 CE = ("--gen", "counterexample")
 RANDOM = ("--gen", "random:2,7,3")
 SHAVED = "a=2.601,c=2.201"
@@ -164,6 +165,9 @@ TABLE_DEMAND = {
     "table table-demand@0 --format csv --eps 1/7": (
         "bef16720c0a42fa41bd133e9e622ecd05d8f45a55396f292c32e3ac0b4e19716"
     ),
+    "table table-demand@0 --format text": (
+        "45b951617a3f4b55f3b257e65bde9b797f5ed3c1d533871be0924838f4c29577"
+    ),
 }
 
 
@@ -185,6 +189,59 @@ def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
 @pytest.mark.parametrize("key", TABLE_DEMAND)
 def test_benchmark_payoff_table_matches_recorded_digest(tmp_path, key):
     assert _run_bench(tmp_path, key) == {"stdout": TABLE_DEMAND[key], "stderr": _sha(""), "code": 0}
+
+
+# the table as text, and a table that pricing refuses part-way through the
+# profiles: in every format it exits 2 and writes nothing to stdout (the
+# file's path is not printed, so the key names it relative to tests/)
+REFUSED = {
+    "stdout": _sha(""),
+    "stderr": "6613f977d39ee085026e2aed866dce82dba01a3e0b10766d3108fb7cb1adf8de",
+    "code": 2,
+}
+TABLES = {
+    "table --gen counterexample --format text": {
+        "stdout": "3871f7186bcf8a06f447e9b374bf8474ba302375a81d5a2647b7d8f4688e725d",
+        "stderr": _sha(""),
+        "code": 0,
+    },
+    **{f"table data/nonmonotone.json --format {fmt}": REFUSED for fmt in ("csv", "json", "text")},
+}
+
+
+@pytest.mark.parametrize("key", TABLES)
+def test_table_output_matches_recorded_digest(key):
+    argv = key.split()
+    if argv[1].startswith("data/"):
+        argv[1] = str(DATA / argv[1].removeprefix("data/"))
+    assert _run(argv) == TABLES[key]
+
+
+# ``table --golden`` against a copy of the golden CSV, and against one with
+# a payoff changed; run from the copy's directory, as the match line names
+# the file as it was given
+GOLDEN = {
+    "match": {
+        "stdout": "140efbbe25c4a7cbc4c8a08c55efc1cd4f62a5bee5e80e2d30a0be2fd6e59937",
+        "stderr": _sha(""),
+        "code": 0,
+    },
+    "mismatch": {
+        "stdout": _sha(""),
+        "stderr": "3a68560297b35e4252aa65a4b8f5deacdda96e2d112467c7945f051ccda25840",
+        "code": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_table_golden_matches_recorded_digest(tmp_path, monkeypatch, case):
+    golden = (DATA / "counterexample_table.csv").read_text(encoding="utf-8")
+    if case == "mismatch":
+        golden = golden.replace("3.203", "3.204", 1)
+    (tmp_path / "golden.csv").write_text(golden, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert _run(("table", *CE, "--golden", "golden.csv")) == GOLDEN[case]
 
 
 if __name__ == "__main__":

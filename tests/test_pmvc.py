@@ -189,7 +189,7 @@ def test_outcome_mixed_offer():
 
 
 def test_payoff_table_matches_oracle():
-    outcomes = payoff_table(G)
+    outcomes = list(payoff_table(G))
     assert len(outcomes) == 16
     seen = {}
     for out in outcomes:
@@ -253,6 +253,21 @@ def test_all_profiles_order():
 def test_payoff_table_cap():
     with pytest.raises(EnumerationCapExceeded):
         payoff_table(G, cap=10)
+
+
+def test_payoff_table_prices_a_profile_as_it_is_read(monkeypatch):
+    calls = []
+    real = pmvc.pmvc_outcome
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pmvc, "pmvc_outcome", counted)
+    table = payoff_table(G)
+    assert calls == []
+    first = next(table)
+    assert len(calls) == 1 and first.profile == StrategyProfile((0, 0))
 
 
 # -- best replies ----------------------------------------------------------

@@ -82,7 +82,7 @@ def oracle_profiles(g):
 
 
 def assert_matches_oracle(g, undercut):
-    table = payoff_table(g, undercut=undercut)
+    table = list(payoff_table(g, undercut=undercut))
     profiles = list(oracle_profiles(g))
     assert [o.profile.offers for o in table] == profiles
     for offers, o in zip(profiles, table):
@@ -190,5 +190,5 @@ def test_nonmonotone_refused_by_prices_and_table():
     with pytest.raises(ValueError) as prices_error:
         pmvc_prices(g, StrategyProfile(g.vendor_masks))
     with pytest.raises(ValueError) as table_error:
-        payoff_table(g)
+        list(payoff_table(g))
     assert str(prices_error.value) == str(table_error.value) == NONMONOTONE

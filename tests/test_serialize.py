@@ -12,6 +12,7 @@ from vcgames import (
     CategoryMaxValuation,
     GameInstance,
     PriceVector,
+    TableValuation,
     Universe,
     all_profiles,
     counterexample_instance,
@@ -26,12 +27,16 @@ from vcgames.rationals import format_rational
 from vcgames.serialize import (
     SchemaError,
     dump_instance,
+    equilibria_to_json,
+    equilibria_to_obj,
     equilibria_to_text,
     instance_from_obj,
     payoff_table_csv,
+    payoff_table_json,
     payoff_table_obj,
     prices_from_obj,
     prices_to_obj,
+    report_to_json,
     report_to_obj,
     report_to_text,
     valuation_from_obj,
@@ -287,6 +292,65 @@ def test_listings_past_the_bound_on_kept_lists():
     assert "".join(report_to_text(g, equilibrium_report(g))) == "\n".join(
         head + [f"{line}  welfare {w}" for line, w in zip(lines, welfare)] + tail
     )
+
+
+def renamed(g, names):
+    """``g`` over items called ``names``, its parts kept."""
+    u = Universe(tuple(names))
+    v = g.valuation
+    if isinstance(v, AdditiveGroupsValuation):
+        w = AdditiveGroupsValuation(u, v.group_masks, v.curve)
+    else:
+        w = TableValuation(u, [v.value_mask(m) for m in range(1 << u.n)])
+    return GameInstance(w, g.vendor_masks)
+
+
+def assert_json_listings_match(g, undercut):
+    table = payoff_table_obj(g, payoff_table(g, undercut=undercut))
+    assert "".join(payoff_table_json(g, payoff_table(g, undercut=undercut))) == json.dumps(
+        table, indent=2
+    )
+    nes = pmvc_pure_ne(g, undercut=undercut)
+    assert "".join(equilibria_to_json(g, nes)) == json.dumps(equilibria_to_obj(g, nes), indent=2)
+    report = equilibrium_report(g)
+    assert "".join(report_to_json(g, report)) == json.dumps(report_to_obj(g, report), indent=2)
+
+
+NAME = st.text(alphabet='a"\\é/', min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5_000),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from(["coverage", "additive-concave"]),
+    st.data(),
+    st.sampled_from([None, F(1, 7)]),
+)
+def test_json_listings_join_to_the_dumped_objects(seed, n_items, k, gen, data, undercut):
+    # escaped names ('"', '\\', a non-ASCII letter) and both pricings
+    g = random_instance(seed, n_items, min(k, n_items), generator=gen)
+    names = data.draw(st.lists(NAME, min_size=n_items, max_size=n_items, unique=True))
+    assert_json_listings_match(renamed(g, names), undercut)
+
+
+def test_json_listings_with_no_equilibrium():
+    # the counterexample has no pure NE: both listings are empty lists
+    g = renamed(G, ['"a', "b\\", "\u00e7", "d"])
+    assert len(pmvc_pure_ne(g)) == 0
+    assert_json_listings_match(g, None)
+
+
+def test_json_listings_in_many_pieces():
+    # one 13-item part worth nothing: all 8,192 profiles are equilibria,
+    # so the listing is its head, two pieces of 4,096 and its close
+    u = Universe(tuple(f"x{i}" for i in range(13)))
+    v = AdditiveGroupsValuation(u, [u.full_mask], [0] * 14)
+    g = GameInstance(v, [(1 << 6) - 1, u.full_mask ^ ((1 << 6) - 1)])
+    nes = pmvc_pure_ne(g)
+    assert len(nes) == 8192 and len(list(equilibria_to_json(g, nes))) == 4
+    assert_json_listings_match(g, None)
 
 
 def test_report_obj_shape():
