@@ -12,18 +12,19 @@ which variable each row and each column stands for.  A pivot swaps the
 entering and the leaving variable and rewrites the pivot column in place; no
 slack identity columns are stored.
 
-Every entry is an integer.  An LP whose entries are all ints is taken as
-it is.  Otherwise each row of A is scaled by the lcm of its denominators, c
-by the lcm of its own, and then the rhs column by the lcm of what
-denominators remain in it; on an all-int LP every one of those scales is 1,
-so both set-ups build the same tableau.  A positive row scale only rescales
-that row's slack, a positive scale of c only rescales every reduced cost,
-and a common rhs scale only rescales x; none of them changes the sign of a
-reduced cost or the order of two ratios, so Bland's rule makes the same
-pivots as on the unscaled LP.  The integer tableau is d times the rational
-one, where d is the determinant of the current basis (1 for the slack
-basis); a pivot on the entry p at (r, s) sets, for every other row i and
-column j != s,
+Every entry is an integer.  An LP whose entries are all ints is its own
+tableau.  Otherwise each row [A_i | b_i] is scaled, rhs and all, by the lcm
+of its own denominators, and c by the lcm of its own; on an all-int LP
+every one of those scales is 1, so both set-ups build the same tableau.  A
+row scaled with its rhs keeps its feasible set and every ratio
+b_i / t[i][s], and a positive scale of c only rescales every reduced cost;
+neither changes the sign of a reduced cost or the order of two ratios, so
+Bland's rule makes the same pivots as on the unscaled LP.  No scale touches
+x, so x needs no unscaling.
+
+The integer tableau is d times the rational one, where d is the determinant
+of the current basis (1 for the slack basis); a pivot on the entry p at
+(r, s) sets, for every other row i and column j != s,
 
     t[i][j] = (t[i][j] * p - t[i][s] * t[r][j]) // d
 
@@ -32,8 +33,9 @@ d = p.  The division is exact: each new entry is d' times an entry of the
 rational tableau of the new basis, whose determinant d' is d times the
 rational pivot, and by Cramer's rule that product is a minor of the integer
 matrix [A | I | b] (Bareiss).  The ratio test compares b_i / t[i][s] by
-cross-multiplication, so nothing is ever divided except by d.  The optimum
-c.x is summed over the integer rhs column and c, and divided once.
+cross-multiplication, so nothing is ever divided except by d.  The
+objective row's rhs ends at -d times c.x on c's scale, so the optimum is
+that entry divided once.
 
 The exact best response has one variable per item of the target and one row
 per nonempty subset of it: a vendor owning 9 items gives LPs of up to 511
@@ -80,22 +82,13 @@ def maximize(
         raise ValueError("rhs must be nonnegative (slack basis must be feasible)")
 
     # m constraint rows of [A | b] and the objective row [c | 0], all integer
-    if kinds <= {int}:  # every scale is 1: the LP is its own tableau
+    if kinds <= {int}:  # the LP is its own tableau
         tab = [[*row, b] for row, b in zip(rows, rhs)]
-        rhs_scale = c_scale = 1
-        c_ints = list(c)
-    else:
-        tab = []
-        scaled_rhs = []
-        for row, b in zip(rows, rhs):
-            ints, scale = integers(row)
-            tab.append(ints)
-            scaled_rhs.append(b * scale)
-        rhs_ints, rhs_scale = integers(scaled_rhs)
-        for ints, b in zip(tab, rhs_ints):
-            ints.append(b)
-        c_ints, c_scale = integers(c)
-    tab.append(c_ints + [0])
+        obj, c_scale = c, 1
+    else:  # each row [A_i | b_i] by the lcm of its own denominators, c by its own
+        tab = [integers([*row, b])[0] for row, b in zip(rows, rhs)]
+        obj, c_scale = integers(c)
+    tab.append([*obj, 0])
     basis = list(range(n, n + m))  # the variable of each row: slacks first
     nonbasic = list(range(n))  # the variable of each column
     d = 1
@@ -138,10 +131,8 @@ def maximize(
         basis[r], nonbasic[s] = nonbasic[s], basis[r]
 
     x = [Fraction(0)] * n
-    den = d * rhs_scale
-    total = 0  # c.x times den * c_scale
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tab[i][n], den)
-            total += c_ints[var] * tab[i][n]
-    return Fraction(total, den * c_scale), x
+            x[var] = Fraction(tab[i][n], d)
+    # the objective row's rhs is -d times c.x on c's scale
+    return Fraction(-tab[m][n], d * c_scale), x

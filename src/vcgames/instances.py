@@ -159,11 +159,13 @@ def cdsp_equilibrium(g: GameInstance) -> PriceVector:
     winner's best item is priced at its value minus the best competing value
     in the category (zero if no competitor owns any of it); every other
     vendor's best category item is free; all remaining items get the
-    deterrent price.
+    deterrent price.  Refuses an uncertified game (a negative item value),
+    outside the case the closed form holds for.
     """
     v = g.valuation
     if not isinstance(v, CategoryMaxValuation):
         raise ValueError("closed-form equilibrium needs a category-max valuation")
+    g.require_certified()
     sent = g.sentinel
     prices = [sent] * g.universe.n
     for cat in v.category_masks:

@@ -112,6 +112,12 @@ class GameInstance:
     def certified(self) -> bool:
         return self.monotone_certified and self.submodular_certified
 
+    def require_certified(self) -> None:
+        """Refuse an uncertified game: the price game's shortcuts and the
+        closed forms lean on monotone submodularity."""
+        if not self.certified:
+            raise ValueError("vendor-game analysis requires a certified instance")
+
     @property
     def n_vendors(self) -> int:
         return len(self.vendor_masks)
@@ -472,8 +478,7 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     Equals the demand-based payoffs of ``pmvc_outcome`` whenever the
     valuation is certified (full-sale invariant); refuses otherwise.
     """
-    if not g.certified:
-        raise ValueError("closed-form payoffs need a certified valuation")
+    g.require_certified()
     g.check_profile(s)
     rule = g.pricing()
     prices = rule.prices(s.union_mask)

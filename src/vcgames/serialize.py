@@ -250,9 +250,9 @@ def instance_from_obj(data: dict[str, Any]) -> GameInstance:
     Without a "vendors" field a single vendor owns everything (enough for
     validation-only workflows).  Uncertified valuations load, so the
     checkers can report on them.  The price-game entry points of
-    ``vcgame`` (``bestresp``, ``verify`` and ``brd``) refuse them through
-    ``_require_certified``; the offer game (``table``, ``ne``, ``poa``)
-    answers on them by the demand route.
+    ``vcgame`` (``bestresp``, ``verify`` and ``brd``) and ``cdsp`` refuse
+    them through ``GameInstance.require_certified``; the offer game
+    (``table``, ``ne``, ``poa``) answers on them by the demand route.
     """
     if not isinstance(data, dict):
         raise SchemaError("instance must be a JSON object")

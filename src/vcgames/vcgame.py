@@ -152,11 +152,6 @@ class DynamicsTrace:
     period: int | None
 
 
-def _require_certified(g: GameInstance) -> None:
-    if not g.certified:
-        raise ValueError("vendor-game analysis requires a certified instance")
-
-
 def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
     """What the buyer takes at p, and what each vendor earns from it, all
     over one scale of p, the buyer's scan's too (one lcm pass per sale)."""
@@ -171,7 +166,7 @@ def _sale(g: GameInstance, p: PriceVector) -> tuple[int, tuple[Fraction, ...]]:
 
 def vendor_revenue(g: GameInstance, p: PriceVector, vendor: int) -> Fraction:
     """What vendor i earns when the buyer purchases at p."""
-    _require_certified(g)
+    g.require_certified()
     g.check_vendor(vendor)
     return _sale(g, p)[1][vendor]
 
@@ -390,7 +385,7 @@ def vc_best_response(
     Every tier's prices are replayed through the demand oracle once, for
     ``realized_revenue``.
     """
-    _require_certified(g)
+    g.require_certified()
     g.check_vendor(vendor)
     p.check_universe(g.universe)
     prices, revenue, target = _tier(method)(g, vendor, p)
@@ -431,7 +426,7 @@ def vc_verify_ne(
     bounds every deviation's revenue, certifies; under the other methods a
     price vector without a deviation found is ``not-refuted``.
     """
-    _require_certified(g)
+    g.require_certified()
     p.check_universe(g.universe)
     tier = _tier(method)
     _, paid = _sale(g, p)
@@ -463,7 +458,7 @@ def map_to_pmvc(
     is what the mechanism then charges).  Returns the profile and the
     per-vendor revenue gains.
     """
-    _require_certified(g)
+    g.require_certified()
     sold, paid = _sale(g, p)
     profile = g.profile_of(sold)
     out = pmvc_outcome(g, profile)
@@ -495,7 +490,7 @@ def br_dynamics(
     revisited (state, turn) pair is a provable cycle and ``period`` counts the
     moves in it.
     """
-    _require_certified(g)
+    g.require_certified()
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if isinstance(start, PriceVector):

@@ -154,6 +154,43 @@ def test_offer_game_answers_on_an_uncertified_file(capsys, argv, expected):
     assert out.split("\n") == expected
 
 
+UNCERTIFIED = "error: vendor-game analysis requires a certified instance\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bestresp", "--vendor", "0"),
+        ("verify",),
+        ("brd",),
+        ("brd", "--mode", "continuous"),
+    ],
+    ids=["bestresp", "verify", "brd", "brd-continuous"],
+)
+def test_price_game_refuses_an_uncertified_file(capsys, argv):
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(DATA / "supermodular.json"), *rest)
+    assert (code, out, err) == (2, "", UNCERTIFIED)
+
+
+@pytest.mark.parametrize("rest", [(), ("--verify",)], ids=["prices", "verify"])
+def test_cdsp_refuses_an_uncertified_category_max_file(capsys, tmp_path, rest):
+    # a negative item value fails both checks; written here, not under
+    # tests/data, where every file is replayed as a certified instance
+    path = tmp_path / "negative_value.json"
+    path.write_text(json.dumps({
+        "type": "category_max",
+        "items": ["x", "y", "z"],
+        "categories": [["x", "y"], ["z"]],
+        "item_values": {"x": "3", "y": "-1", "z": "2"},
+        "vendors": [["x"], ["y", "z"]],
+    }))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and "monotone: FAIL" in out and "submodular: FAIL" in out
+    code, out, err = run(capsys, "cdsp", str(path), *rest)
+    assert (code, out, err) == (2, "", UNCERTIFIED)
+
+
 def test_ne_json(capsys):
     code, out, _ = run(capsys, "ne", "--gen", "harmonic:2,2", "--format", "json")
     assert code == 0

@@ -1,23 +1,19 @@
 """CLI output pinned by digest: for each command, the sha256 of stdout and of
 stderr and the exit code of ``cli.main``, run in process.
 
-The digests in ``tests/data/digests/cli_digests.json`` were recorded from
-the tree before a change meant to keep outputs byte-identical.  A change
-that alters output on purpose re-records them with
-``PYTHONPATH=src python tests/test_cli_digests.py`` and says why.
+The recorded commands and their runner live in ``cli_digests.py``, which
+imports no pytest.  A change that alters output on purpose re-records them
+with ``PYTHONPATH=src python tests/test_cli_digests.py`` and says why.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from cli_digests import CE, COMMANDS, DATA, DIGESTS, HARMONIC_EXACT, RANDOM_EXACT, key, record, run, sha
 
 from vcgames import exactlp
-from vcgames.cli import main
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -26,80 +22,6 @@ try:
 finally:
     sys.path.remove(PERFBENCH)
 
-# a subdirectory, since every tests/data/*.json is read as an instance
-DATA = Path(__file__).parent / "data"
-DIGESTS = DATA / "digests" / "cli_digests.json"
-CE = ("--gen", "counterexample")
-RANDOM = ("--gen", "random:2,7,3")
-SHAVED = "a=2.601,c=2.201"
-# the exact tier's LPs: one vendor owning 12 items, where every target but
-# the first is ruled out by its singleton rows; and a target, {c,d,e}, whose
-# LP value 53/5 is below its singleton sum 72/5, so the simplex must run
-HARMONIC_EXACT = ("bestresp", "--gen", "harmonic:1,12", "--vendor", "0", "--method", "exact")
-RANDOM_EXACT = (
-    "bestresp", "--gen", "random:0,6,3", "--vendor", "0",
-    "--prices", "a=32,b=18,f=19", "--method", "exact",
-)
-
-COMMANDS = [
-    ("table", *CE, "--format", "csv"),
-    ("table", *CE, "--format", "json"),
-    ("table", *CE, "--format", "csv", "--eps", "1/7"),
-    ("table", *CE, "--format", "json", "--eps", "1/7"),
-    *(
-        (cmd, "--gen", spec, "--format", fmt)
-        for spec in ("harmonic:3,4", "pos:2,3,1/100", "cdsp_random:4,7,3,3")
-        for cmd in ("ne", "poa")
-        for fmt in ("text", "json")
-    ),
-    ("ne", "--gen", "random:5,9,2", "--format", "text", "--eps", "1/7"),
-    ("ne", "--gen", "random:5,9,2", "--format", "json", "--eps", "1/7"),
-    *(
-        ("bestresp", *RANDOM, "--vendor", str(vendor), "--method", method, *prices)
-        for method in ("candidate", "exact", "grid")
-        for vendor in range(3)
-        for prices in ((), ("--prices", "a=1/3,b=2/7,c=5"))
-    ),
-    *(("verify", *CE, "--prices", SHAVED, "--method", m) for m in ("candidate", "exact", "grid")),
-    ("brd", *CE, "--mode", "discrete"),
-    ("brd", *CE, "--mode", "continuous", "--format", "json"),
-    ("brd", "--gen", "random:8,7,3", "--mode", "discrete", "--format", "json"),
-    ("brd", "--gen", "random:8,7,3", "--mode", "continuous"),
-    ("cdsp", "--gen", "cdsp_random:4,7,3,3", "--verify"),
-    ("check", *CE),
-    ("bestresp", *CE, "--vendor", "5"),
-    ("table", *CE, "--eps", "0"),
-    *(
-        (cmd, "--gen", spec, "--format", fmt)
-        for spec in ("harmonic:1,13", "random:8,8,3,additive-concave")
-        for cmd in ("ne", "poa")
-        for fmt in ("text", "json")
-    ),
-    *(
-        ("ne", "--gen", spec, "--format", fmt, "--eps", "1/7")
-        for spec in ("cdsp_random:4,7,3,3", "random:8,8,3,additive-concave")
-        for fmt in ("text", "json")
-    ),
-    ("table", "--gen", "harmonic:2,3", "--format", "csv", "--eps", "1/7"),
-    HARMONIC_EXACT,
-    RANDOM_EXACT,
-]
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _key(argv) -> str:
-    return " ".join(argv)
-
-
-def _run(argv) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return {"stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue()), "code": code}
-
 
 @pytest.fixture(scope="module")
 def recorded() -> dict:
@@ -107,12 +29,12 @@ def recorded() -> dict:
 
 
 def test_every_command_has_a_recorded_digest(recorded):
-    assert sorted(recorded) == sorted(map(_key, COMMANDS))
+    assert sorted(recorded) == sorted(map(key, COMMANDS))
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=_key)
+@pytest.mark.parametrize("argv", COMMANDS, ids=key)
 def test_cli_output_matches_recorded_digest(recorded, argv):
-    assert _run(argv) == recorded[_key(argv)]
+    assert run(argv) == recorded[key(argv)]
 
 
 def _lps_solved(monkeypatch, argv) -> list:
@@ -126,7 +48,7 @@ def _lps_solved(monkeypatch, argv) -> list:
         return value, x
 
     monkeypatch.setattr(exactlp, "maximize", counted)
-    _run(argv)
+    run(argv)
     return solved
 
 
@@ -149,7 +71,7 @@ def test_exact_tier_still_solves_a_target_its_singleton_rows_overbound(monkeypat
 BRD_LONG = "brd brd-continuous@0 --mode continuous --format json --max-steps 300"
 BRD_LONG_DIGEST = {
     "stdout": "cbb991f114cc9a71f332fa14c37d6735bbf8a822996a564c3c8a08a1b815ab3c",
-    "stderr": _sha(""),
+    "stderr": sha(""),
     "code": 0,
 }
 
@@ -179,7 +101,7 @@ def _run_bench(tmp_dir: Path, key: str) -> dict:
     path = tmp_dir / f"{workload}.json"
     path.write_text(bench_gen.Instance(workload, int(seed)).to_json(), encoding="utf-8")
     argv[1] = str(path)
-    return _run(argv)
+    return run(argv)
 
 
 def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
@@ -188,21 +110,21 @@ def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
 
 @pytest.mark.parametrize("key", TABLE_DEMAND)
 def test_benchmark_payoff_table_matches_recorded_digest(tmp_path, key):
-    assert _run_bench(tmp_path, key) == {"stdout": TABLE_DEMAND[key], "stderr": _sha(""), "code": 0}
+    assert _run_bench(tmp_path, key) == {"stdout": TABLE_DEMAND[key], "stderr": sha(""), "code": 0}
 
 
 # the table as text, and a table that pricing refuses part-way through the
 # profiles: in every format it exits 2 and writes nothing to stdout (the
 # file's path is not printed, so the key names it relative to tests/)
 REFUSED = {
-    "stdout": _sha(""),
+    "stdout": sha(""),
     "stderr": "6613f977d39ee085026e2aed866dce82dba01a3e0b10766d3108fb7cb1adf8de",
     "code": 2,
 }
 TABLES = {
     "table --gen counterexample --format text": {
         "stdout": "3871f7186bcf8a06f447e9b374bf8474ba302375a81d5a2647b7d8f4688e725d",
-        "stderr": _sha(""),
+        "stderr": sha(""),
         "code": 0,
     },
     **{f"table data/nonmonotone.json --format {fmt}": REFUSED for fmt in ("csv", "json", "text")},
@@ -214,7 +136,7 @@ def test_table_output_matches_recorded_digest(key):
     argv = key.split()
     if argv[1].startswith("data/"):
         argv[1] = str(DATA / argv[1].removeprefix("data/"))
-    assert _run(argv) == TABLES[key]
+    assert run(argv) == TABLES[key]
 
 
 # ``table --golden`` against a copy of the golden CSV, and against one with
@@ -223,11 +145,11 @@ def test_table_output_matches_recorded_digest(key):
 GOLDEN = {
     "match": {
         "stdout": "140efbbe25c4a7cbc4c8a08c55efc1cd4f62a5bee5e80e2d30a0be2fd6e59937",
-        "stderr": _sha(""),
+        "stderr": sha(""),
         "code": 0,
     },
     "mismatch": {
-        "stdout": _sha(""),
+        "stdout": sha(""),
         "stderr": "3a68560297b35e4252aa65a4b8f5deacdda96e2d112467c7945f051ccda25840",
         "code": 1,
     },
@@ -241,9 +163,8 @@ def test_table_golden_matches_recorded_digest(tmp_path, monkeypatch, case):
         golden = golden.replace("3.203", "3.204", 1)
     (tmp_path / "golden.csv").write_text(golden, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert _run(("table", *CE, "--golden", "golden.csv")) == GOLDEN[case]
+    assert run(("table", *CE, "--golden", "golden.csv")) == GOLDEN[case]
 
 
 if __name__ == "__main__":
-    digests = {_key(argv): _run(argv) for argv in COMMANDS}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    record()

@@ -307,3 +307,29 @@ def test_int_lp_matches_the_same_lp_as_fractions(lp):
         return
     assert maximize(*as_fractions) == (val, x)
     assert type(val) is Fraction and all(type(xi) is Fraction for xi in x)
+
+
+divisors = st.integers(1, 50) | st.integers(1, 2**300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lps(st.integers(0, 1)) | _int_lps(st.integers(-4, 4)), st.data(), divisors)
+def test_row_scales_keep_the_vertex(lp, data, c_div):
+    # dividing a row together with its rhs by its own positive integer
+    # leaves the feasible set as it is, and dividing c only divides the
+    # value; a rational LP's tableau scales each row back by its own lcm,
+    # so Bland's rule walks to the int LP's vertex
+    c, (rows, rhs) = lp
+    row_divs = data.draw(st.lists(divisors, min_size=len(rows), max_size=len(rows)))
+    scaled = (
+        [F(a, c_div) for a in c],
+        [[F(a, k) for a in row] for row, k in zip(rows, row_divs)],
+        [F(b, k) for b, k in zip(rhs, row_divs)],
+    )
+    try:
+        val, x = maximize(c, rows, rhs)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            maximize(*scaled)
+        return
+    assert maximize(*scaled) == (val / c_div, x)

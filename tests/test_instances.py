@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vcgames import (
     CategoryMaxValuation,
     CdspSpec,
+    GameInstance,
     StrategyProfile,
     Universe,
     cdsp_equilibrium,
@@ -177,6 +178,16 @@ def test_cdsp_value_tie_breaks_to_lowest_vendor():
 def test_cdsp_equilibrium_needs_category_valuation():
     with pytest.raises(ValueError):
         cdsp_equilibrium(counterexample_instance())
+
+
+def test_cdsp_equilibrium_refuses_an_uncertified_game():
+    # a negative item value is the one way a category-max valuation fails
+    # certification; CdspSpec refuses it, so build the game directly
+    u = Universe(("x", "y", "z"))
+    v = CategoryMaxValuation(u, (0b011, 0b100), (F(3), F(-1), F(2)))
+    g = GameInstance(v, (0b001, 0b110), allow_uncertified=True)
+    with pytest.raises(ValueError, match="requires a certified instance"):
+        cdsp_equilibrium(g)
 
 
 def test_cdsp_spec_validation():
