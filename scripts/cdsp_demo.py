@@ -10,11 +10,11 @@ import argparse
 
 from vcgames import (
     cdsp_equilibrium,
-    cdsp_instance,
     demand,
     format_rational,
-    random_cdsp_spec,
+    random_cdsp_instance,
     vc_verify_ne,
+    vendor_revenue,
 )
 from vcgames.items import bits_of
 
@@ -27,18 +27,17 @@ def main() -> None:
     parser.add_argument("--vendors", type=int, default=3)
     args = parser.parse_args()
 
-    spec = random_cdsp_spec(args.seed, args.items, args.categories, args.vendors)
-    g = cdsp_instance(spec)
-    u = g.universe
+    g = random_cdsp_instance(args.seed, args.items, args.categories, args.vendors)
+    v, u = g.valuation, g.universe
 
     print("market:")
-    for c, cat in enumerate(spec.category_masks):
+    for c, cat in enumerate(v.category_masks):
         members = ", ".join(
-            f"{u.names[a]}={format_rational(spec.item_values[a])}"
+            f"{u.names[a]}={format_rational(v.item_values[a])}"
             for a in bits_of(cat)
         )
         print(f"  category {c}: {members}")
-    for i, m in enumerate(spec.vendor_masks):
+    for i, m in enumerate(g.vendor_masks):
         print(f"  vendor {i} owns {u.format_set(m)}")
     print()
 
@@ -47,13 +46,10 @@ def main() -> None:
     print(f"  {p.format()}")
     d = demand(g.valuation, p)
     print(f"  buyer takes {u.format_set(d.chosen)}")
-    revs = [
-        sum(p.prices[a] for a in bits_of(d.chosen & m)) for m in spec.vendor_masks
-    ]
-    for i, r in enumerate(revs):
-        print(f"  vendor {i} revenue {format_rational(r)}")
-    welfare = g.valuation.value_mask(d.chosen)
-    optimum = g.valuation.value_mask(u.full_mask)
+    for i in range(g.n_vendors):
+        print(f"  vendor {i} revenue {format_rational(vendor_revenue(g, p, i))}")
+    welfare = v.value_mask(d.chosen)
+    optimum = v.value_mask(u.full_mask)
     print(f"  welfare {format_rational(welfare)} of optimum {format_rational(optimum)}")
     print()
 

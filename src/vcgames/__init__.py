@@ -21,13 +21,11 @@ from .analysis import (
     welfare,
 )
 from .instances import (
-    CdspSpec,
     cdsp_equilibrium,
-    cdsp_instance,
     counterexample_instance,
     harmonic_instance,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
 )
 from .items import Universe
@@ -84,7 +82,6 @@ __all__ = [
     "BestResponse",
     "BoundCheck",
     "CategoryMaxValuation",
-    "CdspSpec",
     "DEFAULT_PROFILE_CAP",
     "DemandResult",
     "DeviationCertificate",
@@ -105,7 +102,6 @@ __all__ = [
     "br_dynamics",
     "buyer_utility",
     "cdsp_equilibrium",
-    "cdsp_instance",
     "check_hybrid_profile_bound",
     "check_monotone",
     "check_submodular",
@@ -127,7 +123,7 @@ __all__ = [
     "pmvc_prices",
     "pmvc_pure_ne",
     "pos_instance",
-    "random_cdsp_spec",
+    "random_cdsp_instance",
     "random_instance",
     "sentinel_price",
     "vc_best_response",

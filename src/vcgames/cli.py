@@ -17,11 +17,10 @@ from . import serialize
 from .analysis import equilibrium_report, welfare
 from .instances import (
     cdsp_equilibrium,
-    cdsp_instance,
     counterexample_instance,
     harmonic_instance,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
 )
 from .pmvc import (
@@ -78,19 +77,18 @@ def _parse_gen(spec: str, seed_override: int | None) -> GameInstance:
                 raise CliError("generator 'pos' takes k,m,eps")
             k, m = int(args[0]), int(args[1])
             return pos_instance(k, m, parse_rational(args[2]))
+        # the optional last argument, when given, goes through as it is, so
+        # its default lives in the generator
         if name == "random":
             seed, n, k = integers(3, 4, ints=3)
-            generator = args[3] if len(args) == 4 else "coverage"
             if seed_override is not None:
                 seed = seed_override
-            return random_instance(seed, n, k, generator)
+            return random_instance(seed, n, k, *args[3:])
         if name == "cdsp_random":
-            vals = integers(3, 4)
-            seed, n, r = vals[:3]
-            k = vals[3] if len(vals) == 4 else 2
+            seed, *rest = integers(3, 4)
             if seed_override is not None:
                 seed = seed_override
-            return cdsp_instance(random_cdsp_spec(seed, n, r, k))
+            return random_cdsp_instance(seed, *rest)
     except ValueError as e:
         raise CliError(f"generator {spec!r}: {e}") from None
     raise CliError(

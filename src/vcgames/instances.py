@@ -10,7 +10,6 @@ the test data directory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .items import bits_of, MAX_ITEMS, Universe
@@ -25,14 +24,12 @@ from .valuation import (
 )
 
 __all__ = [
-    "CdspSpec",
     "counterexample_instance",
     "harmonic_instance",
     "pos_instance",
-    "cdsp_instance",
     "cdsp_equilibrium",
     "random_instance",
-    "random_cdsp_spec",
+    "random_cdsp_instance",
     "RANDOM_GENERATORS",
 ]
 
@@ -123,34 +120,6 @@ def pos_instance(k: int, m: int, eps: Fraction) -> GameInstance:
     return GameInstance(v, masks)
 
 
-@dataclass(frozen=True)
-class CdspSpec:
-    """A category-divided market: items grouped into categories valued by
-    their best member, split among vendors."""
-
-    universe: Universe
-    category_masks: tuple[int, ...]
-    item_values: tuple[Fraction, ...]
-    vendor_masks: tuple[int, ...]
-
-    def __post_init__(self):
-        u = self.universe
-        object.__setattr__(self, "item_values", tuple(map(exact, self.item_values)))
-        if len(self.item_values) != u.n:
-            raise ValueError("need one value per item")
-        if any(q < 0 for q in self.item_values):
-            raise ValueError("item values must be nonnegative")
-        object.__setattr__(self, "category_masks", u.partition(self.category_masks, "categories"))
-        object.__setattr__(
-            self, "vendor_masks", u.partition(self.vendor_masks, "vendor sets", allow_empty=True)
-        )
-
-
-def cdsp_instance(spec: CdspSpec) -> GameInstance:
-    v = CategoryMaxValuation(spec.universe, spec.category_masks, spec.item_values)
-    return GameInstance(v, spec.vendor_masks)
-
-
 def cdsp_equilibrium(g: GameInstance) -> PriceVector:
     """The closed-form equilibrium of a category-divided instance.
 
@@ -159,35 +128,29 @@ def cdsp_equilibrium(g: GameInstance) -> PriceVector:
     winner's best item is priced at its value minus the best competing value
     in the category (zero if no competitor owns any of it); every other
     vendor's best category item is free; all remaining items get the
-    deterrent price.  Refuses an uncertified game (a negative item value),
-    outside the case the closed form holds for.
+    deterrent price.  Each vendor's best item is read from its part of the
+    category, ``cat & owned``.  Refuses an uncertified game (a negative
+    item value), outside the case the closed form holds for.
     """
     v = g.valuation
     if not isinstance(v, CategoryMaxValuation):
         raise ValueError("closed-form equilibrium needs a category-max valuation")
     g.require_certified()
-    sent = g.sentinel
-    prices = [sent] * g.universe.n
+    values = v.item_values
+    prices = [g.sentinel] * g.universe.n
     for cat in v.category_masks:
-        # each vendor's best item in this category
-        best_item: dict[int, int] = {}
-        for item in bits_of(cat):
-            vendor = g.owner_of(item)
-            cur = best_item.get(vendor)
-            if cur is None or v.item_values[item] > v.item_values[cur]:
-                best_item[vendor] = item
-        winner = min(
-            best_item, key=lambda i: (-v.item_values[best_item[i]], i)
-        )
-        runner_up = Fraction(0)
-        for item in bits_of(cat):
-            if g.owner_of(item) != winner and v.item_values[item] > runner_up:
-                runner_up = v.item_values[item]
-        for vendor, item in best_item.items():
-            if vendor == winner:
-                prices[item] = v.item_values[item] - runner_up
-            else:
-                prices[item] = Fraction(0)
+        # each vendor's best item in this category; max keeps the first of
+        # equals, so ties go to the lowest item, and below to the lowest vendor
+        best = {
+            i: max(bits_of(cat & owned), key=values.__getitem__)
+            for i, owned in enumerate(g.vendor_masks)
+            if cat & owned
+        }
+        winner = max(best, key=lambda i: values[best[i]])
+        runner_up = max((values[best[i]] for i in best if i != winner), default=Fraction(0))
+        for item in best.values():
+            prices[item] = Fraction(0)
+        prices[best[winner]] = values[best[winner]] - runner_up
     return PriceVector(g.universe, tuple(prices))
 
 
@@ -257,9 +220,9 @@ def random_instance(
     return GameInstance(valuation, vendor_masks)
 
 
-def random_cdsp_spec(
+def random_cdsp_instance(
     seed: int, n_items: int, n_categories: int, n_vendors: int = 2
-) -> CdspSpec:
+) -> GameInstance:
     """Deterministic seeded category-divided market."""
     if not 1 <= n_items <= RANDOM_MAX_ITEMS:
         raise ValueError(f"random instances support 1..{RANDOM_MAX_ITEMS} items")
@@ -271,7 +234,5 @@ def random_cdsp_spec(
     u = Universe(_letters(n_items))
     categories = _random_partition(rng, n_items, n_categories)
     vendors = _random_partition(rng, n_items, n_vendors)
-    values = tuple(
-        Fraction(rng.randint(0, 50), rng.choice((1, 2, 4, 5, 10))) for _ in range(n_items)
-    )
-    return CdspSpec(u, categories, values, vendors)
+    values = [Fraction(rng.randint(0, 50), rng.choice((1, 2, 4, 5, 10))) for _ in range(n_items)]
+    return GameInstance(CategoryMaxValuation(u, categories, values), vendors)

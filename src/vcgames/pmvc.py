@@ -19,17 +19,19 @@ one inside its part, and a vendor's payoff is the sum of its per-part
 payoffs.  A profile is then a pure equilibrium exactly when each part's
 sub-profile is one of that part's game, so ``pmvc_pure_ne`` solves the parts
 one at a time, each over its own value table (``Valuation.part_tables``),
-and takes their product.  An uncertified game is one part: the buyer's
+and takes their product; ``pmvc_best_response`` takes a vendor's best
+offers the same way.  An uncertified game is one part: the buyer's
 largest-bitmask fallback does not split by part.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, groupby, product, repeat, starmap
+from functools import cached_property, partial
+from itertools import accumulate, chain, groupby, product, repeat, starmap
 from typing import Iterator, Sequence
 
 from .items import Universe, bits_of, submasks_of, subset_sums
@@ -80,10 +82,13 @@ class StrategyProfile:
 class GameInstance:
     """A valuation plus a disjoint vendor partition of its universe.
 
-    Instances are certified monotone and submodular on construction; pass
-    ``allow_uncertified=True`` only for diagnostic fixtures.  Most of the
-    vendor-game layer refuses uncertified instances because its shortcuts
-    lean on submodularity.
+    Instances are certified monotone and submodular on construction, and
+    refused if they fail.  ``allow_uncertified=True`` keeps a game that
+    fails, with its verdicts: every file load passes it
+    (``serialize.instance_from_obj``), so the checkers can report on a
+    failing valuation and the offer game answers on it by the demand
+    route.  Most of the vendor-game layer refuses uncertified instances
+    (``require_certified``) because its shortcuts lean on submodularity.
     """
 
     def __init__(self, valuation: Valuation, vendor_masks: Sequence[int], *,
@@ -181,13 +186,6 @@ class GameInstance:
         if not 0 <= i < self.n_vendors:
             raise ValueError(f"no vendor {i}")
 
-    def owner_of(self, item: int) -> int:
-        bit = 1 << item
-        for i, m in enumerate(self.vendor_masks):
-            if m & bit:
-                return i
-        raise KeyError(f"item {item} not owned")
-
     def check_profile(self, s: StrategyProfile) -> None:
         if len(s.offers) != self.n_vendors:
             raise ValueError("profile length != vendor count")
@@ -220,7 +218,8 @@ class ProfileSequence(Sequence[StrategyProfile]):
 
     ``unions[j]`` is the union of the j-th profile's offers, listed only
     when read; the profile itself (``GameInstance.profile_of``) is built
-    only when it is read.  A slice is again a ``ProfileSequence``.  Compares
+    only when it is read; an index finds its block by bisection, without
+    listing ``unions``.  A slice is again a ``ProfileSequence``.  Compares
     equal to a list, tuple or ``ProfileSequence`` holding the same profiles
     in the same order.
     """
@@ -255,6 +254,11 @@ class ProfileSequence(Sequence[StrategyProfile]):
     def unions(self) -> list[int]:
         return list(self._walk())
 
+    @cached_property
+    def _starts(self) -> list[int]:
+        """The index of each block's first profile, then the length."""
+        return list(accumulate((len(offers) for _, offers in self.blocks), initial=0))
+
     def value_blocks(self) -> Iterator[tuple[int, list[int], int, list[int]]]:
         """Each block with the values of its unions split in two,
         ``(prefix, offers, base, rest)`` with ``v(prefix + o) == base +
@@ -288,7 +292,10 @@ class ProfileSequence(Sequence[StrategyProfile]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return ProfileSequence.of_unions(self.game, self.unions[index])
-        return self.game.profile_of(self.unions[index])
+        j = range(self._len)[index]  # a negative index counts from the end
+        b = bisect_right(self._starts, j) - 1
+        prefix, offers = self.blocks[b]
+        return self.game.profile_of(prefix + offers[j - self._starts[b]])
 
     def __iter__(self) -> Iterator[StrategyProfile]:
         return map(self.game.profile_of, self._walk())
@@ -429,10 +436,10 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
-    marginal: ``table`` is v over the valuation's own scale on the masks the
-    rule is asked about (a part's local masks, or all of the universe's),
-    and one block reads its 2^|mine| entries once, times the rule's f, and
-    takes every marginal from them.
+    marginal: ``table`` is v over the valuation's own scale on one part's
+    local masks (``Valuation.part_tables``), and one block reads its
+    2^|mine| entries once, times the rule's f, and takes every marginal
+    from them.
     Others run ``pmvc_outcome`` once per union, on the profile
     ``g.profile_of(union)``, and need global masks and ``mine`` to be all
     of A_i.
@@ -538,17 +545,24 @@ def pmvc_best_response(
 ) -> list[int]:
     """All payoff-maximizing offers for one vendor, others' offers fixed.
 
-    Complete enumeration of the 2^{|A_i|} candidate offers; returns every
-    maximizer, ascending by mask.  A vendor owning no items has [0].
+    Complete enumeration of the vendor's candidate offers, a part at a time
+    (``_part_games``): its payoff adds up over the parts, so its best
+    offers are the sums of one best offer inside each part it owns items
+    in.  Returns every maximizer, ascending by mask.  A vendor owning no
+    items has [0].
     """
     g.check_vendor(vendor)
     offers = others.offers if isinstance(others, StrategyProfile) else others
     rest = StrategyProfile(tuple(0 if j == vendor else o for j, o in enumerate(offers)))
     g.check_profile(rest)
-    pays = _payoff_rule(g, undercut, g.valuation.dense_scaled()[0])
-    block = pays(rest.union_mask, vendor, g.vendor_masks[vendor])
-    best = max(block)
-    return [offer for offer, p in zip(g.offer_tables[vendor], block) if p == best]
+    per_part = []
+    for _, local, pays, mines, unions in _part_games(g, undercut):
+        mine = mines[vendor]
+        if mine:
+            block = pays(local(rest.union_mask), vendor, mine)
+            best = max(block)
+            per_part.append([unions[o] for o, p in zip(g.offers_in(mine), block) if p == best])
+    return sorted(map(sum, product(*per_part)))
 
 
 def pmvc_pure_ne(
@@ -580,26 +594,18 @@ def pmvc_pure_ne(
     profile is built only when the sequence is read.
     """
     _profile_count(g, cap)
-    values = g.valuation.part_tables()
-    if g.certified:
-        parts = values.parts
-        games = [
-            (table, [values.local(k, owned) for owned in g.vendor_masks], g.offers_in(part))
-            for k, (part, table) in enumerate(zip(parts, values.tables))
-        ]
-    else:
-        parts = (g.universe.full_mask,)
-        games = [(None, g.vendor_masks, range(1 << g.universe.n))]
+    parts = []
     per_part = []
-    for table, mines, unions in games:
-        per_part.append(_part_equilibria(g, _payoff_rule(g, undercut, table), mines, unions))
+    for part, _, pays, mines, unions in _part_games(g, undercut):
+        parts.append(part)
+        per_part.append(_part_equilibria(g, pays, mines, unions))
         if not per_part[-1]:
             return ProfileSequence.of_unions(g, [])
     last = g.vendor_masks[-1]
     tail = sum(part for part in parts if part & last)
     heads = [s for part, s in zip(parts, per_part) if not part & last]
     tails = [s for part, s in zip(parts, per_part) if part & last]
-    bases = _head_values(g.universe.full_mask & ~tail, heads, values.value)
+    bases = _head_values(g.universe.full_mask & ~tail, heads, g.valuation.part_tables().value)
     runs: dict[int, list[int]] = {}
     for union in map(sum, product(*tails)):
         runs.setdefault(union & ~last, []).append(union & last)
@@ -611,6 +617,25 @@ def pmvc_pure_ne(
         if run and bases[prefix & ~tail] is not None:
             blocks.append((prefix, run))
     return ProfileSequence(g, blocks, per_part, tail, bases)
+
+
+def _part_games(g: GameInstance, undercut: Fraction | None) -> list[tuple]:
+    """The offer game split by the parts of ``Valuation.part_tables``, as
+    ``(part, local, pays, mines, unions)`` per part: its items, the map of
+    a global mask to the part's local mask, its ``_payoff_rule`` over its
+    own table, each vendor's local mask there, and the global mask of each
+    local mask.  An uncertified game is one part over global masks: the
+    buyer's largest-bitmask fallback does not split by part."""
+    if not g.certified:
+        full = g.universe.full_mask
+        pays = _payoff_rule(g, undercut, None)
+        return [(full, lambda mask: mask, pays, g.vendor_masks, range(full + 1))]
+    values = g.valuation.part_tables()
+    return [
+        (part, partial(values.local, k), _payoff_rule(g, undercut, table),
+         [values.local(k, owned) for owned in g.vendor_masks], g.offers_in(part))
+        for k, (part, table) in enumerate(zip(values.parts, values.tables))
+    ]
 
 
 def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],

@@ -79,6 +79,15 @@ COMMANDS = [
     ("table", "--gen", "harmonic:2,3", "--format", "csv", "--eps", "1/7"),
     HARMONIC_EXACT,
     RANDOM_EXACT,
+    # the category-divided generator (its default vendor count, a --seed
+    # override), the closed form, and the discrete best reply on part tables
+    ("gen", "cdsp_random:4,7,3,3"),
+    ("gen", "cdsp_random:1,6,2"),
+    ("gen", "cdsp_random:0,5,2", "--seed", "9"),
+    ("cdsp", "--gen", "cdsp_random:1,6,2", "--format", "json"),
+    ("cdsp", "--gen", "cdsp_random:1,6,2", "--format", "json", "--verify"),
+    ("brd", "--gen", "harmonic:4,5"),
+    ("brd", "--gen", "pos:3,4,1/100", "--format", "json"),
 ]
 
 

@@ -22,7 +22,6 @@ from vcgames import (
     StrategyProfile,
     br_dynamics,
     cdsp_equilibrium,
-    cdsp_instance,
     check_hybrid_profile_bound,
     check_vendor_contribution_bound,
     counterexample_instance,
@@ -35,7 +34,7 @@ from vcgames import (
     pmvc_prices,
     pmvc_pure_ne,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
     sentinel_price,
     vc_best_response,
@@ -202,8 +201,7 @@ def test_certified_equilibrium_prices_are_marginal():
     # leg 1: closed-form category-market equilibria, all certified
     for seed in range(25):
         n = 4 + seed % 7
-        spec = random_cdsp_spec(seed, n, 1 + seed % 4, 2 + seed % 3)
-        g = cdsp_instance(spec)
+        g = random_cdsp_instance(seed, n, 1 + seed % 4, 2 + seed % 3)
         p = cdsp_equilibrium(g)
         assert vc_verify_ne(g, p, method="target-set-exact").certified, seed
         sold = demand(g.valuation, p).chosen
@@ -254,8 +252,7 @@ def test_best_response_oracles_agree_on_the_fixed_point():
 def test_category_market_equilibrium_is_certified_and_efficient():
     for seed in range(50):
         n = 4 + seed % 7  # 4..10 items
-        spec = random_cdsp_spec(seed + 1000, n, 1 + seed % 4, 2 + seed % 3)
-        g = cdsp_instance(spec)
+        g = random_cdsp_instance(seed + 1000, n, 1 + seed % 4, 2 + seed % 3)
         p = cdsp_equilibrium(g)
         res = vc_verify_ne(g, p, method="target-set-exact")
         assert res.certified, (seed, res.status)

@@ -17,7 +17,6 @@ from vcgames import (
     ProfileSequence,
     StrategyProfile,
     all_profiles,
-    cdsp_instance,
     counterexample_instance,
     equilibrium_report,
     harmonic_instance,
@@ -25,7 +24,7 @@ from vcgames import (
     pmvc_best_response,
     pmvc_pure_ne,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
 )
 from vcgames.cli import main
@@ -139,7 +138,7 @@ def test_outputs_match_reference_without_equilibria():
 SEPARABLE = {
     "harmonic:3,3": lambda: harmonic_instance(3, 3),
     "pos:2,4,1/100": lambda: pos_instance(2, 4, Fraction(1, 100)),
-    "cdsp_random:4,7,3,3": lambda: cdsp_instance(random_cdsp_spec(4, 7, 3, 3)),
+    "cdsp_random:4,7,3,3": lambda: random_cdsp_instance(4, 7, 3, 3),
 }
 
 
@@ -281,7 +280,7 @@ def composite_games(draw):
         v = random_instance(seed, n, 1, kind).valuation
     elif kind == "cdsp":
         n = draw(st.integers(2, 7))
-        v = cdsp_instance(random_cdsp_spec(seed, n, draw(st.integers(1, n)))).valuation
+        v = random_cdsp_instance(seed, n, draw(st.integers(1, n))).valuation
     else:
         n = draw(st.integers(1, 5))
         raw = draw(st.lists(st.integers(0, 3), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
@@ -376,12 +375,37 @@ def test_cap_sized_listing_is_counted_and_reported_from_blocks():
     rep = equilibrium_report(g)
     assert (rep.poa, rep.pos) == (harmonic_number(5), 1)
     assert "unions" not in vars(nes) and "unions" not in vars(rep.profiles)
+    assert "_starts" not in vars(rep.profiles)  # the report never indexes
+    assert nes[-1] == StrategyProfile(g.vendor_masks)
+    assert "unions" not in vars(nes)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        harmonic_instance(2, 3),
+        random_instance(3, 6, 3),
+        random_instance(4, 8, 3, "additive-concave"),
+        pos_instance(3, 3, Fraction(1, 100)),
+    ],
+    ids=["harmonic-2-3", "random-3-6-3", "random-4-8-3", "pos-3-3"],
+)
+def test_an_index_reads_one_block(g):
+    nes = pmvc_pure_ne(g)
+    listed = list(nes)
+    assert len(nes.blocks) > 1
+    for j in range(-len(listed), len(listed)):
+        assert nes[j] == listed[j]
+    assert "unions" not in vars(nes)
 
 
 def test_profile_sequence_empty():
     nes = pmvc_pure_ne(counterexample_instance())
     assert nes == [] and nes == () and not nes
     assert list(nes) == [] and nes[:3] == []
+    for index in (0, -1):
+        with pytest.raises(IndexError):
+            nes[index]
     assert nes != [StrategyProfile((0, 0))]
 
 

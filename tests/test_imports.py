@@ -1,15 +1,26 @@
-"""Every module of the package, the tests and the scripts uses what it imports."""
+"""Every module of the package, the tests and the scripts uses what it
+imports, and every name the package exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import vcgames
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     path
     for folder in ("src", "tests", "scripts")
     for path in (ROOT / folder).rglob("*.py")
+)
+
+
+# the package modules that declare ``__all__`` (``__main__`` runs the CLI
+# when imported, and neither it nor ``cli`` exports anything)
+EXPORTING = sorted(
+    path for path in (ROOT / "src" / "vcgames").glob("*.py") if "__all__" in path.read_text()
 )
 
 
@@ -61,3 +72,14 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module("vcgames" if path.stem == "__init__" else f"vcgames.{path.stem}")
+    assert module.__all__
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_are_unique():
+    assert len(set(vcgames.__all__)) == len(vcgames.__all__)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from vcgames import (
     CategoryMaxValuation,
-    CdspSpec,
     GameInstance,
+    PriceVector,
     StrategyProfile,
     Universe,
     cdsp_equilibrium,
-    cdsp_instance,
     counterexample_instance,
     demand,
     harmonic_instance,
@@ -21,7 +20,7 @@ from vcgames import (
     pmvc_payoffs,
     pmvc_pure_ne,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
     vc_verify_ne,
     vendor_revenue,
@@ -123,13 +122,13 @@ def test_pos_instance_single_item_blocks():
 # -- category-divided markets ----------------------------------------------
 
 
-def two_sellers_one_category():
-    u = Universe(("x", "y"))
-    return CdspSpec(u, (0b11,), (F(10), F(8)), (0b01, 0b10))
+def cdsp_market(names, categories, values, vendors) -> GameInstance:
+    """A hand-built category-divided market."""
+    return GameInstance(CategoryMaxValuation(Universe(names), categories, values), vendors)
 
 
 def test_cdsp_two_seller_category():
-    g = cdsp_instance(two_sellers_one_category())
+    g = cdsp_market(("x", "y"), (0b11,), (F(10), F(8)), (0b01, 0b10))
     p = cdsp_equilibrium(g)
     assert p.prices == (F(2), F(0))
     assert demand(g.valuation, p).chosen == 0b11
@@ -140,8 +139,7 @@ def test_cdsp_two_seller_category():
 
 
 def test_cdsp_monopoly_takes_full_value():
-    u = Universe(("x", "y"))
-    g = cdsp_instance(CdspSpec(u, (0b11,), (F(10), F(8)), (0b11,)))
+    g = cdsp_market(("x", "y"), (0b11,), (F(10), F(8)), (0b11,))
     p = cdsp_equilibrium(g)
     sent = F(10) + 1
     assert p.prices == (F(10), sent)
@@ -151,14 +149,12 @@ def test_cdsp_monopoly_takes_full_value():
 
 
 def test_cdsp_two_categories():
-    u = Universe(("p", "q", "r", "s"))
-    spec = CdspSpec(
-        u, (0b0011, 0b1100), (F(10), F(8), F(6), F(7)), (0b0101, 0b1010)
+    g = cdsp_market(
+        ("p", "q", "r", "s"), (0b0011, 0b1100), (F(10), F(8), F(6), F(7)), (0b0101, 0b1010)
     )
-    g = cdsp_instance(spec)
     p = cdsp_equilibrium(g)
     assert p.prices == (F(2), F(0), F(0), F(1))
-    assert demand(g.valuation, p).chosen == u.full_mask
+    assert demand(g.valuation, p).chosen == g.universe.full_mask
     assert vendor_revenue(g, p, 0) == 2
     assert vendor_revenue(g, p, 1) == 1
     assert welfare(g, p) == 17
@@ -166,9 +162,8 @@ def test_cdsp_two_categories():
 
 
 def test_cdsp_value_tie_breaks_to_lowest_vendor():
-    u = Universe(("x", "y"))
     # vendor 0 owns y, vendor 1 owns x, equal values: vendor 0 wins, all free
-    g = cdsp_instance(CdspSpec(u, (0b11,), (F(5), F(5)), (0b10, 0b01)))
+    g = cdsp_market(("x", "y"), (0b11,), (F(5), F(5)), (0b10, 0b01))
     p = cdsp_equilibrium(g)
     assert p.prices == (F(0), F(0))
     assert welfare(g, p) == 5
@@ -182,7 +177,7 @@ def test_cdsp_equilibrium_needs_category_valuation():
 
 def test_cdsp_equilibrium_refuses_an_uncertified_game():
     # a negative item value is the one way a category-max valuation fails
-    # certification; CdspSpec refuses it, so build the game directly
+    # certification; a game refuses it unless built with allow_uncertified
     u = Universe(("x", "y", "z"))
     v = CategoryMaxValuation(u, (0b011, 0b100), (F(3), F(-1), F(2)))
     g = GameInstance(v, (0b001, 0b110), allow_uncertified=True)
@@ -190,26 +185,80 @@ def test_cdsp_equilibrium_refuses_an_uncertified_game():
         cdsp_equilibrium(g)
 
 
-def test_cdsp_spec_validation():
-    u = Universe(("x", "y"))
+def test_cdsp_market_validation():
+    xy = ("x", "y")
+    with pytest.raises(ValueError, match="failed certification"):
+        cdsp_market(xy, (0b11,), (F(-1), F(2)), (0b01, 0b10))
     with pytest.raises(ValueError):
-        CdspSpec(u, (0b11,), (F(-1), F(2)), (0b01, 0b10))
+        cdsp_market(xy, (0b11, 0b10), (F(1), F(2)), (0b01, 0b10))
     with pytest.raises(ValueError):
-        CdspSpec(u, (0b11, 0b10), (F(1), F(2)), (0b01, 0b10))
+        cdsp_market(xy, (0b01,), (F(1), F(2)), (0b01, 0b10))
     with pytest.raises(ValueError):
-        CdspSpec(u, (0b01,), (F(1), F(2)), (0b01, 0b10))
+        cdsp_market(xy, (0b11,), (F(1),), (0b01, 0b10))
     with pytest.raises(ValueError):
-        CdspSpec(u, (0b11,), (F(1),), (0b01, 0b10))
+        cdsp_market(xy, (0b11, 0), (F(1), F(2)), (0b01, 0b10))
     with pytest.raises(ValueError):
-        CdspSpec(u, (0b11, 0), (F(1), F(2)), (0b01, 0b10))
+        cdsp_market(xy, (0b11,), (F(1), F(2)), (0b01, 0b11))
+
+
+def owner_scan_cdsp_equilibrium(g: GameInstance) -> PriceVector:
+    """The closed form as it was first written, kept as the reference: it
+    finds each item's owner by a scan over the vendors, twice per item of a
+    category, where ``cdsp_equilibrium`` reads each vendor's part of it."""
+    v = g.valuation
+
+    def owner_of(item):
+        return next(i for i, m in enumerate(g.vendor_masks) if m >> item & 1)
+
+    prices = [g.sentinel] * g.universe.n
+    for cat in v.category_masks:
+        best_item = {}
+        for item in bits_of(cat):
+            vendor = owner_of(item)
+            cur = best_item.get(vendor)
+            if cur is None or v.item_values[item] > v.item_values[cur]:
+                best_item[vendor] = item
+        winner = min(best_item, key=lambda i: (-v.item_values[best_item[i]], i))
+        runner_up = F(0)
+        for item in bits_of(cat):
+            if owner_of(item) != winner and v.item_values[item] > runner_up:
+                runner_up = v.item_values[item]
+        for vendor, item in best_item.items():
+            prices[item] = v.item_values[item] - runner_up if vendor == winner else F(0)
+    return PriceVector(g.universe, tuple(prices))
+
+
+def test_cdsp_closed_form_matches_the_owner_scan():
+    # values from a pool of four, so the best values of a category often tie
+    # across vendors; up to five vendors over at most seven items, so some
+    # vendor often owns nothing in a category, or nothing at all
+    import random
+
+    rng = random.Random(0)
+    cross_vendor_ties = idle_vendors = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        labels = [rng.randrange(n) for _ in range(n)]
+        owners = [rng.randrange(rng.randint(1, 5)) for _ in range(n)]
+        k = max(owners) + 1 + rng.randint(0, 1)
+        categories = [sum(1 << a for a in range(n) if labels[a] == c) for c in set(labels)]
+        vendors = [sum(1 << a for a in range(n) if owners[a] == i) for i in range(k)]
+        values = [rng.choice((F(0), F(1), F(5, 2), F(3))) for _ in range(n)]
+        g = cdsp_market(tuple("abcdefg"[:n]), categories, values, vendors)
+        assert cdsp_equilibrium(g).prices == owner_scan_cdsp_equilibrium(g).prices
+        for cat in categories:
+            top = max(values[a] for a in bits_of(cat))
+            holders = {owners[a] for a in bits_of(cat) if values[a] == top}
+            cross_vendor_ties += len(holders) > 1
+            idle_vendors += any(not cat & owned for owned in vendors)
+    assert cross_vendor_ties > 50 and idle_vendors > 50
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 5_000), st.integers(2, 6), st.integers(1, 3))
 def test_cdsp_closed_form_verifies_everywhere(seed, n_items, n_cats):
     n_cats = min(n_cats, n_items)
-    spec = random_cdsp_spec(seed, n_items, n_cats)
-    g = cdsp_instance(spec)
+    g = random_cdsp_instance(seed, n_items, n_cats)
     p = cdsp_equilibrium(g)
     assert welfare(g, p) == g.valuation.value_mask(g.universe.full_mask)
     assert vc_verify_ne(g, p).certified
@@ -229,8 +278,7 @@ def test_cdsp_minimal_best_reply_avoids_own_category_clashes(seed, n_items, salt
     # the smallest best reply keeps at most one
     import random
 
-    spec = random_cdsp_spec(seed, n_items, max(1, n_items // 2))
-    g = cdsp_instance(spec)
+    g = random_cdsp_instance(seed, n_items, max(1, n_items // 2))
     rng = random.Random(salt)
     offers = []
     for owned in g.vendor_masks:
@@ -254,8 +302,7 @@ def test_cdsp_upgrading_an_offer_never_hurts(seed, n_items, salt):
     # category the swap can lose (seed 107: {c,d} earns 17-8, {a,d} 22-17)
     import random
 
-    spec = random_cdsp_spec(seed, n_items, max(1, n_items // 2))
-    g = cdsp_instance(spec)
+    g = random_cdsp_instance(seed, n_items, max(1, n_items // 2))
     v = g.valuation
     rng = random.Random(salt)
     offers = []
@@ -324,17 +371,19 @@ def test_random_instances_are_certified(seed, n_items, gen):
     assert sum(m.bit_count() for m in g.vendor_masks) == n_items
 
 
-def test_random_cdsp_spec_deterministic():
-    a = random_cdsp_spec(3, 6, 2)
-    b = random_cdsp_spec(3, 6, 2)
-    assert a == b
-    assert isinstance(cdsp_instance(a).valuation, CategoryMaxValuation)
+def test_random_cdsp_instance_deterministic():
+    a = random_cdsp_instance(3, 6, 2)
+    b = random_cdsp_instance(3, 6, 2)
+    assert isinstance(a.valuation, CategoryMaxValuation)
+    assert a.valuation.category_masks == b.valuation.category_masks
+    assert a.valuation.item_values == b.valuation.item_values
+    assert a.vendor_masks == b.vendor_masks
 
 
-def test_random_cdsp_spec_validation():
+def test_random_cdsp_instance_validation():
     with pytest.raises(ValueError):
-        random_cdsp_spec(0, 13, 2)
+        random_cdsp_instance(0, 13, 2)
     with pytest.raises(ValueError):
-        random_cdsp_spec(0, 4, 5)
+        random_cdsp_instance(0, 4, 5)
     with pytest.raises(ValueError):
-        random_cdsp_spec(0, 4, 2, n_vendors=9)
+        random_cdsp_instance(0, 4, 2, n_vendors=9)

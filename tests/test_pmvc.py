@@ -1,6 +1,7 @@
 """Discrete offer game: marginal pricing, payoffs, best replies, pure NE."""
 
 import inspect
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from vcgames import (
     TableValuation,
     Universe,
     all_profiles,
-    cdsp_instance,
     counterexample_instance,
     demand,
     equilibrium_report,
@@ -30,7 +30,7 @@ from vcgames import (
     pmvc_prices,
     pmvc_pure_ne,
     pos_instance,
-    random_cdsp_spec,
+    random_cdsp_instance,
     random_instance,
 )
 from vcgames import pmvc
@@ -114,11 +114,6 @@ def test_instance_validation():
         allow_uncertified=True,
     )
     assert not diag.certified
-
-
-def test_owner_lookup():
-    assert G.owner_of(U.index("a")) == 0
-    assert G.owner_of(U.index("d")) == 1
 
 
 # -- mechanism prices ------------------------------------------------------
@@ -411,7 +406,7 @@ REFERENCE_GAMES = {
     "harmonic-2-2": lambda: harmonic_instance(2, 2),
     "random-3-8-3": lambda: random_instance(3, 8, 3),
     "random-5-7-2": lambda: random_instance(5, 7, 2),
-    "cdsp-4-6-3": lambda: cdsp_instance(random_cdsp_spec(4, 6, 3)),
+    "cdsp-4-6-3": lambda: random_cdsp_instance(4, 6, 3),
     "pos-3-3": lambda: pos_instance(3, 3, Fraction(1, 100)),
     # three groups; the group {c,d,e,h} holds items of all three vendors
     "additive-concave-8-8-3": lambda: random_instance(8, 8, 3, "additive-concave"),
@@ -499,7 +494,7 @@ def test_per_part_pass_matches_one_part_on_additive_groups(seed, shape, eps):
 @given(st.integers(0, 10_000), SHAPES, st.integers(1, 9), PART_UNDERCUTS)
 def test_per_part_pass_matches_one_part_on_categories(seed, shape, categories, eps):
     n, k = shape
-    g = cdsp_instance(random_cdsp_spec(seed, n, min(categories, n), k))
+    g = random_cdsp_instance(seed, n, min(categories, n), k)
     assert g.valuation.components() == g.valuation.category_masks
     assert pmvc_pure_ne(g, undercut=eps) == pmvc_pure_ne(_one_part_twin(g), undercut=eps)
 
@@ -541,14 +536,8 @@ def test_payoff_rules_read_the_valuations_own_tables(monkeypatch):
     assert pmvc_pure_ne(g, undercut=eps)
     assert g.pricing(eps) is rule
     assert g.valuation._dense is None  # the NE pass read the part tables only
-    # prices and welfare take f as a value leaves its table
-    s = StrategyProfile(g.vendor_masks)
-    union, v = s.union_mask, g.valuation.value_mask
-    assert pmvc_prices(g, s, eps).prices == tuple(
-        max(v(union) - v(union ^ (1 << item)) - eps, Fraction(0)) for item in range(g.universe.n)
-    )
-    assert pmvc_outcome(g, s, eps).welfare == v(union)
-    # a best reply scans all of a vendor's offers over the dense table itself
+    # a best reply scans a vendor's offers part by part, over the part
+    # tables themselves, so no dense table is built on a separable game
     tables = []
 
     def spy(game, undercut, table):
@@ -556,11 +545,19 @@ def test_payoff_rules_read_the_valuations_own_tables(monkeypatch):
         return _payoff_rule(game, undercut, table)
 
     monkeypatch.setattr(pmvc, "_payoff_rule", spy)
-    pmvc_best_response(g, 0, StrategyProfile((0,) * 3), eps)
-    dense, dense_scale = g.valuation.dense_scaled()
-    assert dense_scale == values.scale
-    assert len(tables) == 1 and tables[0] is dense
-    assert inspect.getclosurevars(_payoff_rule(g, eps, dense)).nonlocals["f"] == rule.f
+    assert pmvc_best_response(g, 0, StrategyProfile((0,) * 3), eps)
+    assert len(tables) == len(values.tables) == 3
+    assert all(map(operator.is_, tables, values.tables))
+    assert g.valuation._dense is None
+    assert inspect.getclosurevars(_payoff_rule(g, eps, values.tables[0])).nonlocals["f"] == rule.f
+    # prices and welfare take f as a value leaves its table
+    s = StrategyProfile(g.vendor_masks)
+    union, v = s.union_mask, g.valuation.value_mask
+    assert pmvc_prices(g, s, eps).prices == tuple(
+        max(v(union) - v(union ^ (1 << item)) - eps, Fraction(0)) for item in range(g.universe.n)
+    )
+    assert pmvc_outcome(g, s, eps).welfare == v(union)
+    assert g.valuation.dense_scaled()[1] == values.scale
 
 
 def test_separable_game_never_builds_the_whole_table():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from vcgames import (
     AdditiveGroupsValuation,
     CategoryMaxValuation,
-    CdspSpec,
     PriceVector,
     TableValuation,
     Universe,
@@ -177,7 +176,6 @@ REFUSED = {
     "TableValuation": lambda: TableValuation(U, ["0", "1", "1", "2", "1e1", "3", "3", "4"]),
     "AdditiveGroupsValuation": lambda: AdditiveGroupsValuation(U, (0b011, 0b100), [0, 1, 1.5]),
     "CategoryMaxValuation": lambda: CategoryMaxValuation(U, (0b011, 0b100), [1, 0.25, 2]),
-    "CdspSpec": lambda: CdspSpec(U, (0b011, 0b100), (10, 8, 0.5), (0b001, 0b110)),
     "pos_instance": lambda: pos_instance(2, 3, 0.01),
     "GameInstance.pricing": lambda: counterexample_instance().pricing(0.1),
 }
