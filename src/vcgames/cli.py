@@ -207,7 +207,7 @@ def cmd_brd(args) -> int:
         start = StrategyProfile(tuple(g.vendor_masks))
     trace = br_dynamics(g, start, mode=args.mode, max_steps=args.max_steps)
     if args.format == "json":
-        print(serialize.trace_to_jsonl(g, trace))
+        _write_text(serialize.trace_to_jsonl(g, trace))
     else:
         period = "" if trace.period is None else f" (period {trace.period})"
         print(f"{trace.status} after {len(trace.steps)} moves{period}")

@@ -218,8 +218,9 @@ class ProfileSequence(Sequence[StrategyProfile]):
 
     ``unions[j]`` is the union of the j-th profile's offers, listed only
     when read; the profile itself (``GameInstance.profile_of``) is built
-    only when it is read; an index finds its block by bisection, without
-    listing ``unions``.  A slice is again a ``ProfileSequence``.  Compares
+    only when it is read; an index, and each index of a slice, finds its
+    block by bisection, without listing ``unions``.  A slice is again a
+    ``ProfileSequence``.  Compares
     equal to a list, tuple or ``ProfileSequence`` holding the same profiles
     in the same order.
     """
@@ -289,13 +290,19 @@ class ProfileSequence(Sequence[StrategyProfile]):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ProfileSequence.of_unions(self.game, self.unions[index])
-        j = range(self._len)[index]  # a negative index counts from the end
+    def _union(self, j: int) -> int:
+        """The union of the j-th profile's offers, 0 <= j < len, read from
+        its block."""
         b = bisect_right(self._starts, j) - 1
         prefix, offers = self.blocks[b]
-        return self.game.profile_of(prefix + offers[j - self._starts[b]])
+        return prefix + offers[j - self._starts[b]]
+
+    def __getitem__(self, index):
+        # range resolves a negative index or slice counting from the end
+        picked = range(self._len)[index]
+        if isinstance(index, slice):
+            return ProfileSequence.of_unions(self.game, list(map(self._union, picked)))
+        return self.game.profile_of(self._union(picked))
 
     def __iter__(self) -> Iterator[StrategyProfile]:
         return map(self.game.profile_of, self._walk())

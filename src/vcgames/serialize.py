@@ -78,6 +78,26 @@ def _rational_texts():
     return fmt
 
 
+def _line_texts():
+    """A function from one line's rationals to their texts that keeps only
+    the texts of the line before: a rational that line held is not
+    formatted again, and the cache never outgrows a line."""
+    before: dict[tuple[int, int], str] = {}
+
+    def line(qs) -> list[str]:
+        nonlocal before
+        now: dict[tuple[int, int], str] = {}
+        texts = []
+        for q in qs:
+            key = (q.numerator, q.denominator)
+            text = now[key] = before.get(key) or _fmt(q)
+            texts.append(text)
+        before = now
+        return texts
+
+    return line
+
+
 def _need(data: dict, key: str, kind: type, where: str):
     if key not in data:
         raise SchemaError(f"{where}: missing required field {key!r}")
@@ -535,35 +555,40 @@ def report_to_text(g: GameInstance, report: EquilibriumReport) -> Iterator[str]:
     return chain([head], lines, ["\n" + text for text in tail])
 
 
-def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> str:
-    fmt = _rational_texts()  # prices and payoffs repeat from step to step
+def trace_to_jsonl(g: GameInstance, trace: DynamicsTrace) -> Iterator[str]:
+    """The ``brd`` trace as JSON lines, an iterator of pieces rendered as
+    they are read: the head line (mode and start), then each step's line
+    led by its newline, then a newline and the trailer (status, period,
+    moves).  ``"".join`` of the pieces gives the text, without a final
+    newline.
+
+    A move leaves most prices and payoffs the same rationals as the step
+    before, so prices and payoffs are each formatted through a cache that
+    holds only the texts of the line before (``_line_texts``)."""
+    names = g.universe.names
+    price_texts, payoff_texts = _line_texts(), _line_texts()
 
     def priced(p: PriceVector) -> dict[str, str]:
-        return dict(zip(g.universe.names, map(fmt, p.prices)))
+        return dict(zip(names, price_texts(p.prices)))
 
     if isinstance(trace.start, StrategyProfile):
         start: Any = trace.start.format(g.universe)
     else:
         start = priced(trace.start)
-    lines = [json.dumps({"mode": trace.mode, "start": start})]
+    yield json.dumps({"mode": trace.mode, "start": start})
     for i, step in enumerate(trace.steps):
-        lines.append(
-            json.dumps(
-                {
-                    "step": i,
-                    "vendor": step.vendor,
-                    "profile": None if step.profile is None else step.profile.format(g.universe),
-                    "prices": None if step.prices is None else priced(step.prices),
-                    "payoffs": [fmt(q) for q in step.payoffs],
-                }
-            )
+        yield "\n" + json.dumps(
+            {
+                "step": i,
+                "vendor": step.vendor,
+                "profile": None if step.profile is None else step.profile.format(g.universe),
+                "prices": None if step.prices is None else priced(step.prices),
+                "payoffs": payoff_texts(step.payoffs),
+            }
         )
-    lines.append(
-        json.dumps(
-            {"status": trace.status, "period": trace.period, "moves": len(trace.steps)}
-        )
+    yield "\n" + json.dumps(
+        {"status": trace.status, "period": trace.period, "moves": len(trace.steps)}
     )
-    return "\n".join(lines)
 
 
 def _priced_items(g: GameInstance, prices: dict[int, Fraction]) -> dict[str, str]:

@@ -88,6 +88,10 @@ COMMANDS = [
     ("cdsp", "--gen", "cdsp_random:1,6,2", "--format", "json", "--verify"),
     ("brd", "--gen", "harmonic:4,5"),
     ("brd", "--gen", "pos:3,4,1/100", "--format", "json"),
+    # the continuous trace as JSON lines: a run with moves, and the head
+    # and trailer alone when no move is allowed
+    ("brd", "--gen", "random:8,7,3", "--mode", "continuous", "--format", "json"),
+    ("brd", *CE, "--mode", "continuous", "--format", "json", "--max-steps", "0"),
 ]
 
 

@@ -1,5 +1,6 @@
 """End-to-end command checks, run in process through main()."""
 
+import io
 import json
 import os
 import subprocess
@@ -261,6 +262,31 @@ def test_brd_json_trace(capsys):
     lines = out.strip().split("\n")
     assert json.loads(lines[0])["mode"] == "discrete"
     assert json.loads(lines[-1]) == {"status": "cycle", "period": 4, "moves": 4}
+
+
+class RecordedWrites(io.StringIO):
+    """A stdout stand-in that keeps each ``write`` it is handed
+    (``writelines`` writes its pieces one by one)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_brd_json_trace_is_written_line_by_line(monkeypatch):
+    out = RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["brd", "--gen", "counterexample", "--mode", "continuous", "--format", "json"]
+    assert main([*argv, "--max-steps", "60"]) == 0
+    lines = out.getvalue().split("\n")
+    assert lines[-1] == "" and json.loads(lines[-2])["moves"] == len(lines) - 3
+    longest = max(map(len, lines)) + 1
+    assert len(out.writes) >= len(lines) - 1
+    assert all(len(w) <= longest and w.count("\n") <= 1 for w in out.writes)
 
 
 def test_brd_negative_max_steps(capsys):

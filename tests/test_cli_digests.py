@@ -74,6 +74,14 @@ BRD_LONG_DIGEST = {
     "stderr": sha(""),
     "code": 0,
 }
+# the same run at its default length, as the benchmark runs it: vendors 0
+# and 2 undercut each other up to the 1,000-move cap
+BRD_FULL = "brd brd-continuous@0 --mode continuous --format json"
+BRD_FULL_DIGEST = {
+    "stdout": "e0d04b5b8167091b4a4f05f12033da0000edc9cb2d5dbf49941a437c3ba9a064",
+    "stderr": sha(""),
+    "code": 0,
+}
 
 # the benchmark's seed-0 payoff table: 13 items, 8,192 profiles, each a full
 # demand run; with --eps 1/7 the pricing's scale is 7 times the table's
@@ -106,6 +114,10 @@ def _run_bench(tmp_dir: Path, key: str) -> dict:
 
 def test_long_continuous_dynamics_match_recorded_digest(tmp_path):
     assert _run_bench(tmp_path, BRD_LONG) == BRD_LONG_DIGEST
+
+
+def test_benchmark_continuous_dynamics_match_recorded_digest(tmp_path):
+    assert _run_bench(tmp_path, BRD_FULL) == BRD_FULL_DIGEST
 
 
 @pytest.mark.parametrize("key", TABLE_DEMAND)

@@ -377,10 +377,13 @@ def test_cap_sized_listing_is_counted_and_reported_from_blocks():
     assert "unions" not in vars(nes) and "unions" not in vars(rep.profiles)
     assert "_starts" not in vars(rep.profiles)  # the report never indexes
     assert nes[-1] == StrategyProfile(g.vendor_masks)
+    assert nes[:2] == [nes[0], nes[1]]
+    assert list(nes[::300_000]) == [nes[j] for j in range(0, 923_521, 300_000)]
     assert "unions" not in vars(nes)
 
 
-@pytest.mark.parametrize(
+# games whose equilibria span several blocks
+BLOCKED = pytest.mark.parametrize(
     "g",
     [
         harmonic_instance(2, 3),
@@ -390,12 +393,32 @@ def test_cap_sized_listing_is_counted_and_reported_from_blocks():
     ],
     ids=["harmonic-2-3", "random-3-6-3", "random-4-8-3", "pos-3-3"],
 )
+
+
+@BLOCKED
 def test_an_index_reads_one_block(g):
     nes = pmvc_pure_ne(g)
     listed = list(nes)
     assert len(nes.blocks) > 1
     for j in range(-len(listed), len(listed)):
         assert nes[j] == listed[j]
+    assert "unions" not in vars(nes)
+
+
+@BLOCKED
+def test_a_slice_reads_its_blocks(g):
+    nes = pmvc_pure_ne(g)
+    listed = list(nes)
+    n = len(listed)
+    cuts = [
+        slice(None, 2), slice(1, None), slice(None, None, 3), slice(-3, None),
+        slice(-4, -1), slice(None, None, -1), slice(n - 1, 0, -2), slice(None, None, n),
+        slice(2, 2), slice(n, None), slice(-1, 0), slice(5, 1, 2), slice(-n - 5, n + 5),
+    ]
+    for cut in cuts:
+        part = nes[cut]
+        assert isinstance(part, ProfileSequence)
+        assert list(part) == listed[cut]
     assert "unions" not in vars(nes)
 
 

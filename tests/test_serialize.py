@@ -12,9 +12,11 @@ from vcgames import (
     CategoryMaxValuation,
     GameInstance,
     PriceVector,
+    StrategyProfile,
     TableValuation,
     Universe,
     all_profiles,
+    br_dynamics,
     counterexample_instance,
     equilibrium_report,
     harmonic_instance,
@@ -39,6 +41,7 @@ from vcgames.serialize import (
     report_to_json,
     report_to_obj,
     report_to_text,
+    trace_to_jsonl,
     valuation_from_obj,
     valuation_to_obj,
 )
@@ -368,7 +371,7 @@ def test_trace_jsonl_shape():
     from vcgames.serialize import trace_to_jsonl
 
     trace = br_dynamics(G, G.parse_profile("{a}|{c}"), "discrete")
-    lines = trace_to_jsonl(G, trace).split("\n")
+    lines = "".join(trace_to_jsonl(G, trace)).split("\n")
     header = json.loads(lines[0])
     assert header == {"mode": "discrete", "start": "{a}|{c}"}
     first = json.loads(lines[1])
@@ -385,12 +388,85 @@ def test_trace_jsonl_continuous_formats_every_rational():
     from vcgames.serialize import trace_to_jsonl
 
     trace = br_dynamics(G, pmvc_prices(G, G.parse_profile("{a}|{c}")), "continuous", 6)
-    lines = [json.loads(line) for line in trace_to_jsonl(G, trace).split("\n")]
+    lines = [json.loads(line) for line in "".join(trace_to_jsonl(G, trace)).split("\n")]
     assert lines[0]["start"] == prices_to_obj(trace.start)
     assert len(lines) == len(trace.steps) + 2
     for line, step in zip(lines[1:], trace.steps):
         assert line["prices"] == prices_to_obj(step.prices)
         assert line["payoffs"] == [format_rational(q) for q in step.payoffs]
+
+
+def reference_jsonl(g, trace) -> str:
+    """The trace as one string, each line dumped and every rational
+    formatted afresh: the text the pieces must join to."""
+    def priced(p):
+        return {name: format_rational(q) for name, q in zip(g.universe.names, p.prices)}
+
+    start = trace.start
+    lines = [json.dumps({
+        "mode": trace.mode,
+        "start": start.format(g.universe) if isinstance(start, StrategyProfile) else priced(start),
+    })]
+    for i, step in enumerate(trace.steps):
+        lines.append(json.dumps({
+            "step": i,
+            "vendor": step.vendor,
+            "profile": None if step.profile is None else step.profile.format(g.universe),
+            "prices": None if step.prices is None else priced(step.prices),
+            "payoffs": [format_rational(q) for q in step.payoffs],
+        }))
+    lines.append(json.dumps(
+        {"status": trace.status, "period": trace.period, "moves": len(trace.steps)}
+    ))
+    return "\n".join(lines)
+
+
+def assert_trace_pieces_match(g, trace):
+    # a piece per line: the head, then each step and the trailer led by
+    # their newline
+    pieces = list(trace_to_jsonl(g, trace))
+    assert "".join(pieces) == reference_jsonl(g, trace)
+    assert len(pieces) == len(trace.steps) + 2
+    assert "\n" not in pieces[0]
+    assert all(p.startswith("\n") and p.count("\n") == 1 for p in pieces[1:])
+
+
+@pytest.mark.parametrize(
+    "g, mode, max_steps, status",
+    [
+        (G, "discrete", 1000, "cycle"),
+        (G, "continuous", 5, "cap"),
+        (random_instance(8, 7, 3), "continuous", 1000, "cycle"),
+        (pos_instance(2, 3, F(1, 100)), "continuous", 1000, "converged"),
+        (harmonic_instance(2, 3), "discrete", 1000, "converged"),
+        (G, "continuous", 0, "cap"),
+        (G, "discrete", 0, "cap"),
+    ],
+    ids=["discrete-cycle", "continuous-cap", "continuous-cycle", "continuous-converged",
+         "discrete-converged", "continuous-no-move", "discrete-no-move"],
+)
+def test_trace_pieces_join_to_the_dumped_lines(g, mode, max_steps, status):
+    trace = br_dynamics(g, StrategyProfile(tuple(g.vendor_masks)), mode, max_steps)
+    assert trace.status == status
+    assert len(trace.steps) == max_steps or status != "cap"
+    assert_trace_pieces_match(g, trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 5_000),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from(["discrete", "continuous"]),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_trace_pieces_join_on_random_games(seed, n_items, k, mode, max_steps, data):
+    # escaped names, both modes, and runs cut anywhere from no move on
+    g = random_instance(seed, n_items, min(k, n_items))
+    names = data.draw(st.lists(NAME, min_size=n_items, max_size=n_items, unique=True))
+    g = renamed(g, names)
+    assert_trace_pieces_match(g, br_dynamics(g, StrategyProfile(tuple(g.vendor_masks)), mode, max_steps))
 
 
 def test_verification_obj_shape():
