@@ -4,17 +4,23 @@ Items are indexed 0..n-1 and carry unique string names.  A subset of items is
 an int bitmask (bit i set <=> item i in the set), which keeps the dense
 2^n enumerations cheap.  Universes are capped at 20 items so every operation
 that scans all subsets stays tractable.
+
+``halves`` splits a list indexed by the 2^n masks on an item, the one way
+every item's marginal over a value table is taken; blocks of 2^k entries
+laid end to end split the same way on each bit below k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 __all__ = [
     "MAX_ITEMS",
     "Universe",
     "bits_of",
+    "halves",
     "submasks_of",
     "subset_sums",
 ]
@@ -38,6 +44,20 @@ def submasks_of(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+@cache
+def halves(n: int, item: int) -> tuple[tuple[slice, slice], ...]:
+    """Slice pairs ``(lo, hi)`` that split a list indexed by the 2^n masks
+    on ``item``: ``lo`` takes masks without it, ascending, and ``hi`` the
+    same masks with it.  Strided slices for a low bit, contiguous runs for
+    a high one, so there are at most about 2^((n-1)/2) pairs.  Built once
+    per ``(n, item)``."""
+    half, size = 1 << item, 1 << n
+    step = 2 * half
+    if half * step <= size:
+        return tuple((slice(j, size, step), slice(j + half, size, step)) for j in range(half))
+    return tuple((slice(s, s + half), slice(s + half, s + step)) for s in range(0, size, step))
 
 
 def subset_sums(weights, start: int = 0) -> list[int]:

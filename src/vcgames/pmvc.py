@@ -31,10 +31,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, groupby, product, repeat, starmap
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, groupby, islice, product, repeat, starmap
+from typing import Iterable, Iterator, Sequence
 
-from .items import Universe, bits_of, submasks_of, subset_sums
+from .items import Universe, bits_of, halves, submasks_of, subset_sums
 from .market import DemandResult, PriceVector, demand, sentinel_price
 from .rationals import exact, format_rational, integers
 from .valuation import Valuation
@@ -102,7 +102,6 @@ class GameInstance:
         self.universe = universe
         self._pricings: dict[Fraction | None, MarginalPricing] = {}
         self._offers: dict[int, tuple[int, ...]] = {}
-        self._drops: dict[int, tuple[tuple[int, ...], ...]] = {}
         monotone, submodular = valuation.certify()
         self.monotone_certified = monotone
         self.submodular_certified = submodular
@@ -153,20 +152,6 @@ class GameInstance:
             offers = self._offers[mask] = tuple(subset_sums([1 << item for item in bits_of(mask)]))
         return offers
 
-    def offer_drops(self, size: int) -> tuple[tuple[int, ...], ...]:
-        """For each offer of a ``size``-item set by local mask, the local
-        masks of the offers one item smaller.  The lists share one int
-        object per mask, which keeps a large set's lists at about 40% of
-        their size.  Built once per size."""
-        drops = self._drops.get(size)
-        if drops is None:
-            masks = range(1 << size)
-            ints = list(masks)
-            drops = self._drops[size] = tuple(
-                tuple(ints[lm ^ (1 << j)] for j in range(size) if lm >> j & 1) for lm in masks
-            )
-        return drops
-
     def pricing(self, undercut: Fraction | None = None) -> "MarginalPricing":
         """The mechanism's pricing rule at ``undercut``, built once per game
         and undercut."""
@@ -216,10 +201,9 @@ class ProfileSequence(Sequence[StrategyProfile]):
     ``bases[h]`` is v(h) over the part tables' scale for each sum h of the
     lists outside ``tail``, and None for the other subsets of ``~tail``.
 
-    ``unions[j]`` is the union of the j-th profile's offers, listed only
-    when read; the profile itself (``GameInstance.profile_of``) is built
-    only when it is read; an index, and each index of a slice, finds its
-    block by bisection, without listing ``unions``.  A slice is again a
+    A profile (``GameInstance.profile_of``) is built only when it is read;
+    an index, and each index of a slice, finds its block by bisection,
+    without listing the unions.  A slice is again a
     ``ProfileSequence``.  Compares
     equal to a list, tuple or ``ProfileSequence`` holding the same profiles
     in the same order.
@@ -250,10 +234,6 @@ class ProfileSequence(Sequence[StrategyProfile]):
         return chain.from_iterable(
             map(prefix.__add__, offers) for prefix, offers in self.blocks
         )
-
-    @cached_property
-    def unions(self) -> list[int]:
-        return list(self._walk())
 
     @cached_property
     def _starts(self) -> list[int]:
@@ -436,17 +416,19 @@ def pmvc_outcome(g: GameInstance, s: StrategyProfile, undercut: Fraction | None 
 
 
 def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
-    """The offer game's payoffs as ``pays(rest, i, mine)``: vendor i's payoff
-    for each of its offers inside ``mine`` in ``g.offers_in(mine)`` order,
-    the others' offers making up ``rest``.  Payoffs compare exactly within
-    one block.
+    """The offer game's payoffs as ``pays(rests, i, mine)``: vendor i's
+    payoff for each of its offers inside ``mine``, the others' offers
+    making up each of ``rests``, as one flat list, rest-major and in
+    ``g.offers_in(mine)`` order within each rest.  Payoffs compare exactly
+    within one block of 2^|mine| entries.
 
     Certified instances use the integer closed form over the scale of
     ``g.pricing(undercut)``, each offered item selling at its (undercut)
     marginal: ``table`` is v over the valuation's own scale on one part's
-    local masks (``Valuation.part_tables``), and one block reads its
-    2^|mine| entries once, times the rule's f, and takes every marginal
-    from them.
+    local masks (``Valuation.part_tables``), read once per union, times the
+    rule's f.  Bit j of a flat index is bit j of the offer, so
+    ``items.halves`` takes item j's marginal in every block at once; a
+    certified game is monotone, so only an undercut needs the clamp at 0.
     Others run ``pmvc_outcome`` once per union, on the profile
     ``g.profile_of(union)``, and need global masks and ``mine`` to be all
     of A_i.
@@ -455,32 +437,33 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
     if not g.certified:
         outcomes: dict[int, tuple[Fraction, ...]] = {}
 
-        def pays(rest: int, vendor: int, mine: int) -> list[Fraction]:
+        def pays(rests: Iterable[int], vendor: int, mine: int) -> list[Fraction]:
             out = []
-            for offer in offers_in(mine):
-                union = rest | offer
-                if union not in outcomes:
-                    outcomes[union] = pmvc_outcome(g, g.profile_of(union), undercut).vendor_payoffs
-                out.append(outcomes[union][vendor])
+            for rest in rests:
+                for offer in offers_in(mine):
+                    union = rest | offer
+                    if union not in outcomes:
+                        outcome = pmvc_outcome(g, g.profile_of(union), undercut)
+                        outcomes[union] = outcome.vendor_payoffs
+                    out.append(outcomes[union][vendor])
             return out
 
         return pays
     rule = g.pricing(undercut)
     eps, f = rule.eps, rule.f
-    drops_of = g.offer_drops
 
-    def pays(rest: int, vendor: int, mine: int) -> list[int]:
-        values = [f * table[rest | offer] for offer in offers_in(mine)]
-        out = []
-        for v_union, drop in zip(values, drops_of(mine.bit_count())):
-            v_union -= eps
-            total = 0
-            for smaller in drop:
-                m = v_union - values[smaller]
-                if m > 0:
-                    total += m
-            out.append(total)
-        return out
+    def pays(rests: Iterable[int], vendor: int, mine: int) -> list[int]:
+        offers = offers_in(mine)
+        values = [f * table[rest | offer] for rest in rests for offer in offers]
+        totals = [0] * len(values)
+        n = (len(values) - 1).bit_length()
+        for j in range(mine.bit_count()):
+            for lo, hi in halves(n, j):
+                gains = map(operator.sub, values[hi], values[lo])
+                if eps:  # positive exactly when there is an undercut
+                    gains = [m - eps if m > eps else 0 for m in gains]
+                totals[hi] = map(operator.add, totals[hi], gains)
+        return totals
 
     return pays
 
@@ -509,17 +492,13 @@ def _prefixes(g: GameInstance) -> list[int]:
     return prefixes
 
 
-def _profile_unions(g: GameInstance) -> Iterator[int]:
-    """An iterator over the union of every profile's offers, in
-    ``all_profiles`` order: each prefix plus each of the last vendor's
-    offers as it is read, so the 2^n order is walked, never held."""
-    return starmap(operator.add, product(_prefixes(g), g.offer_tables[-1]))
-
-
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     """Deterministic profile order: per-vendor subsets by ascending local
-    index, later vendors cycling fastest (row-major product)."""
-    return map(g.profile_of, _profile_unions(g))
+    index, later vendors cycling fastest (row-major product).  Each union
+    is a prefix plus one of the last vendor's offers, taken as it is read,
+    so the 2^n order is walked, never held."""
+    unions = starmap(operator.add, product(_prefixes(g), g.offer_tables[-1]))
+    return map(g.profile_of, unions)
 
 
 def _profile_count(g: GameInstance, cap: int) -> None:
@@ -566,7 +545,7 @@ def pmvc_best_response(
     for _, local, pays, mines, unions in _part_games(g, undercut):
         mine = mines[vendor]
         if mine:
-            block = pays(local(rest.union_mask), vendor, mine)
+            block = pays([local(rest.union_mask)], vendor, mine)
             best = max(block)
             per_part.append([unions[o] for o, p in zip(g.offers_in(mine), block) if p == best])
     return sorted(map(sum, product(*per_part)))
@@ -649,19 +628,25 @@ def _part_equilibria(g: GameInstance, pays, mines: Sequence[int],
                      unions: Sequence[int]) -> list[int]:
     """The stable unions of one part's own game, descending, solved over
     the part's local masks: ``mines[i]`` is vendor i's local mask there and
-    ``unions[l]`` the global mask of local mask l."""
+    ``unions[l]`` the global mask of local mask l.  A vendor's rests are
+    read in runs, one ``pays`` call each, of at most 2^16 payoffs, or one
+    block where a block is larger."""
     full = len(unions) - 1
     stable = bytearray(b"\x01") * (full + 1)
     for i, mine in enumerate(mines):
         if not mine:
             continue
         offers = g.offers_in(mine)
-        for rest in submasks_of(full & ~mine):
-            block = pays(rest, i, mine)
-            best = max(block)
-            for offer, p in zip(offers, block):
-                if p != best:
-                    stable[rest | offer] = 0
+        size = len(offers)
+        rests = submasks_of(full & ~mine)
+        while run := list(islice(rests, max(1, (1 << 16) // size))):
+            flat = pays(run, i, mine)
+            for rest, at in zip(run, range(0, len(flat), size)):
+                block = flat[at:at + size]
+                best = max(block)
+                for offer, p in zip(offers, block):
+                    if p != best:
+                        stable[rest | offer] = 0
     return [unions[u] for u in range(full, -1, -1) if stable[u]]
 
 

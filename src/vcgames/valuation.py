@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt, sub
 
-from .items import Universe, bits_of, subset_sums
+from .items import Universe, bits_of, halves, subset_sums
 from .rationals import exact, integers
 
 __all__ = [
@@ -370,17 +370,6 @@ class PartTables:
 # -- module-level operations ----------------------------------------------
 
 
-def _halves(n: int, item: int) -> list[tuple[slice, slice]]:
-    """Slice pairs ``(lo, hi)`` that split a list indexed by the 2^n masks
-    on ``item``: ``lo`` takes masks without it, ascending, and ``hi`` the
-    same masks with it.  Strided slices for a low bit, contiguous runs for
-    a high one, so there are at most about 2^((n-1)/2) pairs."""
-    half, size = 1 << item, 1 << n
-    if 2 * half * half <= size:
-        return [(slice(j, size, 2 * half), slice(j + half, size, 2 * half)) for j in range(half)]
-    return [(slice(s, s + half), slice(s + half, s + 2 * half)) for s in range(0, size, 2 * half)]
-
-
 def _scan(v: Valuation) -> tuple[ValidationReport, ValidationReport]:
     """The monotone and submodular reports of v, from one pass over the
     items.
@@ -393,17 +382,16 @@ def _scan(v: Valuation) -> tuple[ValidationReport, ValidationReport]:
     """
     n = v.universe.n
     table, _ = v.dense_scaled()
-    halves = [_halves(n, item) for item in range(n)]
     falls = rises = None  # the smallest (S, a) and (S, a, b) so far
     for a in range(n):
         m = [0] * len(table)
-        for lo, hi in halves[a]:
+        for lo, hi in halves(n, a):
             m[lo] = list(map(sub, table[hi], table[lo]))
         if min(m) < 0:
             found = (next(S for S, d in enumerate(m) if d < 0), a)
             falls = min(falls, found) if falls else found
         for b in range(a + 1, n):
-            for lo, hi in halves[b]:
+            for lo, hi in halves(n, b):
                 below, above = m[lo], m[hi]
                 if any(map(lt, below, above)):
                     k = list(map(lt, below, above)).index(True)

@@ -42,9 +42,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from . import exactlp
-from .items import bits_of, submasks_of, subset_sums
+from .items import bits_of, halves, submasks_of, subset_sums
 from .market import PriceVector, _bundles, demand
 from .pmvc import (
     GameInstance,
@@ -293,10 +294,9 @@ def _grid_best_response(g: GameInstance, vendor: int, p: PriceVector):
     # subset sums of the competitors' prices, own items counting 0
     pmsum = subset_sums([0 if owned >> i & 1 else q for i, q in enumerate(price_int)])
     grid_ints = {0, table[g.universe.full_mask] + scale}  # 0 and v(A*) + 1
-    for mask in range(1, 1 << n):
-        v_mask = table[mask]
-        for item in bits_of(mask):
-            grid_ints.add(v_mask - table[mask ^ (1 << item)])
+    for item in range(n):
+        for lo, hi in halves(n, item):
+            grid_ints.update(map(sub, table[hi], table[lo]))
     grid = sorted(grid_ints)
     if len(grid) ** ni > DEFAULT_GRID_CAP:
         raise ValueError(

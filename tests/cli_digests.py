@@ -92,6 +92,12 @@ COMMANDS = [
     # and trailer alone when no move is allowed
     ("brd", "--gen", "random:8,7,3", "--mode", "continuous", "--format", "json"),
     ("brd", *CE, "--mode", "continuous", "--format", "json", "--max-steps", "0"),
+    # the offer game's payoffs over several rests per call: a two-vendor
+    # undercut, many parts, discrete dynamics, and an uncertified table
+    ("ne", "--gen", "random:3,12,2", "--eps", "1/7", "--format", "json"),
+    ("poa", "--gen", "random:5,12,3"),
+    ("brd", "--gen", "random:5,12,3", "--mode", "discrete", "--format", "json"),
+    ("ne", "data/supermodular.json", "--format", "json"),
 ]
 
 
@@ -104,6 +110,9 @@ def key(argv) -> str:
 
 
 def run(argv) -> dict:
+    """Run ``argv``, a file named ``data/...`` read from ``DATA``: the key
+    names it relative to tests/, so it holds on any checkout."""
+    argv = [str(DATA / a.removeprefix("data/")) if a.startswith("data/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))

@@ -346,7 +346,7 @@ def test_profile_sequence_contract(g):
     assert isinstance(nes, ProfileSequence)
     assert len(nes) == len(expected) > 2
     assert list(nes) == expected
-    assert nes.unions == [s.union_mask for s in expected]
+    assert list(nes._walk()) == [s.union_mask for s in expected]
     for j in (0, 1, len(expected) - 1, -1, -2, -len(expected)):
         assert nes[j] == expected[j]
     for index in (len(expected), -len(expected) - 1):

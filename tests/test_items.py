@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vcgames.items import MAX_ITEMS, Universe, bits_of, submasks_of, subset_sums
+from vcgames.items import MAX_ITEMS, Universe, bits_of, halves, submasks_of, subset_sums
 
 
 def test_universe_basics():
@@ -121,3 +121,19 @@ def test_subset_sums_add_the_start_to_each_subset(weights, start):
     assert sums == [
         start + sum(weights[i] for i in bits_of(mask)) for mask in range(1 << len(weights))
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_halves_pair_each_mask_without_the_item_with_it_plus_the_item(n):
+    masks = list(range(1 << n))
+    for item in range(n):
+        bit = 1 << item
+        pairs = [
+            pair
+            for lo, hi in halves(n, item)
+            for pair in zip(masks[lo], masks[hi], strict=True)
+        ]
+        assert sorted(lo for lo, _ in pairs) == [m for m in masks if not m & bit]
+        assert all(hi == lo | bit for lo, hi in pairs)
+        # strides for a low bit, contiguous runs for a high one: few slices
+        assert len(halves(n, item)) ** 2 <= 1 << (n - 1)

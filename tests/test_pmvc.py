@@ -560,6 +560,62 @@ def test_payoff_rules_read_the_valuations_own_tables(monkeypatch):
     assert g.valuation.dense_scaled()[1] == values.scale
 
 
+@pytest.mark.parametrize("eps", [None, Fraction(1, 1000)], ids=str)
+def test_a_vendors_rests_span_several_payoff_calls(monkeypatch, eps):
+    # one 17-item harmonic group over vendors of 1 and 16 items: vendor 0
+    # reviews 2^16 rests of 2 payoffs each, vendor 1 two rests of 2^16
+    v = harmonic_instance(1, 17).valuation
+    g = GameInstance(v, (0b1, v.universe.full_mask ^ 0b1))
+    calls = []
+
+    def spy(game, undercut, table):
+        pays = _payoff_rule(game, undercut, table)
+
+        def counted(rests, vendor, mine):
+            calls.append(vendor)
+            return pays(rests, vendor, mine)
+
+        return counted
+
+    monkeypatch.setattr(pmvc, "_payoff_rule", spy)
+    assert list(pmvc_pure_ne(g, undercut=eps)) == [StrategyProfile(g.vendor_masks)]
+    assert calls == [0, 0, 1, 1]
+
+
+def test_a_block_longer_than_a_run_is_read_whole():
+    # one vendor owning 17 interchangeable items: its one block of 2^17
+    # payoffs is longer than a run, and at an undercut its best offers are
+    # the single items
+    g = harmonic_instance(1, 17)
+    nes = pmvc_pure_ne(g, undercut=Fraction(1, 1000))
+    assert list(nes) == [StrategyProfile((1 << item,)) for item in range(17)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["coverage", "additive-concave"]),
+    st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.sampled_from([None, Fraction(1, 7)]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_payoffs_over_many_rests_are_the_single_rest_blocks_end_to_end(
+    seed, gen, shape, eps, demand_route, rng
+):
+    g = random_instance(seed, *shape, generator=gen)
+    if demand_route:
+        g = _demand_route(g)
+    for _, _, pays, mines, unions in pmvc._part_games(g, eps):
+        full = len(unions) - 1
+        for i, mine in enumerate(mines):
+            if mine:
+                # any number of rests, in any order
+                rests = list(submasks_of(full & ~mine))
+                rests = rng.sample(rests, rng.randint(1, len(rests)))
+                assert pays(rests, i, mine) == [p for r in rests for p in pays([r], i, mine)]
+
+
 def test_separable_game_never_builds_the_whole_table():
     g = harmonic_instance(3, 6)
     nes = pmvc_pure_ne(g)
@@ -674,7 +730,7 @@ def _check_block_values(g):
             assert base == values.value(prefix & ~seq.tail)
             assert [base + w for w in rest] == [values.value(prefix + o) for o in offers]
             unions += [prefix + o for o in offers]
-        assert unions == seq.unions
+        assert unions == list(seq._walk())
 
 
 @settings(max_examples=40, deadline=None)

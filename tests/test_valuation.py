@@ -17,8 +17,8 @@ from vcgames import (
     counterexample_instance,
     expand_to_table,
 )
-from vcgames.items import bits_of
-from vcgames.valuation import ValidationReport, Valuation, _halves
+from vcgames.items import bits_of, halves
+from vcgames.valuation import ValidationReport, Valuation
 
 U2 = Universe(("a", "b"))
 U3 = Universe(("a", "b", "c"))
@@ -415,7 +415,7 @@ def _bump_on(n: int, items: tuple[int, ...]) -> TableValuation:
 )
 def test_submodular_witness_at_a_low_and_a_high_bit(items, witness, detail, strided):
     v = _bump_on(7, items)
-    assert (_halves(7, items[-1])[0][0].step is not None) == strided
+    assert (halves(7, items[-1])[0][0].step is not None) == strided
     monotone, submodular = assert_checks_match_the_scans(v)
     assert monotone.ok
     assert (submodular.ok, submodular.witness, submodular.detail) == (False, witness, detail)
