@@ -30,7 +30,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate, chain, groupby, islice, product, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_PROFILE_CAP = 1 << 20
+# a listing's block runs over the joint offers of the last vendors while
+# they own at most this many items and the vendors before them more
+_RUN_ITEMS = 10
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -191,28 +194,30 @@ class ProfileSequence(Sequence[StrategyProfile]):
     """A read-only sequence of profiles of one game, held in blocks.
 
     ``blocks`` lists ``(prefix, offers)`` pairs in order: ``prefix`` is the
-    union of the offers of every vendor but the last, and the block holds
-    the profiles whose unions are ``prefix + o``, for each of the last
-    vendor's ``offers`` in order.  The item mask ``tail`` is a union of
-    additive parts of the valuation, so ``v(u) = v(u & ~tail) + v(u &
-    tail)``, and two blocks whose prefixes agree on ``tail`` list the same
-    offers.  ``parts`` are lists of unions over disjoint items, and the
-    profiles' unions are exactly the sums taking one union from each list.
+    union of the offers of the first ``heads`` vendors (the head), and the
+    block holds the profiles whose unions are ``prefix + o``, for each
+    joint offer o of the other vendors (the run) in ``offers``, in their
+    product order.  The item mask ``tail`` is a union of additive parts of
+    the valuation, so ``v(u) = v(u & ~tail) + v(u & tail)``, and two
+    blocks whose prefixes agree on ``tail`` list the same offers.
+    ``parts`` are lists of unions over disjoint items, and the profiles'
+    unions are exactly the sums taking one union from each list.
     ``bases[h]`` is v(h) over the part tables' scale for each sum h of the
     lists outside ``tail``, and None for the other subsets of ``~tail``.
 
     A profile (``GameInstance.profile_of``) is built only when it is read;
     an index, and each index of a slice, finds its block by bisection,
-    without listing the unions.  A slice is again a
-    ``ProfileSequence``.  Compares
-    equal to a list, tuple or ``ProfileSequence`` holding the same profiles
-    in the same order.
+    without listing the unions.  A slice is again a ``ProfileSequence``,
+    with the last vendor alone in its run.  Compares equal to a list,
+    tuple or ``ProfileSequence`` holding the same profiles in the same
+    order.
     """
 
     def __init__(self, game: GameInstance, blocks: list[tuple[int, list[int]]],
-                 parts: list[list[int]], tail: int, bases: list[int | None]):
+                 parts: list[list[int]], tail: int, bases: list[int | None], heads: int):
         self.game = game
         self.blocks = blocks
+        self.heads = heads
         self.parts = parts
         self.tail = tail
         self.bases = bases
@@ -220,15 +225,15 @@ class ProfileSequence(Sequence[StrategyProfile]):
 
     @classmethod
     def of_unions(cls, game: GameInstance, unions: list[int]) -> "ProfileSequence":
-        """The profiles of ``unions``, in their order: one part, and one block
-        per run of a prefix (a slice of ``all_profiles`` order runs each
-        prefix once)."""
+        """The profiles of ``unions``, in their order: one part, the last
+        vendor alone in the run, and one block per run of a prefix (a slice
+        of ``all_profiles`` order runs each prefix once)."""
         last = game.vendor_masks[-1]
         blocks = [
             (prefix, [u - prefix for u in run])
             for prefix, run in groupby(unions, lambda u: u & ~last)
         ]
-        return cls(game, blocks, [unions], game.universe.full_mask, [0])
+        return cls(game, blocks, [unions], game.universe.full_mask, [0], game.n_vendors - 1)
 
     def _walk(self) -> Iterator[int]:
         return chain.from_iterable(
@@ -427,8 +432,11 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
     marginal: ``table`` is v over the valuation's own scale on one part's
     local masks (``Valuation.part_tables``), read once per union, times the
     rule's f.  Bit j of a flat index is bit j of the offer, so
-    ``items.halves`` takes item j's marginal in every block at once; a
-    certified game is monotone, so only an undercut needs the clamp at 0.
+    ``items.halves`` pairs every union with item j with the same union
+    without it, in every block at once.  A certified game is monotone, so
+    only an undercut needs the clamp at 0, item by item; without one the
+    payoff is |S|·v(U) − Σ_j v(U − j): one pass for |S|·v(U), then one
+    subtraction per pair.
     Others run ``pmvc_outcome`` once per union, on the profile
     ``g.profile_of(union)``, and need global masks and ``mine`` to be all
     of A_i.
@@ -455,17 +463,33 @@ def _payoff_rule(g: GameInstance, undercut: Fraction | None, table: list[int]):
     def pays(rests: Iterable[int], vendor: int, mine: int) -> list[int]:
         offers = offers_in(mine)
         values = [f * table[rest | offer] for rest in rests for offer in offers]
-        totals = [0] * len(values)
         n = (len(values) - 1).bit_length()
-        for j in range(mine.bit_count()):
-            for lo, hi in halves(n, j):
-                gains = map(operator.sub, values[hi], values[lo])
-                if eps:  # positive exactly when there is an undercut
+        width = mine.bit_count()
+        if eps:  # positive exactly when there is an undercut
+            totals = [0] * len(values)
+            for j in range(width):
+                for lo, hi in halves(n, j):
+                    gains = map(operator.sub, values[hi], values[lo])
                     gains = [m - eps if m > eps else 0 for m in gains]
-                totals[hi] = map(operator.add, totals[hi], gains)
+                    totals[hi] = map(operator.add, totals[hi], gains)
+            return totals
+        sizes = _offer_sizes(width) if width <= 16 else subset_sums(repeat(1, width))
+        if len(values) > len(sizes):
+            sizes = sizes * (len(values) >> width)
+        totals = list(map(operator.mul, sizes, values))
+        for j in range(width):
+            for lo, hi in halves(n, j):
+                totals[hi] = map(operator.sub, totals[hi], values[lo])
         return totals
 
     return pays
+
+
+@cache
+def _offer_sizes(width: int) -> tuple[int, ...]:
+    """The item count of each local mask of ``width`` bits, built once per
+    width; the payoff rule keeps only those of up to 2^16 entries."""
+    return tuple(subset_sums(repeat(1, width)))
 
 
 def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
@@ -482,14 +506,30 @@ def pmvc_payoffs(g: GameInstance, s: StrategyProfile) -> tuple[Fraction, ...]:
     return tuple(rule.fraction(sum(prices[i] for i in bits_of(offer))) for offer in s.offers)
 
 
-def _prefixes(g: GameInstance) -> list[int]:
-    """The union of the offers of every vendor but the last, for each
+def _prefixes(g: GameInstance, heads: int) -> list[int]:
+    """The union of the offers of the first ``heads`` vendors, for each
     profile prefix in ``all_profiles`` order, built by doubling.  Offers are
     disjoint, so a sum is a union."""
     prefixes = [0]
-    for table in g.offer_tables[:-1]:
+    for table in g.offer_tables[:heads]:
         prefixes = [a + b for a in prefixes for b in table]
     return prefixes
+
+
+def _head_count(g: GameInstance) -> int:
+    """How many vendors lead a listing's prefixes: all but the last, less
+    each vendor before the run moved into it while the head owns more than
+    ``_RUN_ITEMS`` items and the run would own at most that many.  So the
+    first vendor stays in the head, and a head of at most ``_RUN_ITEMS``
+    items is all but the last vendor."""
+    sizes = [owned.bit_count() for owned in g.vendor_masks]
+    heads = len(sizes) - 1
+    head, run = sum(sizes[:heads]), sizes[heads]
+    while head > _RUN_ITEMS and run + sizes[heads - 1] <= _RUN_ITEMS:
+        heads -= 1
+        head -= sizes[heads]
+        run += sizes[heads]
+    return heads
 
 
 def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
@@ -497,7 +537,7 @@ def all_profiles(g: GameInstance) -> Iterator[StrategyProfile]:
     index, later vendors cycling fastest (row-major product).  Each union
     is a prefix plus one of the last vendor's offers, taken as it is read,
     so the 2^n order is walked, never held."""
-    unions = starmap(operator.add, product(_prefixes(g), g.offer_tables[-1]))
+    unions = starmap(operator.add, product(_prefixes(g, g.n_vendors - 1), g.offer_tables[-1]))
     return map(g.profile_of, unions)
 
 
@@ -571,13 +611,17 @@ def pmvc_pure_ne(
     subsets by the others' offers, evaluates each payoff once, and drops
     those where the vendor falls short of its best reply.
 
-    The product is listed a block at a time.  The parts meeting the last
-    vendor's items make up ``tail``: each union t of their product puts
-    the last vendor's offer ``t & last`` in the run of ``t & ~last``.  The
-    unions of the other parts' product get their values once, as the
-    sequence's ``bases`` (``_head_values``).  A prefix p is kept when ``p &
-    ~tail`` has a base, and its block is the run of ``p & tail``.  A
-    profile is built only when the sequence is read.
+    The product is listed a block at a time.  A block's prefix is the
+    joint offer of the head vendors (``_head_count``) and its run lists
+    joint offers of the run vendors after them, so a game of many small
+    vendors lists about 2^10 prefixes, not one per joint offer of all but
+    the last vendor.  The parts meeting the run vendors' items R make up
+    ``tail``: each union t of their product puts the run's offer ``t & R``
+    in the run of ``t & ~R``, each run sorted in the product order of its
+    vendors.  The unions of the other parts' product get their values
+    once, as the sequence's ``bases`` (``_head_values``).  A prefix p is
+    kept when ``p & ~tail`` has a base, and its block is the run of ``p &
+    tail``.  A profile is built only when the sequence is read.
     """
     _profile_count(g, cap)
     parts = []
@@ -587,22 +631,26 @@ def pmvc_pure_ne(
         per_part.append(_part_equilibria(g, pays, mines, unions))
         if not per_part[-1]:
             return ProfileSequence.of_unions(g, [])
-    last = g.vendor_masks[-1]
-    tail = sum(part for part in parts if part & last)
-    heads = [s for part, s in zip(parts, per_part) if not part & last]
-    tails = [s for part, s in zip(parts, per_part) if part & last]
-    bases = _head_values(g.universe.full_mask & ~tail, heads, g.valuation.part_tables().value)
+    heads = _head_count(g)
+    run_masks = g.vendor_masks[heads:]
+    run_items = sum(run_masks)
+    tail = sum(part for part in parts if part & run_items)
+    lead = [s for part, s in zip(parts, per_part) if not part & run_items]
+    tails = [s for part, s in zip(parts, per_part) if part & run_items]
+    bases = _head_values(g.universe.full_mask & ~tail, lead, g.valuation.part_tables().value)
     runs: dict[int, list[int]] = {}
     for union in map(sum, product(*tails)):
-        runs.setdefault(union & ~last, []).append(union & last)
+        runs.setdefault(union & ~run_items, []).append(union & run_items)
+    # one vendor's global masks ascend as its local ones do
+    order = None if len(run_masks) == 1 else (lambda u: [u & owned for owned in run_masks])
     for run in runs.values():
-        run.sort()
+        run.sort(key=order)
     blocks = []
-    for prefix in _prefixes(g):
+    for prefix in _prefixes(g, heads):
         run = runs.get(prefix & tail)
         if run and bases[prefix & ~tail] is not None:
             blocks.append((prefix, run))
-    return ProfileSequence(g, blocks, per_part, tail, bases)
+    return ProfileSequence(g, blocks, per_part, tail, bases, heads)
 
 
 def _part_games(g: GameInstance, undercut: Fraction | None) -> list[tuple]:

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from operator import add
 from typing import Any, Iterator
 
 from .analysis import EquilibriumReport
@@ -411,23 +412,31 @@ def payoff_table_json(g: GameInstance, outcomes) -> Iterator[str]:
 
 def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None,
                         encode=str) -> Iterator:
-    """Each block of ``nes`` as its prefix's text (every vendor's offer but
-    the last, each followed by "|") and a list with one entry per
-    equilibrium in it: the last vendor's offer's text, or with ``line``,
-    ``line(offer text, welfare text)``.  An offer's text is ``encode`` of
-    it.
+    """Each block of ``nes`` as its prefix's text (the offer of each head
+    vendor, ``nes.heads``, followed by "|") and a list with one entry per
+    equilibrium in it: the run vendors' offers' texts joined by "|", or
+    with ``line``, ``line(offers text, welfare text)``.  An offer's text
+    is ``encode`` of it.
 
-    Each vendor's offer and each distinct welfare is formatted once, and a
-    block's list is built once per context c = p & tail of its prefix p
-    and base welfare v(p & ~tail), summed over the valuation's part tables
+    Each vendor's offer and each distinct welfare is formatted once.  A
+    block's run is formatted once per context c = p & tail of its prefix
+    p, and its list once per context and base welfare v(p & ~tail),
+    summed over the valuation's part tables
     (``ProfileSequence.value_blocks``): v adds up across ``tail``, and
     v(empty) = 0, so v(p + o) = v(p & ~tail) + v(c + o).  The lists kept
     for reuse hold at most about 65,536 texts, so a game whose contexts
     never repeat (one part, say) is still streamed.
     """
     u = g.universe
-    head_masks = g.vendor_masks[:-1]
-    offers = {offer: encode(u.format_set(offer)) for own in g.offer_tables for offer in own}
+
+    def texts_of(owned: int, form: str) -> dict[int, str]:
+        return {offer: form.format(encode(u.format_set(offer))) for offer in g.offers_in(owned)}
+
+    head_masks = g.vendor_masks[:nes.heads]
+    head_texts = [texts_of(owned, "{}|") for owned in head_masks]
+    first, *later = g.vendor_masks[nes.heads:]
+    first_texts = texts_of(first, "{}")
+    later_texts = [texts_of(owned, "|{}") for owned in later]
     tail = nes.tail
     if line is None:
         blocks = ((prefix, block, 0, None) for prefix, block in nes.blocks)
@@ -435,22 +444,29 @@ def _equilibrium_blocks(g: GameInstance, nes: ProfileSequence, line=None,
         values = g.valuation.part_tables()
         blocks = nes.value_blocks()
         value = cache(lambda w: _fmt(Fraction(w, values.scale)))
+    runs: dict[int, list[str]] = {}
     built: dict[tuple[int, int], list] = {}
     held = 0
     for prefix, block, base, rest in blocks:
-        key = (prefix & tail, base)
-        texts = built.get(key)
+        context = prefix & tail
+        texts = built.get((context, base))
         if texts is None:
             if held > 1 << 16:
+                runs.clear()
                 built.clear()
                 held = 0
-            held += len(block)
-            if line is None:
-                texts = [offers[o] for o in block]
-            else:
-                texts = [line(offers[o], value(base + w)) for o, w in zip(block, rest)]
-            built[key] = texts
-        yield "".join(offers[prefix & owned] + "|" for owned in head_masks), texts
+            texts = runs.get(context)
+            if texts is None:
+                joined = map(first_texts.__getitem__, map(first.__and__, block))
+                for owned, led in zip(later, later_texts):
+                    joined = map(add, joined, map(led.__getitem__, map(owned.__and__, block)))
+                texts = runs[context] = list(joined)
+                held += len(block)
+            if line is not None:
+                texts = list(map(line, texts, map(value, map(base.__add__, rest))))
+                held += len(block)
+            built[context, base] = texts
+        yield "".join(map(dict.__getitem__, head_texts, map(prefix.__and__, head_masks))), texts
 
 
 def _equilibrium_lines(g: GameInstance, nes: ProfileSequence, lead: str, line=None,
@@ -458,8 +474,10 @@ def _equilibrium_lines(g: GameInstance, nes: ProfileSequence, lead: str, line=No
     """One line per equilibrium, ``lead``, the profile's text, what
     ``line`` adds (``_equilibrium_blocks``) and ``close``, in pieces of up to
     4,096 lines.  A piece packs consecutive blocks, each joined with one
-    ``str.join``, and a block longer than a piece is split.  Neither the
-    whole text nor all the lines are held."""
+    ``str.join`` and put in the piece as the head, that text and the close,
+    so it is copied once more only when the piece is joined; a block longer
+    than a piece is split.  Neither the whole text nor all the lines are
+    held."""
     piece: list[str] = []
     size = 0
     for prefix, texts in _equilibrium_blocks(g, nes, line, encode):
@@ -470,7 +488,7 @@ def _equilibrium_lines(g: GameInstance, nes: ProfileSequence, lead: str, line=No
             if size + len(run) > 4096:
                 yield "".join(piece)
                 piece, size = [], 0
-            piece.append(head + glue.join(run) + close)
+            piece += (head, glue.join(run), close)
             size += len(run)
     if piece:
         yield "".join(piece)

@@ -98,6 +98,16 @@ COMMANDS = [
     ("poa", "--gen", "random:5,12,3"),
     ("brd", "--gen", "random:5,12,3", "--mode", "discrete", "--format", "json"),
     ("ne", "data/supermodular.json", "--format", "json"),
+    # listings whose blocks run over the joint offers of several last
+    # vendors: harmonic groups, a two-vendor cap, random and category-divided
+    # games with one item per vendor, an undercut, and the 20-item JSON
+    ("poa", "--gen", "harmonic:6,3"),
+    ("ne", "--gen", "harmonic:10,2", "--format", "json"),
+    ("poa", "--gen", "pos:10,2,1/100"),
+    ("poa", "--gen", "random:1,12,12"),
+    ("poa", "--gen", "cdsp_random:1,12,4,12"),
+    ("ne", "--gen", "harmonic:4,4", "--eps", "1/7"),
+    ("poa", "--gen", "harmonic:4,5", "--format", "json"),
 ]
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -371,7 +372,7 @@ def test_cap_sized_listing_is_counted_and_reported_from_blocks():
     g = harmonic_instance(4, 5)
     nes = pmvc_pure_ne(g)
     assert len(nes) == 923_521
-    assert len(nes.blocks) == 31**3
+    assert len(nes.blocks) == 31**2
     rep = equilibrium_report(g)
     assert (rep.poa, rep.pos) == (harmonic_number(5), 1)
     assert "unions" not in vars(nes) and "unions" not in vars(rep.profiles)
@@ -420,6 +421,100 @@ def test_a_slice_reads_its_blocks(g):
         assert isinstance(part, ProfileSequence)
         assert list(part) == listed[cut]
     assert "unions" not in vars(nes)
+
+
+@BLOCKED
+def test_a_game_with_a_small_head_keeps_one_block_per_prefix(g):
+    # the head owns at most 10 items: the last vendor alone makes the run
+    nes = pmvc_pure_ne(g)
+    last = g.vendor_masks[-1]
+    assert nes.heads == g.n_vendors - 1
+    unions = list(nes._walk())
+    assert nes.blocks == [
+        (prefix, [u - prefix for u in run]) for prefix, run in groupby(unions, lambda u: u & ~last)
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, heads, blocks",
+    [
+        (harmonic_instance(4, 5), 2, 31**2),
+        (harmonic_instance(10, 2), 5, 3**5),
+        (harmonic_instance(20, 1), 10, 1),
+        (harmonic_instance(6, 3), 3, 7**3),
+        (harmonic_instance(1, 13), 0, 1),
+        (harmonic_instance(2, 7), 1, 127),
+        (random_instance(0, 12, 12), 10, 522),
+    ],
+    ids=["harmonic-4-5", "harmonic-10-2", "harmonic-20-1", "harmonic-6-3", "harmonic-1-13",
+         "harmonic-2-7", "random-0-12-12"],
+)
+def test_the_run_takes_the_last_vendors_while_the_head_owns_more_than_10_items(g, heads, blocks):
+    nes = pmvc_pure_ne(g)
+    assert (nes.heads, len(nes.blocks)) == (heads, blocks)
+    run = sum(g.vendor_masks[heads:])
+    assert all(not prefix & run and not o & ~run for prefix, offers in nes.blocks for o in offers)
+
+
+def _check_spanning_runs(g, expected, nes):
+    """``nes`` lists ``expected`` by index, slice and walk, and its blocks'
+    values add up to each union's value."""
+    assert nes.heads < g.n_vendors - 1  # the run spans several vendors
+    assert list(nes) == expected
+    n = len(expected)
+    for j in [*range(0, n, max(1, n // 200)), -1, -n]:
+        assert nes[j] == expected[j]
+    cuts = (slice(None, 3), slice(1, None, 7), slice(None, None, -5), slice(-9, -2), slice(n, None))
+    for cut in cuts:
+        assert list(nes[cut]) == expected[cut]
+    values = g.valuation.part_tables()
+    unions = []
+    for prefix, offers, base, rest in nes.value_blocks():
+        assert [base + w for w in rest] == [values.value(prefix + o) for o in offers]
+        unions += [prefix + o for o in offers]
+    assert unions == [s.union_mask for s in expected]
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["coverage", "additive-concave", "cdsp"]),
+    st.integers(1, 12),
+    st.sampled_from([None, Fraction(1, 7)]),
+)
+def test_runs_over_several_vendors_list_every_equilibrium(seed, kind, r, undercut):
+    # twelve one-item vendors: the last two make the run
+    if kind == "cdsp":
+        g = random_cdsp_instance(seed, 12, r, 12)
+    else:
+        g = random_instance(seed, 12, 12, kind)
+    nes = pmvc_pure_ne(g, undercut=undercut)
+    _check_spanning_runs(g, reference_ne(g, undercut), nes)
+    text, _ = reference_ne_outputs(g, list(nes))
+    assert "".join(equilibria_to_text(g, nes)) + "\n" == text
+    if undercut is None and nes:
+        text, _ = reference_report(g, list(nes))
+        assert "".join(report_to_text(g, equilibrium_report(g))) == text
+
+
+def test_runs_over_three_harmonic_vendors():
+    # every profile with each offer nonempty is an equilibrium (harmonic_instance)
+    g = harmonic_instance(6, 3)
+    expected = [s for s in all_profiles(g) if all(s.offers)]
+    _check_spanning_runs(g, expected, pmvc_pure_ne(g))
+
+
+@pytest.mark.parametrize(
+    "g, spec",
+    [
+        (random_instance(3, 12, 12), "random:3,12,12"),
+        (random_cdsp_instance(2, 12, 5, 12), "cdsp_random:2,12,5,12"),
+    ],
+    ids=["random-3-12-12", "cdsp-2-12-5-12"],
+)
+def test_outputs_match_reference_with_runs_over_several_vendors(g, spec):
+    assert pmvc_pure_ne(g).heads == 10
+    assert_outputs_match(g, ["--gen", spec])
 
 
 def test_profile_sequence_empty():
